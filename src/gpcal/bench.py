@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
-from .exceptions import DataError, DomainError, InvalidMatrixError
+from .exceptions import DataError, DomainError, InvalidMatrixError, \
+    UsageError
 from .gp import Dataset, TrendSpec, fit_gp, prediction_interval, predict
 from .kernels import KernelFamily, KernelSpec
 from .loo import loo_coverage
@@ -320,6 +321,8 @@ class BenchRow:
     sdpiw: float
     fit_seconds: float
     calibrate_seconds: float
+    converged: bool      # the reference fit's verdict; True for bayes
+    n_evals: int         # optimizer evaluations; MCMC samples for bayes
 
 
 @dataclass(frozen=True)
@@ -418,7 +421,8 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
                 experiment=name, seed=seed, method="bayes",
                 q2=metrics.q2, loo_cp=math.nan, cp=metrics.cp,
                 mpiw=metrics.mpiw, sdpiw=metrics.sdpiw,
-                fit_seconds=fit_s, calibrate_seconds=0.0))
+                fit_seconds=fit_s, calibrate_seconds=0.0,
+                converged=True, n_evals=config.n_samples))
             continue
         fitter = fit_mle if method == "mle" else fit_msecv
         t0 = time.perf_counter()
@@ -433,7 +437,8 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
             experiment=name, seed=seed, method=method,
             q2=metrics.q2, loo_cp=loo_coverage(model, alpha),
             cp=metrics.cp, mpiw=metrics.mpiw, sdpiw=metrics.sdpiw,
-            fit_seconds=fit_s, calibrate_seconds=0.0))
+            fit_seconds=fit_s, calibrate_seconds=0.0,
+            converged=reference.converged, n_evals=reference.n_evals))
 
         t0 = time.perf_counter()
         calibrated = calibrate(train, trend, cfg.family, cfg.nugget,
@@ -445,7 +450,8 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
             experiment=name, seed=seed, method=method + "_rpie",
             q2=math.nan, loo_cp=calibrated.loo_coverage(),
             cp=metrics_c.cp, mpiw=metrics_c.mpiw, sdpiw=metrics_c.sdpiw,
-            fit_seconds=fit_s, calibrate_seconds=cal_s))
+            fit_seconds=fit_s, calibrate_seconds=cal_s,
+            converged=reference.converged, n_evals=reference.n_evals))
         traces[(seed, method, "upper")] = calibrated.upper.trace
         traces[(seed, method, "lower")] = calibrated.lower.trace
         details[(seed, method)] = {
@@ -467,9 +473,13 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
 
 def _max_workers() -> int:
     raw = os.environ.get("RPIE_THREADS", "")
-    if raw.strip():
+    if not raw.strip():
+        return os.cpu_count() or 1
+    try:
         return max(int(raw), 1)
-    return os.cpu_count() or 1
+    except ValueError:
+        raise UsageError(
+            f"RPIE_THREADS must be an integer, got {raw!r}") from None
 
 
 def run_experiment(name: str, scale: ExperimentScale | None = None,
@@ -526,7 +536,8 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = ("experiment", "seed", "method", "q2", "loo_cp", "cp",
-                "mpiw", "sdpiw", "fit_seconds", "calibrate_seconds")
+                "mpiw", "sdpiw", "fit_seconds", "calibrate_seconds",
+                "converged", "n_evals")
 
 
 def _fmt(v) -> str:

@@ -3,7 +3,7 @@
 Exit codes form a stable scripting contract:
 
     0  success
-    2  usage error (bad flags, unknown experiment name)
+    2  usage error (bad flags, unknown experiment name, bad RPIE_THREADS)
     3  data error (malformed CSV, schema mismatch)
     4  numerical or hypothesis failure
 
@@ -31,7 +31,7 @@ from .bench import EXPERIMENT_NAMES, ExperimentScale, run_experiment, \
     write_lambda_trace_csv, write_report_csv, write_summary_json
 from .estimation import EstimationResult, McmcConfig, fit_mle, fit_msecv, \
     mle_objective, posterior_mean_kernel
-from .exceptions import DataError, DomainError, GpcalError
+from .exceptions import DataError, DomainError, GpcalError, UsageError
 from .gp import Dataset, TrendSpec, fit_gp, model_from_dict, \
     model_to_dict, predict, prediction_interval
 from .kernels import KernelFamily
@@ -475,6 +475,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except (DataError, DomainError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,13 @@ MSE cross-validation, and a full-Bayesian predictive baseline.
 
 Both deterministic criteria are minimized by multi-start bounded L-BFGS-B
 over log hyperparameters inside scale-aware boxes (length-scales relative
-to the per-column input range, amplitude relative to var(y)).  The Bayesian
-baseline runs a random-walk Metropolis chain over the same log coordinates
-and propagates the sampled hyperparameters into the predictive law.
+to the per-column input range, amplitude relative to var(y)).  Each
+criterion returns its value with S = d criterion / dK, and
+``kernels.covariance_gradient`` maps S to the analytic gradient in the
+optimizer's log coordinates; ``n_evals`` counts value+gradient
+evaluations.  The Bayesian baseline runs a random-walk Metropolis chain
+over the same log coordinates and propagates the sampled hyperparameters
+into the predictive law.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from scipy import linalg, optimize
 from .exceptions import (
     EstimationFailureError,
     GpcalError,
+    HypothesisH2Error,
     IllConditionedError,
     InvalidParameterError,
 )
 from .gp import Dataset, TrendSpec, build_covariance, \
     build_regression_matrix, compute_kbar, fit_gp, predict
-from .kernels import KernelFamily, KernelSpec, pairwise_sq_diffs
+from .kernels import KernelFamily, KernelSpec, covariance_gradient, \
+    pairwise_sq_diffs
 
 __all__ = [
     "EstimationResult",
@@ -108,16 +114,11 @@ def _data_scales(dataset: Dataset) -> tuple:
     return spans, v
 
 
-def mle_objective(dataset: Dataset, trend: TrendSpec,
-                  kernel: KernelSpec, sq_diffs=None) -> float:
-    """Profile negative log-likelihood y' Kbar y + log det K.
+def _profile_nll(F, L, y) -> tuple:
+    """Profile NLL y' Kbar y + log det K from the Cholesky factor L of K.
 
-    The regression coefficients are profiled out, so the quadratic form uses
-    the GLS residuals; log det K comes from the Cholesky diagonal.
+    Also returns w = L^{-1} (y - F beta), so that Kbar y = L^{-T} w.
     """
-    F = build_regression_matrix(dataset.X, trend)
-    _, L, _ = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
-    y = dataset.y
     a = linalg.solve_triangular(L, y, lower=True)
     quad = float(a @ a)
     if F.shape[1] > 0:
@@ -128,9 +129,23 @@ def mle_objective(dataset: Dataset, trend: TrendSpec,
             cG = linalg.cho_factor(G, lower=True)
         except linalg.LinAlgError:
             raise IllConditionedError("F' K^{-1} F is singular")
-        quad -= float(c @ linalg.cho_solve(cG, c))
+        gamma = linalg.cho_solve(cG, c)
+        quad -= float(c @ gamma)
+        a = a - B @ gamma
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return quad + logdet
+    return quad + logdet, a
+
+
+def mle_objective(dataset: Dataset, trend: TrendSpec,
+                  kernel: KernelSpec, sq_diffs=None) -> float:
+    """Profile negative log-likelihood y' Kbar y + log det K.
+
+    The regression coefficients are profiled out, so the quadratic form uses
+    the GLS residuals; log det K comes from the Cholesky diagonal.
+    """
+    F = build_regression_matrix(dataset.X, trend)
+    _, L, _ = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
+    return _profile_nll(F, L, dataset.y)[0]
 
 
 def msecv_objective(dataset: Dataset, trend: TrendSpec,
@@ -143,38 +158,89 @@ def msecv_objective(dataset: Dataset, trend: TrendSpec,
     return float(np.sum((ky / diag) ** 2))
 
 
+def _inverse(L) -> np.ndarray:
+    """K^{-1} from the lower Cholesky factor L of K.
+
+    dpotri fills the lower triangle and keeps L's strict upper triangle,
+    which np.linalg.cholesky leaves zero, so one transpose-add completes it.
+    """
+    inv, info = linalg.lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise IllConditionedError("covariance inverse failed")
+    full = inv + inv.T
+    full.flat[::full.shape[0] + 1] *= 0.5
+    return full
+
+
+def _mle_with_dk(F, L, y) -> tuple:
+    """Profile NLL and S = dNLL/dK = K^{-1} - (Kbar y)(Kbar y)'."""
+    value, w = _profile_nll(F, L, y)
+    ky = linalg.solve_triangular(L, w, lower=True, trans="T")
+    S = _inverse(L)
+    S -= np.outer(ky, ky)
+    return value, S
+
+
+def _msecv_with_dk(F, L, y) -> tuple:
+    """LOO-MSE criterion sum e_i^2 and S = d criterion / dK.
+
+    With kb = diag Kbar, e = Kbar y / kb and c = e / kb, dKbar = -Kbar dK
+    Kbar gives S = -2 sym(Kbar y (Kbar c)' - Kbar Diag(e^2 / kb) Kbar).
+    """
+    kbar = _inverse(L)
+    if F.shape[1] > 0:
+        M = kbar @ F
+        try:
+            cG = linalg.cho_factor(F.T @ M, lower=True)
+        except linalg.LinAlgError:
+            raise IllConditionedError("F' K^{-1} F is singular")
+        kbar = kbar - M @ linalg.cho_solve(cG, M.T)
+    kb = np.diag(kbar)
+    if kb.min() <= 1e-12 * max(kb.max(), 0.0):
+        raise HypothesisH2Error("Kbar has a vanishing diagonal entry")
+    ky = kbar @ y
+    e = ky / kb
+    kc = kbar @ (e / kb)
+    S = 2.0 * (kbar * (e * e / kb)) @ kbar
+    S -= np.outer(ky, kc)
+    S -= np.outer(kc, ky)
+    return float(e @ e), S
+
+
 def _multistart_minimize(objective, x0_list, bounds):
     """Bounded L-BFGS-B from each start; best by (objective, |u| norm).
 
-    ``objective`` returns None where the criterion cannot be evaluated (a
-    covariance that stays singular after jitter, overflow).  The optimizer
-    then sees a finite penalty above every value met so far, so its line
-    search backs away instead of stalling on inf.  The gradient is taken by
-    finite differences inside the box.  Starts are reduced in index order
-    so the outcome does not depend on any execution interleaving.
+    ``objective`` returns (value, gradient), or None where the criterion
+    cannot be evaluated (a covariance that stays singular after jitter,
+    overflow).  The optimizer then sees a finite penalty above every value
+    met so far with a zero gradient, so its line search backs away instead
+    of stalling on inf.  Starts are reduced in index order so the outcome
+    does not depend on any execution interleaving.
 
-    Returns (value, u, n_evals, converged) where converged is the
-    optimizer's own verdict on the start that produced the best point.
+    Returns (value, u, n_evals, converged): n_evals counts value+gradient
+    evaluations over all starts, and converged is the optimizer's own
+    verdict on the start that produced the best point.
     """
     worst = 0.0
 
     def penalized(u):
         nonlocal worst
-        value = objective(u)
-        if value is None:
-            return 1e6 * max(1.0, worst)
-        worst = max(worst, value)
-        return value
+        out = objective(u)
+        if out is None:
+            return 1e6 * max(1.0, worst), np.zeros_like(u)
+        worst = max(worst, out[0])
+        return out
 
     best = None
     total_evals = 0
     for x0 in x0_list:
-        res = optimize.minimize(penalized, x0, method="L-BFGS-B",
+        res = optimize.minimize(penalized, x0, jac=True, method="L-BFGS-B",
                                 bounds=bounds)
         total_evals += res.nfev
-        value = objective(res.x)
-        if value is None:
+        out = objective(res.x)
+        if out is None:
             continue
+        value = out[0]
         norm = float(np.linalg.norm(res.x))
         if best is None or value < best[0] or \
                 (value == best[0] and norm < best[2]):
@@ -205,15 +271,31 @@ def _make_starts(n_params, n_starts, rng, nugget_slot=False):
     return starts
 
 
-def _guarded(objective_fn, dataset, trend, sq_diffs):
-    """The criterion at a kernel, or None where it cannot be evaluated."""
-    def value_at(kernel):
+def _log_objective(criterion, dataset, trend, unpack):
+    """u -> (value, gradient) of a criterion at the kernel ``unpack(u)``.
+
+    ``criterion(F, L, y)`` returns the value and S = d criterion / dK; the
+    gradient keeps the first len(u) of the (log theta, log sigma2, log
+    nugget) partials.  The regression matrix and the squared differences
+    are built once here, not once per evaluation.  Returns None where the
+    criterion cannot be evaluated.
+    """
+    F = build_regression_matrix(dataset.X, trend)
+    sq_diffs = pairwise_sq_diffs(dataset.X)
+
+    def objective(u):
         try:
-            value = objective_fn(dataset, trend, kernel, sq_diffs)
+            kernel = unpack(u)
+            _, L, _ = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
+            value, S = criterion(F, L, dataset.y)
+            grad = covariance_gradient(kernel, sq_diffs, S)[:u.size]
         except (GpcalError, linalg.LinAlgError, ValueError):
             return None
-        return value if np.isfinite(value) else None
-    return value_at
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            return None
+        return value, grad
+
+    return objective
 
 
 def _log_bounds(*boxes):
@@ -221,13 +303,11 @@ def _log_bounds(*boxes):
 
 
 def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
-                objective_fn, n_starts, seed):
+                criterion, n_starts, seed):
     if dataset.n < 2:
         raise EstimationFailureError("insufficient data: need n >= 2")
     spans, v = _data_scales(dataset)
     d = dataset.d
-    value_at = _guarded(objective_fn, dataset, trend,
-                        pairwise_sq_diffs(dataset.X))
     boxes = [_THETA_BOUNDS] * d + [_SIGMA2_BOUNDS]
     if estimate_nugget:
         boxes.append(_NUGGET_BOUNDS)
@@ -243,7 +323,8 @@ def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
     starts = _make_starts(len(boxes), n_starts, rng,
                           nugget_slot=estimate_nugget)
     value, u_best, n_evals, converged = _multistart_minimize(
-        lambda u: value_at(unpack(u)), starts, _log_bounds(*boxes))
+        _log_objective(criterion, dataset, trend, unpack), starts,
+        _log_bounds(*boxes))
     return unpack(u_best), value, n_evals, converged
 
 
@@ -253,13 +334,15 @@ def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     """Maximum-likelihood fit of (sigma2, theta) [and optionally the nugget].
 
     Minimizes the profile objective y' Kbar y + log det K by multi-start
-    bounded L-BFGS-B over log hyperparameters; ``converged`` reports
-    whether the start that gave the returned optimum met the optimizer's
-    gradient or relative-decrease test.
+    bounded L-BFGS-B over log hyperparameters, with the analytic gradient
+    -(Kbar y)' dK (Kbar y) + tr(K^{-1} dK).  ``n_evals`` counts
+    value+gradient evaluations; ``converged`` reports whether the start
+    that gave the returned optimum met the optimizer's gradient or
+    relative-decrease test.
     """
     kernel, value, n_evals, converged = _fit_kernel(
         dataset, trend, family, nugget, estimate_nugget,
-        mle_objective, n_starts, seed)
+        _mle_with_dk, n_starts, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MLE",
                             converged=converged)
@@ -270,9 +353,11 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               n_starts: int = 5, seed: int = 0) -> EstimationResult:
     """Leave-one-out MSE cross-validation fit.
 
-    Uses the same multi-start bounded L-BFGS-B as :func:`fit_mle`.  With a
-    positive (or jointly estimated) nugget the criterion is minimized over
-    all hyperparameters.  Without a nugget the criterion does not identify
+    Uses the same multi-start bounded L-BFGS-B as :func:`fit_mle`, with
+    the analytic gradient that follows from dKbar = -Kbar dK Kbar;
+    ``n_evals`` counts value+gradient evaluations.  With a positive (or
+    jointly estimated) nugget the criterion is minimized over all
+    hyperparameters.  Without a nugget the criterion does not identify
     the amplitude, so the length-scales are fitted first at unit amplitude
     and sigma2 is then set by the closed form
 
@@ -284,7 +369,7 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
         return _fit_msecv_no_nugget(dataset, trend, family, n_starts, seed)
     kernel, value, n_evals, converged = _fit_kernel(
         dataset, trend, family, nugget, estimate_nugget,
-        msecv_objective, n_starts, seed)
+        _msecv_with_dk, n_starts, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MSE_CV",
                             converged=converged)
@@ -295,8 +380,6 @@ def _fit_msecv_no_nugget(dataset, trend, family, n_starts, seed):
         raise EstimationFailureError("insufficient data: need n >= 2")
     spans, _ = _data_scales(dataset)
     d = dataset.d
-    sq_diffs = pairwise_sq_diffs(dataset.X)
-    value_at = _guarded(msecv_objective, dataset, trend, sq_diffs)
 
     def unit_kernel(u):
         return KernelSpec(family=family, sigma2=1.0, theta=spans * np.exp(u),
@@ -305,11 +388,11 @@ def _fit_msecv_no_nugget(dataset, trend, family, n_starts, seed):
     rng = np.random.default_rng(seed)
     starts = _make_starts(d, n_starts, rng)
     value, u_best, n_evals, converged = _multistart_minimize(
-        lambda u: value_at(unit_kernel(u)), starts,
+        _log_objective(_msecv_with_dk, dataset, trend, unit_kernel), starts,
         _log_bounds(*[_THETA_BOUNDS] * d))
     # Closed-form amplitude at the fitted length-scales.
     unit = unit_kernel(u_best)
-    model = fit_gp(dataset, unit, trend, sq_diffs=sq_diffs)
+    model = fit_gp(dataset, unit, trend)
     rbar = compute_kbar(model)
     ry = rbar @ dataset.y
     sigma2 = float(np.mean(ry * ry / np.diag(rbar)))

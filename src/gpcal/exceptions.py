@@ -17,6 +17,11 @@ class ShapeError(GpcalError, ValueError):
     """Array arguments have inconsistent dimensions."""
 
 
+class UsageError(GpcalError, ValueError):
+    """A setting outside the command-line flags, such as an environment
+    variable, has an invalid value."""
+
+
 class DataError(GpcalError, ValueError):
     """Malformed input data (CSV ingestion, schema mismatches)."""
 

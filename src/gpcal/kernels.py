@@ -27,6 +27,7 @@ __all__ = [
     "cross_covariance",
     "scaled_distance_matrix",
     "pairwise_sq_diffs",
+    "covariance_gradient",
 ]
 
 # Scaled distances below this are treated as exactly zero to avoid
@@ -77,6 +78,43 @@ def _profile(family: KernelFamily, u: np.ndarray) -> np.ndarray:
     if family is KernelFamily.SQUARED_EXPONENTIAL:
         return np.exp(-0.5 * u * u)
     raise InvalidParameterError(f"unhandled kernel family: {family}")
+
+
+def covariance_gradient(spec: KernelSpec, sq_diffs: np.ndarray,
+                        S: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar criterion of K = sigma2 R(h) + nugget I in the
+    log hyperparameters, given the symmetric S = d criterion / dK.
+
+    Returns the d + 2 partials [log theta_1 .. log theta_d, log sigma2,
+    log nugget]:
+
+        d/dlog theta_j = -(sigma2 / theta_j^2) sum S o (r'(h)/h) o Delta_j^2
+        d/dlog sigma2  = sigma2 sum S o R
+        d/dlog nugget  = nugget tr S
+
+    with Delta_j^2 the cached ``pairwise_sq_diffs``.  r'(h)/h comes in
+    closed form from the profile r(h); for the exponential kernel it is
+    set to 0 where h = 0, whose Delta_j^2 are 0.
+    """
+    family = spec.family
+    h = scaled_distance_matrix(sq_diffs, spec.theta)
+    r = _profile(family, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family is KernelFamily.EXPONENTIAL:
+            slope = np.divide(-r, h, out=np.zeros_like(h), where=h > 0.0)
+        elif family is KernelFamily.MATERN32:
+            slope = -3.0 * r / (1.0 + _SQRT3 * h)
+        elif family is KernelFamily.MATERN52:
+            s = _SQRT5 * h
+            slope = (-5.0 / 3.0) * r * (1.0 + s) / (1.0 + s + s * s / 3.0)
+        else:
+            slope = -r
+    n, _, d = sq_diffs.shape
+    dtheta = sq_diffs.reshape(n * n, d).T @ (S * slope).ravel()
+    dsigma2 = spec.sigma2 * float(np.sum(S * r))
+    dnugget = spec.nugget * float(np.trace(S))
+    return np.concatenate([-spec.sigma2 * dtheta / (spec.theta * spec.theta),
+                           [dsigma2, dnugget]])
 
 
 @dataclass(frozen=True)
@@ -235,14 +273,22 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = N
 
 
 def cross_covariance(X: np.ndarray, X_new: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """n x m matrix of kernel values between design X and new points X_new."""
+    """n x m matrix of kernel values between design X and new points X_new.
+
+    h^2 = sum_k (x_k - x'_k)^2 / theta_k^2 is accumulated one dimension at
+    a time, so memory stays O(n m) whatever d is.
+    """
     X = np.asarray(X, dtype=float)
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     if X.shape[1] != spec.dim or X_new.shape[1] != spec.dim:
         raise ShapeError("design/new-point dimension mismatch with theta")
-    diff = X[:, None, :] - X_new[None, :, :]
-    h2 = (diff * diff) @ (1.0 / (spec.theta * spec.theta))
-    np.maximum(h2, 0.0, out=h2)
+    inv_theta2 = 1.0 / (spec.theta * spec.theta)
+    h2 = np.zeros((X.shape[0], X_new.shape[0]))
+    for k in range(spec.dim):
+        diff = np.subtract.outer(X[:, k], X_new[:, k])
+        diff *= diff
+        diff *= inv_theta2[k]
+        h2 += diff
     h = np.sqrt(h2)
     h[h < _DISTANCE_FLOOR] = 0.0
     return spec.sigma2 * _profile(spec.family, h)

@@ -1,5 +1,6 @@
 """Test functions, design sampling, metrics, and the experiment runner."""
 
+import csv
 import math
 
 import numpy as np
@@ -223,6 +224,8 @@ class TestRunExperiment:
         for row in report.rows:
             assert 0.0 <= row.cp <= 1.0
             assert row.mpiw >= 0.0
+            assert isinstance(row.converged, bool)
+            assert row.n_evals > 0
             if row.method == "mle_rpie":
                 assert abs(row.loo_cp - 0.8) <= 2.0 / 30 + 1e-9
         # rows are ordered by (seed, method)
@@ -234,7 +237,13 @@ class TestRunExperiment:
         write_report_csv(report.rows, path)
         header = path.read_text().splitlines()[0]
         assert header == ("experiment,seed,method,q2,loo_cp,cp,mpiw,"
-                          "sdpiw,fit_seconds,calibrate_seconds")
+                          "sdpiw,fit_seconds,calibrate_seconds,converged,"
+                          "n_evals")
+        # the reference fit's diagnostics reach every row of the file
+        lines = csv.DictReader(path.read_text().splitlines())
+        for row, line in zip(report.rows, lines):
+            assert line["converged"] == str(row.converged)
+            assert int(line["n_evals"]) == row.n_evals
 
     def test_reruns_are_identical_outside_timings(self):
         kwargs = dict(scale=ExperimentScale(n=30, d=2, seeds=2),

@@ -249,6 +249,14 @@ class TestBenchmarkCommand:
         assert len(traces) == 2   # upper and lower for the single seed
         assert (out_dir / "morokoff_report.csv.manifest.json").exists()
 
+    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setenv("RPIE_THREADS", "abc")
+        code = main(["benchmark", "morokoff", "--n", "20", "--seeds", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "RPIE_THREADS" in capsys.readouterr().err
+
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "unknown", "--out-dir", str(tmp_path)])

@@ -10,6 +10,9 @@ from gpcal.bench import ExperimentScale, experiment_split, \
     sample_gp_response
 from gpcal.estimation import (
     McmcConfig,
+    _log_objective,
+    _mle_with_dk,
+    _msecv_with_dk,
     _multistart_minimize,
     bayes_predictive,
     fit_mle,
@@ -22,7 +25,8 @@ from gpcal.exceptions import EstimationFailureError, InvalidParameterError
 from gpcal.gp import fit_gp
 from gpcal.loo import loo_mse, virtual_loo
 
-from conftest import dense_kbar, random_dataset, random_kernel
+from conftest import ALL_FAMILIES, dense_kbar, random_dataset, \
+    random_kernel
 
 ORD = TrendSpec.from_string("ordinary")
 SIM = TrendSpec.from_string("simple")
@@ -105,12 +109,14 @@ class TestMultistartMinimize:
         # be evaluated; the search must stop near the edge u = 1 with a
         # real value, not at a penalty or a non-finite point.
         def objective(u):
-            return None if u[0] > 1.0 else float((u[0] - 2.0) ** 2)
+            if u[0] > 1.0:
+                return None
+            return float((u[0] - 2.0) ** 2), 2.0 * (u - 2.0)
 
         value, u, n_evals, _ = _multistart_minimize(
             objective, [np.array([-3.0]), np.array([0.5])], [(-5.0, 5.0)])
         assert 0.9 <= u[0] <= 1.0
-        assert value == objective(u)
+        assert value == objective(u)[0]
         assert n_evals > 0
 
     def test_all_starts_unevaluable_raise(self):
@@ -120,9 +126,63 @@ class TestMultistartMinimize:
 
     def test_respects_box(self):
         value, u, _, converged = _multistart_minimize(
-            lambda u: float(np.sum(u)), [np.zeros(3)], [(-2.0, 2.0)] * 3)
+            lambda u: (float(np.sum(u)), np.ones_like(u)), [np.zeros(3)],
+            [(-2.0, 2.0)] * 3)
         np.testing.assert_array_equal(u, -2.0)
         assert value == -6.0 and converged
+
+
+# The squared exponential at nugget 0 is left out: the condition number of
+# its Gram matrix grows so fast with the length-scales (2e5 at the point
+# below, 7e7 at twice and 2e10 at four times its length-scales) that
+# central differences of the criterion stop resolving a 1e-5 bound: they
+# differ from the gradient by 3e-6 to 7e-6 at twice and by 1e-3 at four
+# times the length-scales.
+_GRADIENT_CASES = [
+    (family, trend, nugget)
+    for family in ALL_FAMILIES
+    for trend in ("simple", "ordinary", "universal")
+    for nugget in (0.0, 1e-2, "estimated")
+    if not (family is KernelFamily.SQUARED_EXPONENTIAL and nugget == 0.0)
+]
+
+
+class TestAnalyticGradient:
+    """The (value, gradient) the optimizer sees against central
+    differences of the value, in the optimizer's log coordinates."""
+
+    @pytest.mark.parametrize("criterion, public", [
+        (_mle_with_dk, mle_objective),
+        (_msecv_with_dk, msecv_objective),
+    ], ids=["mle", "msecv"])
+    @pytest.mark.parametrize("family, trend, nugget", _GRADIENT_CASES)
+    def test_matches_central_differences(self, criterion, public, family,
+                                         trend, nugget):
+        local = np.random.default_rng(31)
+        ds = random_dataset(local, n=25, d=3)
+        trend = TrendSpec.from_string(trend)
+        d = ds.d
+
+        def unpack(u):
+            eps = math.exp(u[d + 1]) if nugget == "estimated" else nugget
+            return KernelSpec(family, math.exp(u[d]), np.exp(u[:d]),
+                              nugget=eps)
+
+        objective = _log_objective(criterion, ds, trend, unpack)
+        u = np.log([0.4, 0.7, 1.1, 1.5])
+        if nugget == "estimated":
+            u = np.append(u, math.log(0.03))
+        value, grad = objective(u)
+        assert value == pytest.approx(public(ds, trend, unpack(u)),
+                                      rel=1e-10)
+        step = 1e-5
+        fd = np.empty(u.size)
+        for j in range(u.size):
+            e = np.zeros(u.size)
+            e[j] = step
+            fd[j] = (objective(u + e)[0] - objective(u - e)[0]) / (2 * step)
+        rel_err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+        assert rel_err <= 1e-5
 
 
 class TestFitMle:

@@ -162,6 +162,21 @@ class TestGramMatrix:
                 assert C[i, j] == pytest.approx(
                     kernel_radial(spec, X[i], Z[j]), rel=1e-14)
 
+    def test_cross_covariance_accumulated_per_dimension(self, rng):
+        # h^2 is summed one input dimension at a time; the result must
+        # match the Gram matrix on X itself and the scalar radial kernel.
+        X = rng.uniform(0.0, 1.0, (40, 6))
+        Z = rng.uniform(0.0, 1.0, (25, 6))
+        for family in ALL_FAMILIES:
+            spec = KernelSpec(family, 1.3, rng.uniform(0.2, 1.5, 6))
+            np.testing.assert_allclose(cross_covariance(X, X, spec),
+                                       gram_matrix(X, spec),
+                                       rtol=1e-12, atol=1e-12)
+            C = cross_covariance(X, Z, spec)
+            oracle = np.array([[kernel_radial(spec, x, z) for z in Z]
+                               for x in X])
+            np.testing.assert_allclose(C, oracle, rtol=1e-12, atol=1e-12)
+
 
 class TestKernelSpec:
     def test_validation(self):

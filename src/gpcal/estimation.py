@@ -26,10 +26,10 @@ from .exceptions import (
     IllConditionedError,
     InvalidParameterError,
 )
-from .gp import Dataset, TrendSpec, build_covariance, \
-    build_regression_matrix, compute_kbar, fit_gp, predict
+from .gp import Dataset, TrendSpec, _has_duplicate_rows, build_covariance, \
+    build_regression_matrix, compute_kbar, factor_covariance, fit_gp, predict
 from .kernels import KernelFamily, KernelSpec, covariance_gradient, \
-    pairwise_sq_diffs
+    gram_matrix, pairwise_sq_diffs
 
 __all__ = [
     "EstimationResult",
@@ -276,17 +276,23 @@ def _log_objective(criterion, dataset, trend, unpack):
 
     ``criterion(F, L, y)`` returns the value and S = d criterion / dK; the
     gradient keeps the first len(u) of the (log theta, log sigma2, log
-    nugget) partials.  The regression matrix and the squared differences
-    are built once here, not once per evaluation.  Returns None where the
-    criterion cannot be evaluated.
+    nugget) partials.  The regression matrix, the squared differences and
+    the duplicated-row check are done once here, not once per evaluation.
+    Returns None where the criterion cannot be evaluated, as for a zero
+    nugget on a design with duplicated rows.
     """
     F = build_regression_matrix(dataset.X, trend)
     sq_diffs = pairwise_sq_diffs(dataset.X)
+    duplicates = _has_duplicate_rows(dataset.X)
 
     def objective(u):
         try:
             kernel = unpack(u)
-            _, L, _ = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
+            if kernel.nugget == 0.0 and duplicates:
+                return None
+            _, L, _ = factor_covariance(
+                gram_matrix(dataset.X, kernel, sq_diffs=sq_diffs),
+                kernel.nugget, kernel.sigma2)
             value, S = criterion(F, L, dataset.y)
             grad = covariance_gradient(kernel, sq_diffs, S)[:u.size]
         except (GpcalError, linalg.LinAlgError, ValueError):

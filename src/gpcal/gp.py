@@ -39,6 +39,7 @@ __all__ = [
     "HypothesisReport",
     "build_regression_matrix",
     "build_covariance",
+    "factor_covariance",
     "fit_beta",
     "fit_gp",
     "predict",
@@ -196,19 +197,31 @@ def build_covariance(X: np.ndarray, kernel: KernelSpec,
                      sq_diffs: np.ndarray | None = None):
     """Covariance matrix K = Gram(X) + nugget * I and its Cholesky factor.
 
-    Returns (K, L, jitter_used).  When the factorization fails, a ridge of
-    1e-10 * sigma2 is added and escalated tenfold up to 1e-6 * sigma2;
-    failure beyond that raises IllConditionedError.
+    Returns (K, L, jitter_used) from ``factor_covariance``.  Duplicated
+    design rows with a zero nugget raise IllConditionedError up front.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if kernel.nugget == 0.0 and _has_duplicate_rows(X):
         raise IllConditionedError(
             "duplicated design rows with zero nugget make K singular"
         )
-    K = gram_matrix(X, kernel, sq_diffs=sq_diffs)
+    return factor_covariance(gram_matrix(X, kernel, sq_diffs=sq_diffs),
+                             kernel.nugget, kernel.sigma2)
+
+
+def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
+    """K = gram + nugget * I and its Cholesky factor, under the jitter
+    policy: when the factorization fails, a ridge of 1e-10 * sigma2 is
+    added and escalated tenfold up to 1e-6 * sigma2; failure beyond that,
+    or a non-finite entry, raises IllConditionedError.
+
+    Returns (K, L, jitter_used).  Callers that hold a design check it for
+    duplicated rows themselves (``build_covariance`` does so per call).
+    """
+    K = gram
     n = K.shape[0]
-    if kernel.nugget > 0.0:
-        K = K + kernel.nugget * np.eye(n)
+    if nugget > 0.0:
+        K = K + nugget * np.eye(n)
     if not np.all(np.isfinite(K)):
         raise IllConditionedError("covariance entries overflowed")
     jitter = 0.0
@@ -217,8 +230,8 @@ def build_covariance(X: np.ndarray, kernel: KernelSpec,
         return K, L, jitter
     except np.linalg.LinAlgError:
         pass
-    jitter = _JITTER_START * kernel.sigma2
-    while jitter <= _JITTER_MAX * kernel.sigma2 * (1.0 + 1e-12):
+    jitter = _JITTER_START * sigma2
+    while jitter <= _JITTER_MAX * sigma2 * (1.0 + 1e-12):
         try:
             Kj = K + jitter * np.eye(n)
             L = np.linalg.cholesky(Kj)
@@ -227,7 +240,7 @@ def build_covariance(X: np.ndarray, kernel: KernelSpec,
             jitter *= 10.0
     raise IllConditionedError(
         "covariance factorization failed after maximum jitter "
-        f"{_JITTER_MAX * kernel.sigma2:.3e}"
+        f"{_JITTER_MAX * sigma2:.3e}"
     )
 
 

@@ -25,6 +25,8 @@ __all__ = [
     "kernel_radial",
     "gram_matrix",
     "cross_covariance",
+    "scaled_distances",
+    "correlation",
     "scaled_distance_matrix",
     "pairwise_sq_diffs",
     "covariance_gradient",
@@ -65,7 +67,7 @@ class KernelFamily(enum.Enum):
             raise InvalidParameterError(f"unknown kernel family: {name!r}")
 
 
-def _profile(family: KernelFamily, u: np.ndarray) -> np.ndarray:
+def correlation(family: KernelFamily, u: np.ndarray) -> np.ndarray:
     """Unit-amplitude, unit-length-scale correlation profile r(u), u >= 0."""
     if family is KernelFamily.EXPONENTIAL:
         return np.exp(-u)
@@ -93,12 +95,12 @@ def covariance_gradient(spec: KernelSpec, sq_diffs: np.ndarray,
         d/dlog nugget  = nugget tr S
 
     with Delta_j^2 the cached ``pairwise_sq_diffs``.  r'(h)/h comes in
-    closed form from the profile r(h); for the exponential kernel it is
+    closed form from the correlation r(h); for the exponential kernel it is
     set to 0 where h = 0, whose Delta_j^2 are 0.
     """
     family = spec.family
     h = scaled_distance_matrix(sq_diffs, spec.theta)
-    r = _profile(family, h)
+    r = correlation(family, h)
     with np.errstate(over="ignore", invalid="ignore"):
         if family is KernelFamily.EXPONENTIAL:
             slope = np.divide(-r, h, out=np.zeros_like(h), where=h > 0.0)
@@ -204,7 +206,7 @@ def kernel_1d(family: KernelFamily, sigma2: float, theta: float, h) -> float:
     if np.any(h < 0.0):
         raise InvalidParameterError("lag h must be non-negative")
     u = np.where(h < _DISTANCE_FLOOR, 0.0, h) / theta
-    out = sigma2 * _profile(family, u)
+    out = sigma2 * correlation(family, u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -269,26 +271,34 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = N
         sq_diffs = pairwise_sq_diffs(X)
     h = scaled_distance_matrix(sq_diffs, spec.theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        return spec.sigma2 * _profile(spec.family, h)
+        return spec.sigma2 * correlation(spec.family, h)
 
 
-def cross_covariance(X: np.ndarray, X_new: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """n x m matrix of kernel values between design X and new points X_new.
+def scaled_distances(X: np.ndarray, X_new: np.ndarray,
+                     theta: np.ndarray) -> np.ndarray:
+    """n x m scaled radial distances h between the rows of X and X_new.
 
     h^2 = sum_k (x_k - x'_k)^2 / theta_k^2 is accumulated one dimension at
     a time, so memory stays O(n m) whatever d is.
     """
-    X = np.asarray(X, dtype=float)
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    if X.shape[1] != spec.dim or X_new.shape[1] != spec.dim:
-        raise ShapeError("design/new-point dimension mismatch with theta")
-    inv_theta2 = 1.0 / (spec.theta * spec.theta)
+    inv_theta2 = 1.0 / (theta * theta)
     h2 = np.zeros((X.shape[0], X_new.shape[0]))
-    for k in range(spec.dim):
+    for k in range(theta.size):
         diff = np.subtract.outer(X[:, k], X_new[:, k])
         diff *= diff
         diff *= inv_theta2[k]
         h2 += diff
     h = np.sqrt(h2)
     h[h < _DISTANCE_FLOOR] = 0.0
-    return spec.sigma2 * _profile(spec.family, h)
+    return h
+
+
+def cross_covariance(X: np.ndarray, X_new: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """n x m matrix of kernel values between design X and new points X_new,
+    in O(n m) memory (see ``scaled_distances``)."""
+    X = np.asarray(X, dtype=float)
+    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+    if X.shape[1] != spec.dim or X_new.shape[1] != spec.dim:
+        raise ShapeError("design/new-point dimension mismatch with theta")
+    h = scaled_distances(X, X_new, spec.theta)
+    return spec.sigma2 * correlation(spec.family, h)

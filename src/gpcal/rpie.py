@@ -7,6 +7,22 @@ the smallest value at which the smoothed quasi-Gaussian proportion equals
 law over the training design is closest, in 2-Wasserstein distance, to the
 reference law.  A two-sided interval uses two such one-sided models, one per
 bound.
+
+One state serves a whole calibration, both bounds included.  It holds the
+regression matrix F, the residual basis W, the reference law and the scaled
+distances h0 = h(theta0).  Since lambda scales every length-scale together,
+the unit Gram matrix at lambda is R(lambda) = r(h0 / lambda).  Each lambda
+builds R and the eigenbasis of W' R W once (``SigmaScanBasis``); the
+amplitude scan and the W2 law K = sigma2 R + nugget I of both sides use
+them, and ``calibrate`` walks the lambda grid once for both sides.  Only
+the state of the latest lambda is kept.
+
+The amplitude scan evaluates psi_delta over the ``sigma_scan`` grid in
+batches of amplitudes and bisects the first crossing down to adjacent
+doubles.  It returns the crossing's left end: the smallest amplitude at
+which psi_delta - a is zero or has left the strict sign it has at the
+bottom of the grid.  When n * a is an integer, psi_delta equals a on a
+whole interval of amplitudes, and the left end is its smallest point.
 """
 
 from __future__ import annotations
@@ -19,22 +35,26 @@ import numpy as np
 from .estimation import EstimationResult
 from .exceptions import (
     CalibrationInfeasibleError,
+    IllConditionedError,
     InvalidMatrixError,
     InvalidParameterError,
+    ShapeError,
 )
 from .gp import (
     Dataset,
     FittedGp,
     TrendSpec,
-    build_covariance,
+    _has_duplicate_rows,
     build_regression_matrix,
     check_hypotheses,
+    factor_covariance,
     fit_beta,
     fit_gp,
     predict,
+    projection_basis,
 )
-from .kernels import KernelFamily, KernelSpec
-from .loo import SigmaScanBasis, SmoothingParams, virtual_loo, \
+from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
+from .loo import SigmaScanBasis, SmoothingParams, _ramp_upper, virtual_loo, \
     psi_from_residuals, psi_smoothed_from_residuals
 from .stats import normal_quantile
 
@@ -54,6 +74,10 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Amplitudes per batched residual evaluation: bounds the (rows x n) work
+# arrays, and the scan stops at the first batch holding a crossing.
+_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -87,8 +111,7 @@ class RpieConfig:
     """Calibration controls.
 
     lambda_grid spans the common length-scale factor; sigma_scan spans the
-    amplitude bracketing grid relative to var(y); refine_iters bisection
-    steps shrink the amplitude bracket below 1e-9 relative width.
+    amplitude bracketing grid relative to var(y).
     """
 
     delta: SmoothingParams = field(default_factory=SmoothingParams)
@@ -96,11 +119,6 @@ class RpieConfig:
         default_factory=lambda: GridSpec(1e-2, 1e2, 60))
     sigma_scan: GridSpec = field(
         default_factory=lambda: GridSpec(1e-8, 1e8, 200))
-    refine_iters: int = 60
-
-    def __post_init__(self):
-        if self.refine_iters < 30:
-            raise InvalidParameterError("refine_iters must be >= 30")
 
 
 @dataclass(frozen=True)
@@ -171,6 +189,21 @@ def _check_covariance(K: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
+def _sqrt_trace(S1: np.ndarray, K2: np.ndarray) -> float:
+    """Tr (S1 K2 S1)^{1/2} from the eigenvalues of S1 K2 S1, with
+    round-off negatives clipped at zero."""
+    w = np.linalg.eigvalsh(S1 @ K2 @ S1)
+    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+
+
+def _w2(dm: np.ndarray, tr_K1: float, S1: np.ndarray, K2: np.ndarray
+        ) -> float:
+    """||dm||^2 + Tr K1 + Tr K2 - 2 Tr (S1 K2 S1)^{1/2} with S1 = K1^{1/2},
+    clipped at zero against round-off."""
+    val = float(dm @ dm + tr_K1 + np.trace(K2) - 2.0 * _sqrt_trace(S1, K2))
+    return max(val, 0.0)
+
+
 def wasserstein2_gaussians(m1, K1, m2, K2) -> float:
     """Squared 2-Wasserstein distance between two Gaussian laws.
 
@@ -184,52 +217,291 @@ def wasserstein2_gaussians(m1, K1, m2, K2) -> float:
     if m1.size != m2.size or K1.shape[0] != m1.size or \
             K2.shape[0] != m2.size:
         raise InvalidMatrixError("mean/covariance dimensions disagree")
-    S1 = sqrtm_psd(K1)
-    cross = sqrtm_psd(S1 @ K2 @ S1)
-    val = float(m1 @ m1 - 2.0 * (m1 @ m2) + m2 @ m2
-                + np.trace(K1) + np.trace(K2) - 2.0 * np.trace(cross))
-    return max(val, 0.0)
+    return _w2(m1 - m2, float(np.trace(K1)), sqrtm_psd(K1), K2)
 
 
-def _first_bracket_root(psi_fn, grid: np.ndarray, a: float,
-                        refine_iters: int, extend: bool = False):
-    """Smallest grid root of psi(sigma2) = a, refined by log-bisection.
+def _scan_extension(grid: np.ndarray) -> np.ndarray:
+    """Amplitudes past the top of the scan grid at the same log spacing, up
+    to a hard ceiling of 1e18 times its top.
 
-    Scans the grid ascending and bisects the first sign change; an exact
-    grid hit is returned as-is.  Returns None when no bracket exists.
-
-    With ``extend`` the scan continues past the top of the grid at the
-    same log spacing (up to a hard ceiling): with a positive nugget a
-    solution provably exists for every length-scale vector, but the
-    required amplitude grows without bound as the length-scales blow up,
-    so a fixed box can top out below the crossing.
+    With a positive nugget a solution provably exists for every
+    length-scale vector, but the required amplitude grows without bound as
+    the length-scales blow up, so a fixed box can top out below the
+    crossing.
     """
     step = np.log(grid[-1] / grid[0]) / max(grid.size - 1, 1)
-    if extend and step > 0.0:
-        ceiling = float(grid[-1]) * 1e18
-        extension = np.exp(np.arange(1, int(np.log(1e18) / step) + 2)
-                           * step) * float(grid[-1])
-        grid = np.concatenate([grid, extension[extension <= ceiling]])
-    g_prev = None
-    for k, s in enumerate(grid):
-        g = psi_fn(s) - a
-        if g == 0.0:
-            return float(s)
-        if k > 0 and g_prev is not None and (g_prev < 0.0) != (g < 0.0):
-            lo, hi = np.log(grid[k - 1]), np.log(s)
-            f_lo = g_prev
-            for _ in range(refine_iters):
-                mid = 0.5 * (lo + hi)
-                f_mid = psi_fn(np.exp(mid)) - a
-                if f_mid == 0.0:
-                    return float(np.exp(mid))
-                if (f_lo < 0.0) != (f_mid < 0.0):
-                    hi = mid
+    if not step > 0.0:
+        return grid[:0]
+    ceiling = float(grid[-1]) * 1e18
+    extension = np.exp(np.arange(1, int(np.log(1e18) / step) + 2)
+                       * step) * float(grid[-1])
+    return extension[extension <= ceiling]
+
+
+class _Calibration:
+    """State shared by every lambda and both sides of one calibration.
+
+    ``at(lam)`` returns the per-lambda state, rebuilt only when lam
+    changes.  The reference law (K0, m0, S0 = K0^{1/2}, Tr K0) is built
+    when the reference amplitude sigma2_0 is given.
+    """
+
+    def __init__(self, dataset: Dataset, trend: TrendSpec,
+                 family: KernelFamily, nugget: float, theta0,
+                 config: RpieConfig, sigma2_0: float | None = None):
+        ref = KernelSpec(family=family, theta=theta0, nugget=nugget,
+                         sigma2=1.0 if sigma2_0 is None else sigma2_0)
+        if ref.dim != dataset.d:
+            raise ShapeError(
+                f"theta has {ref.dim} entries but design has {dataset.d} "
+                "columns")
+        self.dataset = dataset
+        self.trend = trend
+        self.family = family
+        self.nugget = ref.nugget
+        self.theta0 = ref.theta
+        self.config = config
+        self.F = build_regression_matrix(dataset.X, trend)
+        self.W = projection_basis(self.F).W
+        self.h0 = scaled_distances(dataset.X, dataset.X, self.theta0)
+        self.singular = self.nugget == 0.0 and \
+            _has_duplicate_rows(dataset.X)
+        v = float(np.var(dataset.y))
+        grid = config.sigma_scan.points(scale=v if v > 0.0 else 1.0)
+        parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
+            else [grid]
+        # The amplitude scan in ascending batches: the grid, then its
+        # extension past the top.
+        self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
+                        for i in range(0, part.size, _SCAN_CHUNK)]
+        self._state = None
+        if sigma2_0 is not None:
+            K0, self.m0 = self.law(self.gram(1.0), ref.sigma2)
+            self.S0 = sqrtm_psd(K0)
+            self.tr_K0 = float(np.trace(K0))
+
+    def gram(self, lam: float) -> np.ndarray:
+        """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return correlation(self.family, self.h0 / lam)
+
+    def at(self, lam: float) -> "_LambdaState":
+        if self._state is None or self._state.lam != lam:
+            self._state = None
+            self._state = _LambdaState(self, lam)
+        return self._state
+
+    def law(self, R: np.ndarray, sigma2: float) -> tuple:
+        """Covariance K = sigma2 R + nugget I, factored under the jitter
+        policy of ``gp.build_covariance``, and the GLS trend mean F beta."""
+        if self.singular:
+            raise IllConditionedError(
+                "duplicated design rows with zero nugget make K singular")
+        K, L, _ = factor_covariance(sigma2 * R, self.nugget, sigma2)
+        return K, self.F @ fit_beta(self.F, L, self.dataset.y)
+
+    def objective(self, lam: float, sigma2: float) -> float:
+        """Squared W2 distance from the reference law to the law at
+        (lam, sigma2)."""
+        K, m = self.law(self.at(lam).R, sigma2)
+        return _w2(m - self.m0, self.tr_K0, self.S0, K)
+
+
+class _LambdaState:
+    """R(lam), the eigenbasis of W' R W, and the standardized LOO
+    residuals on the amplitude grid, one batch at a time as the sides ask
+    for them."""
+
+    def __init__(self, cal: _Calibration, lam: float):
+        self.lam = lam
+        self.R = cal.gram(lam)
+        self.basis = SigmaScanBasis.from_gram(self.R, cal.W, cal.dataset.y,
+                                              cal.nugget)
+        self._batches = cal.batches
+        self._residuals = {}
+
+    def residuals(self, k: int) -> np.ndarray:
+        """Standardized residuals at the amplitudes of batch k."""
+        if k not in self._residuals:
+            self._residuals[k] = self.basis.std_residuals_grid(
+                self._batches[k])
+        return self._residuals[k]
+
+
+class _Side:
+    """The amplitude equation psi_delta(sigma2) = a of one interval bound
+    and its lambda trace.
+
+    A lower bound (a < 1/2) is evaluated in the upper orientation,
+    psi_a(z) = 1 - psi_{1-a}(-z), so that negating y swaps the two sides
+    bit for bit.  The smoothing width and q_a are checked and computed once
+    here.
+    """
+
+    def __init__(self, cal: _Calibration, a: float):
+        cal.config.delta.validate_for(a)
+        self.cal = cal
+        self.a = a
+        self.sign = 1.0 if a > 0.5 else -1.0
+        self.level = a if a > 0.5 else 1.0 - a
+        self.q = normal_quantile(self.level)
+        self.delta = cal.config.delta.delta
+        self.lambdas = cal.config.lambda_grid.points()
+        self.objs = np.full(self.lambdas.size, np.nan)
+        self.s2s = np.full(self.lambdas.size, np.nan)
+
+    def excess(self, z: np.ndarray):
+        """psi_delta - a along the last axis of z, in the upper
+        orientation (so of opposite sign for a lower bound)."""
+        ramp = _ramp_upper(self.q - self.sign * z, self.delta)
+        return np.mean(ramp, axis=-1) - self.level
+
+    def sigma_opt_at(self, lam: float) -> float | None:
+        """Left end of the first crossing of psi_delta = a on the scan
+        grid at lam; None when the grid has no crossing."""
+        state = self.cal.at(lam)
+        negative = prev = None
+        for k, amps in enumerate(self.cal.batches):
+            g = self.excess(state.residuals(k))
+            if negative is None:
+                if g[0] == 0.0:
+                    return float(amps[0])
+                negative = bool(g[0] < 0.0)
+            hit = (g == 0.0) | ((g < 0.0) != negative)
+            if hit.any():
+                j = int(np.argmax(hit))
+                lo = amps[j - 1] if j > 0 else prev
+                return self._left_end(state.basis, negative, float(lo),
+                                      float(amps[j]))
+            prev = amps[-1]
+        return None
+
+    def _left_end(self, basis: SigmaScanBasis, negative: bool, lo: float,
+                  hi: float) -> float:
+        """Bisect in log sigma2 until lo and hi are adjacent doubles; g
+        keeps its initial sign at lo and is zero or has lost it at hi."""
+        while True:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            if not lo < mid < hi:
+                mid = lo + 0.5 * (hi - lo)
+                if not lo < mid < hi:
+                    return hi
+            g = self.excess(basis.std_residuals(mid))
+            if g == 0.0 or (g < 0.0) != negative:
+                hi = mid
+            else:
+                lo = mid
+
+    def evaluate(self, lam: float) -> tuple:
+        """(objective, sigma2_opt) at lam; (None, None) when absent."""
+        s2 = self.sigma_opt_at(lam)
+        if s2 is None:
+            return None, None
+        return self.cal.objective(lam, s2), s2
+
+    def record(self, i: int) -> None:
+        obj, s2 = self.evaluate(float(self.lambdas[i]))
+        if obj is not None:
+            self.objs[i] = obj
+            self.s2s[i] = s2
+
+    def refine(self) -> tuple:
+        """(lambda*, sigma2_opt, W2) at the best grid lambda, refined by
+        golden section in log lambda over its two neighbouring cells."""
+        lambdas, objs = self.lambdas, self.objs
+        if not np.any(np.isfinite(objs)):
+            cal = self.cal
+            report = check_hypotheses(
+                cal.dataset, cal.trend,
+                KernelSpec(family=cal.family, sigma2=1.0, theta=cal.theta0,
+                           nugget=cal.nugget),
+                self.a)
+            raise CalibrationInfeasibleError(
+                f"no lambda on the grid admits psi_delta = {self.a}: "
+                f"k_eps={report.k_eps}, n*a={report.n_times_a:.2f}",
+                k_eps=report.k_eps, n_times_a=report.n_times_a, side=self.a)
+
+        finite = np.where(np.isfinite(objs))[0]
+        i_best = int(finite[np.argmin(objs[finite])])
+        best = (float(lambdas[i_best]), float(self.s2s[i_best]),
+                float(objs[i_best]))
+
+        lo_i = max(i_best - 1, 0)
+        hi_i = min(i_best + 1, lambdas.size - 1)
+        if lambdas.size > 1 and hi_i > lo_i:
+            a_log, b_log = np.log(lambdas[lo_i]), np.log(lambdas[hi_i])
+            cache: dict = {}
+
+            def f(t):
+                if t not in cache:
+                    obj, s2 = self.evaluate(float(np.exp(t)))
+                    cache[t] = (np.inf, None) if obj is None else (obj, s2)
+                return cache[t][0]
+
+            x1 = b_log - _GOLDEN * (b_log - a_log)
+            x2 = a_log + _GOLDEN * (b_log - a_log)
+            f1, f2 = f(x1), f(x2)
+            for _ in range(40):
+                if f1 <= f2:
+                    b_log, x2, f2 = x2, x1, f1
+                    x1 = b_log - _GOLDEN * (b_log - a_log)
+                    f1 = f(x1)
                 else:
-                    lo, f_lo = mid, f_mid
-            return float(np.exp(0.5 * (lo + hi)))
-        g_prev = g
-    return None
+                    a_log, x1, f1 = x1, x2, f2
+                    x2 = a_log + _GOLDEN * (b_log - a_log)
+                    f2 = f(x2)
+            t_best = x1 if f1 <= f2 else x2
+            if min(f1, f2) < best[2]:
+                obj, s2 = cache[t_best]
+                best = (float(np.exp(t_best)), float(s2), float(obj))
+        return best
+
+    def trace(self) -> LambdaTrace:
+        return LambdaTrace(lambdas=self.lambdas, objectives=self.objs,
+                           sigma2_opts=self.s2s)
+
+
+def _solution(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
+              nugget: float, theta0: np.ndarray, delta: SmoothingParams,
+              a: float, best: tuple, trace: LambdaTrace) -> RpieSolution:
+    """The RpieSolution at best = (lambda*, sigma2_opt, W2)."""
+    lam, s2, obj = best
+    theta0 = np.asarray(theta0, dtype=float)
+    kernel = KernelSpec(family=family, sigma2=s2, theta=lam * theta0,
+                        nugget=nugget)
+    model = fit_gp(dataset, kernel, trend)
+    z = virtual_loo(model).std_resid
+    return RpieSolution(
+        lambda_star=lam,
+        sigma2_opt=s2,
+        theta_ref=theta0,
+        beta_opt=model.beta_hat.copy(),
+        wasserstein2=obj,
+        a=a,
+        psi_achieved=psi_smoothed_from_residuals(z, a, delta),
+        psi_raw=psi_from_residuals(z, a),
+        kernel=kernel,
+        trace=trace,
+    )
+
+
+def _search(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
+            nugget: float, theta0, sigma2_0: float, levels: tuple,
+            config: RpieConfig) -> list:
+    """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a.
+
+    One calibration state serves every level: the lambda grid is walked
+    once, each grid lambda's Gram matrix and eigenbasis serving all
+    levels, then each level is refined by golden section.  The state is
+    released on return, before any final fit.
+    """
+    cal = _Calibration(dataset, trend, family, nugget, theta0, config,
+                       sigma2_0)
+    sides = [_Side(cal, a) for a in levels]
+    for i in range(config.lambda_grid.count):
+        for side in sides:
+            side.record(i)
+    return [(side.a, side.refine(), side.trace()) for side in sides]
 
 
 def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
@@ -237,77 +509,16 @@ def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               config: RpieConfig) -> float | None:
     """Smallest amplitude at which psi_delta(sigma2, theta) equals a.
 
-    Absence (no bracket anywhere on the scan grid) is a value, not an
-    error; it arises in the no-nugget case for extreme length-scales.
+    The scan grid is searched in batches for the first crossing, which is
+    bisected down to adjacent doubles; the left end of the crossing is
+    returned, so a plateau psi_delta = a (n * a an integer) yields its
+    smallest point.  With a positive nugget the scan continues past the top
+    of the grid when the grid itself has no crossing.  Absence (no crossing
+    anywhere) is a value, not an error; it arises in the no-nugget case for
+    extreme length-scales.
     """
-    config.delta.validate_for(a)
-    F = build_regression_matrix(dataset.X, trend)
-    basis = SigmaScanBasis(dataset.X, dataset.y, F, family,
-                           np.asarray(theta, dtype=float), nugget)
-    v = float(np.var(dataset.y))
-    if v <= 0.0:
-        v = 1.0
-    grid = config.sigma_scan.points(scale=v)
-    return _first_bracket_root(
-        lambda s2: basis.psi_smoothed(s2, a, config.delta),
-        grid, a, config.refine_iters, extend=nugget > 0.0)
-
-
-class _QuantileCalibrator:
-    """Shared state for evaluating the relaxed objective across lambdas."""
-
-    def __init__(self, dataset, trend, family, nugget, theta0, sigma2_0,
-                 a, config):
-        config.delta.validate_for(a)
-        self.dataset = dataset
-        self.trend = trend
-        self.family = family
-        self.nugget = float(nugget)
-        self.theta0 = np.asarray(theta0, dtype=float)
-        self.sigma2_0 = float(sigma2_0)
-        self.a = a
-        self.config = config
-        self.F = build_regression_matrix(dataset.X, trend)
-        v = float(np.var(dataset.y))
-        self.sigma_grid = config.sigma_scan.points(scale=v if v > 0 else 1.0)
-        ref = KernelSpec(family=family, sigma2=self.sigma2_0,
-                         theta=self.theta0, nugget=self.nugget)
-        self.K0, self.m0 = self._law(ref)
-        self.S0 = sqrtm_psd(self.K0)
-        self.tr_K0 = float(np.trace(self.K0))
-
-    def _law(self, spec):
-        """Covariance matrix and GLS trend mean implied by a kernel spec."""
-        K, L, _ = build_covariance(self.dataset.X, spec)
-        beta = fit_beta(self.F, L, self.dataset.y)
-        return K, self.F @ beta
-
-    def _kernel_at(self, lam, sigma2):
-        return KernelSpec(family=self.family, sigma2=sigma2,
-                          theta=lam * self.theta0, nugget=self.nugget)
-
-    def sigma_opt_at(self, lam: float) -> float | None:
-        basis = SigmaScanBasis(self.dataset.X, self.dataset.y, self.F,
-                               self.family, lam * self.theta0, self.nugget)
-        return _first_bracket_root(
-            lambda s2: basis.psi_smoothed(s2, self.a, self.config.delta),
-            self.sigma_grid, self.a, self.config.refine_iters,
-            extend=self.nugget > 0.0)
-
-    def objective_at(self, lam: float, sigma2: float) -> float:
-        K, m = self._law(self._kernel_at(lam, sigma2))
-        cross = sqrtm_psd(self.S0 @ K @ self.S0)
-        dm = m - self.m0
-        val = float(dm @ dm + self.tr_K0 + np.trace(K)
-                    - 2.0 * np.trace(cross))
-        return max(val, 0.0)
-
-    def evaluate(self, lam: float) -> tuple:
-        """(objective, sigma2_opt) at lam; (None, None) when absent."""
-        s2 = self.sigma_opt_at(lam)
-        if s2 is None:
-            return None, None
-        return self.objective_at(lam, s2), s2
+    cal = _Calibration(dataset, trend, family, nugget, theta, config)
+    return _Side(cal, a).sigma_opt_at(1.0)
 
 
 def relaxation_objective(dataset: Dataset, trend: TrendSpec,
@@ -318,9 +529,9 @@ def relaxation_objective(dataset: Dataset, trend: TrendSpec,
     achieves the target proportion at this lambda."""
     if lam <= 0.0:
         raise InvalidParameterError("lambda must be positive")
-    cal = _QuantileCalibrator(dataset, trend, family, nugget, theta0,
-                              sigma2_0, a, config)
-    obj, _ = cal.evaluate(lam)
+    cal = _Calibration(dataset, trend, family, nugget, theta0, config,
+                       sigma2_0)
+    obj, _ = _Side(cal, a).evaluate(lam)
     return obj
 
 
@@ -331,88 +542,10 @@ def calibrate_quantile(dataset: Dataset, trend: TrendSpec,
     """Calibrate one quantile side: grid-search L(lambda), refine the best
     cell by golden section, and assemble the solution at the minimizer."""
     config = config or RpieConfig()
-    cal = _QuantileCalibrator(dataset, trend, family, nugget, theta0,
-                              sigma2_0, a, config)
-    lambdas = config.lambda_grid.points()
-    objs = np.full(lambdas.size, np.nan)
-    s2s = np.full(lambdas.size, np.nan)
-    for i, lam in enumerate(lambdas):
-        obj, s2 = cal.evaluate(lam)
-        if obj is not None:
-            objs[i] = obj
-            s2s[i] = s2
-    if not np.any(np.isfinite(objs)):
-        report = check_hypotheses(
-            dataset, trend,
-            KernelSpec(family=family, sigma2=max(sigma2_0, 1e-300),
-                       theta=np.asarray(theta0, dtype=float),
-                       nugget=nugget),
-            a)
-        raise CalibrationInfeasibleError(
-            f"no lambda on the grid admits psi_delta = {a}: "
-            f"k_eps={report.k_eps}, n*a={report.n_times_a:.2f}",
-            k_eps=report.k_eps, n_times_a=report.n_times_a, side=a)
-
-    finite = np.where(np.isfinite(objs))[0]
-    i_best = int(finite[np.argmin(objs[finite])])
-    lam_best = float(lambdas[i_best])
-    obj_best = float(objs[i_best])
-
-    # Golden-section refinement (in log-lambda) inside the bracketing cell.
-    lo_i = max(i_best - 1, 0)
-    hi_i = min(i_best + 1, lambdas.size - 1)
-    if lambdas.size > 1 and hi_i > lo_i:
-        a_log, b_log = np.log(lambdas[lo_i]), np.log(lambdas[hi_i])
-        cache: dict = {}
-
-        def f(t):
-            if t not in cache:
-                obj, _ = cal.evaluate(float(np.exp(t)))
-                cache[t] = np.inf if obj is None else obj
-            return cache[t]
-
-        x1 = b_log - _GOLDEN * (b_log - a_log)
-        x2 = a_log + _GOLDEN * (b_log - a_log)
-        f1, f2 = f(x1), f(x2)
-        for _ in range(40):
-            if f1 <= f2:
-                b_log, x2, f2 = x2, x1, f1
-                x1 = b_log - _GOLDEN * (b_log - a_log)
-                f1 = f(x1)
-            else:
-                a_log, x1, f1 = x1, x2, f2
-                x2 = a_log + _GOLDEN * (b_log - a_log)
-                f2 = f(x2)
-        t_best = x1 if f1 <= f2 else x2
-        if min(f1, f2) < obj_best:
-            lam_best = float(np.exp(t_best))
-            obj_best = float(min(f1, f2))
-
-    s2_best = cal.sigma_opt_at(lam_best)
-    if s2_best is None:
-        # Refinement drifted into an absent pocket; fall back to the grid.
-        lam_best = float(lambdas[i_best])
-        obj_best = float(objs[i_best])
-        s2_best = float(s2s[i_best])
-    kernel = KernelSpec(family=family, sigma2=s2_best,
-                        theta=lam_best * cal.theta0, nugget=nugget)
-    model = fit_gp(dataset, kernel, trend)
-    diag = virtual_loo(model)
-    psi = psi_smoothed_from_residuals(diag.std_resid, a, config.delta)
-    psi_raw = psi_from_residuals(diag.std_resid, a)
-    return RpieSolution(
-        lambda_star=lam_best,
-        sigma2_opt=float(s2_best),
-        theta_ref=cal.theta0,
-        beta_opt=model.beta_hat.copy(),
-        wasserstein2=obj_best,
-        a=a,
-        psi_achieved=psi,
-        psi_raw=psi_raw,
-        kernel=kernel,
-        trace=LambdaTrace(lambdas=lambdas, objectives=objs,
-                          sigma2_opts=s2s),
-    )
+    (found,) = _search(dataset, trend, family, nugget, theta0, sigma2_0,
+                       (a,), config)
+    return _solution(dataset, trend, family, nugget, theta0, config.delta,
+                     *found)
 
 
 @dataclass(frozen=True)
@@ -425,8 +558,8 @@ class CalibratedIntervalModel:
     dataset: Dataset
     trend: TrendSpec
     alpha: float
-    upper_model: FittedGp = field(repr=False, default=None)
-    lower_model: FittedGp = field(repr=False, default=None)
+    upper_model: FittedGp = field(repr=False)
+    lower_model: FittedGp = field(repr=False)
 
     def loo_coverage(self) -> float:
         """Step-count LOO coverage: psi_{1-alpha/2}(upper model) minus
@@ -494,27 +627,27 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               nugget: float | None, reference: EstimationResult,
               alpha: float, config: RpieConfig | None = None
               ) -> CalibratedIntervalModel:
-    """Calibrate both interval bounds at nominal level 1 - alpha."""
+    """Calibrate both interval bounds at nominal level 1 - alpha.
+
+    Both sides share one calibration state: the lambda grid is walked once
+    and each grid lambda's Gram matrix and eigenbasis serve both, then each
+    side is refined by golden section.  Each side equals
+    ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.
+    """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha must lie in (0, 1)")
     config = config or RpieConfig()
     if nugget is None:
         nugget = reference.kernel.nugget
-    theta0 = reference.kernel.theta
-    sigma2_0 = reference.kernel.sigma2
+    theta0, sigma2_0 = reference.kernel.theta, reference.kernel.sigma2
     try:
-        upper = calibrate_quantile(dataset, trend, family, nugget,
-                                   theta0, sigma2_0, 1.0 - alpha / 2.0,
-                                   config)
+        found = _search(dataset, trend, family, nugget, theta0, sigma2_0,
+                        (1.0 - alpha / 2.0, alpha / 2.0), config)
     except CalibrationInfeasibleError as exc:
-        exc.side = "upper"
+        exc.side = "upper" if exc.side > 0.5 else "lower"
         raise
-    try:
-        lower = calibrate_quantile(dataset, trend, family, nugget,
-                                   theta0, sigma2_0, alpha / 2.0, config)
-    except CalibrationInfeasibleError as exc:
-        exc.side = "lower"
-        raise
+    upper, lower = (_solution(dataset, trend, family, nugget, theta0,
+                              config.delta, *side) for side in found)
     return CalibratedIntervalModel(
         upper=upper, lower=lower, reference=reference,
         dataset=dataset, trend=trend, alpha=alpha,

@@ -191,6 +191,19 @@ class TestFitMle:
         with pytest.raises(EstimationFailureError):
             fit_mle(ds, SIM, KernelFamily.MATERN32)
 
+    def test_duplicate_rows_need_a_nugget(self, rng):
+        # Duplicated rows make K singular at zero nugget: every evaluation
+        # is refused.  A positive nugget fits the same design.
+        ds = random_dataset(rng, n=20, d=2)
+        X = ds.X.copy()
+        X[1] = X[0]
+        ds = Dataset(X=X, y=ds.y)
+        with pytest.raises(EstimationFailureError):
+            fit_mle(ds, ORD, KernelFamily.MATERN32, n_starts=1)
+        result = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
+                         n_starts=1)
+        assert np.isfinite(result.objective_value)
+
     def test_objective_value_consistent(self, rng):
         ds = random_dataset(rng, n=30, d=2)
         result = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,

@@ -8,11 +8,14 @@ import pytest
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
-from gpcal.exceptions import CalibrationInfeasibleError, InvalidMatrixError
+from gpcal.exceptions import CalibrationInfeasibleError, \
+    IllConditionedError, InvalidMatrixError
 from gpcal.gp import build_regression_matrix, fit_beta, fit_gp, \
     prediction_interval
 from gpcal.loo import SigmaScanBasis
 from gpcal.rpie import (
+    _Calibration,
+    _sqrt_trace,
     CalibratedIntervalModel,
     GridSpec,
     RpieConfig,
@@ -95,6 +98,46 @@ class TestSigmaOpt:
                                theta, 1e-4)
         assert basis.psi_smoothed(s2, 0.95, config.delta) == \
             pytest.approx(0.95, abs=1e-6)
+
+    @pytest.mark.parametrize("a", [0.95, 0.05])
+    def test_left_end_of_plateau_when_n_a_is_integer(self, a):
+        # n * a is an integer (57 or 3 of 60), so psi_delta equals a on a
+        # whole interval of amplitudes; the root is its left end: psi is a
+        # there, and just below it psi still has its initial strict sign.
+        config = RpieConfig()
+        ds = _misspecified_dataset(11)
+        theta = np.array([0.5, 0.7])
+        s2 = sigma_opt(ds, ORD, KernelFamily.MATERN52, theta, 1e-4, a,
+                       config)
+        F = build_regression_matrix(ds.X, ORD)
+        basis = SigmaScanBasis(ds.X, ds.y, F, KernelFamily.MATERN52, theta,
+                               1e-4)
+
+        def g(s):
+            return basis.psi_smoothed(s, a, config.delta) - a
+
+        initial = np.sign(g(config.sigma_scan.points(np.var(ds.y))[0]))
+        assert initial != 0.0
+        assert abs(g(s2)) <= 1e-12
+        assert np.sign(g(s2 * (1.0 - 1e-9))) == initial
+
+    def test_batched_residuals_match_scalar_on_scan_grid(self, rng):
+        # Every batch of the amplitude scan, the extension past the top of
+        # the grid included, equals the scalar residuals at its amplitudes.
+        ds = random_dataset(rng, n=40, d=2)
+        cal = _Calibration(ds, ORD, KernelFamily.MATERN32, 0.01,
+                           np.array([0.3, 0.6]), RpieConfig())
+        state = cal.at(1.7)
+        amps = np.concatenate(cal.batches)
+        rows = np.vstack([state.residuals(k)
+                          for k in range(len(cal.batches))])
+        assert rows.shape == (amps.size, ds.n)
+        assert amps.size > RpieConfig().sigma_scan.count
+        assert np.all(np.diff(amps) > 0.0)
+        for s2, row in zip(amps, rows):
+            z = state.basis.std_residuals(s2)
+            np.testing.assert_allclose(row, z, rtol=1e-12,
+                                       atol=1e-12 * np.abs(z).max())
 
     def test_minimality_on_grid(self, rng):
         # No scanned amplitude below the returned root achieves the target.
@@ -179,6 +222,17 @@ class TestWasserstein:
         K = np.diag([1.0, -0.5])
         with pytest.raises(InvalidMatrixError):
             wasserstein2_gaussians(np.zeros(2), K, np.zeros(2), np.eye(2))
+
+    def test_eigenvalue_trace_matches_sqrtm(self, rng):
+        # Tr (S1 K2 S1)^{1/2} from eigenvalues equals the trace of the
+        # explicit PSD square root.
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            A, B = rng.standard_normal((2, n, n))
+            S1 = sqrtm_psd(A @ A.T + 0.1 * np.eye(n))
+            K2 = B @ B.T
+            expected = np.trace(sqrtm_psd(S1 @ K2 @ S1))
+            assert _sqrt_trace(S1, K2) == pytest.approx(expected, rel=1e-12)
 
     def test_sqrtm_squares_back(self, rng):
         for n in (3, 10, 50):
@@ -282,6 +336,33 @@ class TestCalibrate:
         assert abs(cal.loo_coverage() - 0.8) <= 2.0 / ds.n + 1e-9
         assert cal.upper.a == pytest.approx(0.9)
         assert cal.lower.a == pytest.approx(0.1)
+
+    def test_sides_equal_one_sided_calibrations(self):
+        # Sharing one state between both sides changes no bit of either.
+        ds = _misspecified_dataset(12)
+        theta0 = np.array([0.6, 0.7])
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05, theta0,
+                                    nugget=1e-4))
+        cal = calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.2, FAST)
+        for side, a in ((cal.upper, 0.9), (cal.lower, 0.1)):
+            alone = calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 1e-4,
+                                       theta0, 0.05, a, FAST)
+            for name in ("lambda_star", "sigma2_opt", "wasserstein2",
+                         "psi_achieved", "psi_raw"):
+                assert getattr(side, name) == getattr(alone, name)
+            np.testing.assert_array_equal(side.beta_opt, alone.beta_opt)
+            np.testing.assert_array_equal(side.trace.objectives,
+                                          alone.trace.objectives)
+            np.testing.assert_array_equal(side.trace.sigma2_opts,
+                                          alone.trace.sigma2_opts)
+
+    def test_duplicate_rows_without_nugget_rejected(self, rng):
+        X = rng.uniform(0, 1, (20, 2))
+        X[1] = X[0]
+        ds = Dataset(X=X, y=rng.standard_normal(20))
+        with pytest.raises(IllConditionedError):
+            calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 0.0,
+                               np.array([0.5, 0.5]), 1.0, 0.95, FAST)
 
     def test_well_specified_data_barely_moves(self):
         # A correct reference model needs little recalibration: lambda*

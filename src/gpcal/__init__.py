@@ -41,11 +41,9 @@ from .gp import (
     check_hypotheses,
     compute_kbar,
     fit_gp,
-    load_model,
     predict,
     prediction_interval,
     projection_basis,
-    save_model,
 )
 from .kernels import KernelFamily, KernelSpec, kernel_1d, kernel_radial
 from .loo import (
@@ -80,10 +78,10 @@ __all__ = [
     "bayes_predictive", "build_covariance", "build_regression_matrix",
     "calibrate", "calibrate_quantile", "check_hypotheses", "compute_kbar",
     "compute_metrics", "fit_gp", "fit_mle", "fit_msecv", "kernel_1d",
-    "kernel_radial", "load_model", "loo_coverage", "loo_mse",
+    "kernel_radial", "loo_coverage", "loo_mse",
     "mle_objective", "morokoff_caflisch", "msecv_objective", "predict",
     "predict_calibrated", "prediction_interval", "projection_basis",
     "quasi_gaussian", "quasi_gaussian_smoothed", "relaxation_objective",
-    "run_experiment", "sample_design", "save_model", "sigma_opt",
+    "run_experiment", "sample_design", "sigma_opt",
     "virtual_loo", "wasserstein2_gaussians", "wing_weight", "zhou_log",
 ]

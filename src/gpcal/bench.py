@@ -30,7 +30,8 @@ import numpy as np
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
     UsageError
-from .gp import Dataset, TrendSpec, fit_gp, prediction_interval, predict
+from .gp import Dataset, TrendSpec, build_covariance, fit_gp, \
+    prediction_interval, predict
 from .kernels import KernelFamily, KernelSpec
 from .loo import loo_coverage
 from .rpie import RpieConfig, calibrate, predict_calibrated
@@ -218,7 +219,6 @@ def sample_gp_response(X: np.ndarray, kernel: KernelSpec,
                        rng: np.random.Generator) -> np.ndarray:
     """One zero-mean draw of the Gaussian law implied by the kernel
     (nugget included), for well-specified simulation studies."""
-    from .gp import build_covariance
     _, L, _ = build_covariance(np.atleast_2d(X), kernel)
     return L @ rng.standard_normal(L.shape[0])
 

@@ -25,6 +25,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bench import EXPERIMENT_NAMES, ExperimentScale, run_experiment, \
@@ -47,7 +48,8 @@ __all__ = ["main", "ingest_csv"]
 # ---------------------------------------------------------------------------
 
 def _parse_numeric_csv(path):
-    """Header + float matrix; non-numeric cells name their data row."""
+    """Header + float matrix; non-numeric and non-finite cells name their
+    data row."""
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as fh:
@@ -66,10 +68,13 @@ def _parse_numeric_csv(path):
                     f"{path}: row {i} has {len(row)} cells, expected "
                     f"{len(header)}")
             try:
-                rows.append([float(c) for c in row])
+                values = [float(c) for c in row]
             except ValueError:
                 raise DataError(
                     f"{path}: non-numeric value at row {i}")
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}: non-finite value at row {i}")
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float)
@@ -139,7 +144,7 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, args, input_paths, extra=None):
+def _write_manifest(out_path, args, input_paths):
     manifest = {
         "tool": "gpcal",
         "version": __version__,
@@ -152,15 +157,9 @@ def _write_manifest(out_path, args, input_paths, extra=None):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
-    try:
-        import scipy
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
-    if extra:
-        manifest.update(extra)
     path = str(out_path) + ".manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True, default=str)
@@ -215,13 +214,34 @@ def _lambda_grid_type(text):
 # ---------------------------------------------------------------------------
 
 def _load_model_doc(path):
+    """The JSON document at path, the model it holds and its reference
+    fit: a CalibratedIntervalModel when it has both bounds, else a
+    FittedGp.  A missing or mistyped field is a DataError."""
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
+    try:
+        if "upper" in doc and "lower" in doc:
+            model = CalibratedIntervalModel.from_dict(doc)
+            reference = model.reference
+        else:
+            model = model_from_dict(doc)
+            reference = EstimationResult(
+                kernel=model.kernel, objective_value=math.nan, n_evals=0,
+                method="LOADED", converged=True)
+            if doc.get("estimation"):
+                reference = EstimationResult.from_dict(doc["estimation"])
+        # The stored transform must apply to the stored design.
+        transform = doc.get("standardization")
+        _y_back(_apply_x_transform(model.dataset.X, transform), transform)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: not a model document, missing or "
+                        f"mistyped field ({type(exc).__name__}: {exc})")
+    return doc, model, reference
 
 
 def cmd_fit(args) -> int:
@@ -271,19 +291,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _reference_from_doc(doc) -> EstimationResult:
-    if doc.get("estimation"):
-        return EstimationResult.from_dict(doc["estimation"])
-    from .kernels import KernelSpec
-    kernel = KernelSpec.from_dict(doc["kernel"])
-    return EstimationResult(kernel=kernel, objective_value=math.nan,
-                            n_evals=0, method="LOADED", converged=True)
-
-
 def cmd_calibrate(args) -> int:
-    doc = _load_model_doc(args.reference)
-    model = model_from_dict(doc)
-    reference = _reference_from_doc(doc)
+    doc, model, reference = _load_model_doc(args.reference)
+    if isinstance(model, CalibratedIntervalModel):
+        raise DataError(f"{args.reference}: calibrate expects a fitted "
+                        "model, not a calibrated interval model")
     lo, hi, count = args.lambda_grid
     config = RpieConfig(delta=SmoothingParams(args.delta),
                         lambda_grid=GridSpec(lo, hi, count))
@@ -311,13 +323,12 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _read_features(path, doc):
+def _read_features(path, doc, d_model):
     header, data = _parse_numeric_csv(path)
     columns = doc.get("columns") or []
     if columns and set(columns).issubset(header):
         idx = [header.index(c) for c in columns]
         data = data[:, idx]
-    d_model = len(doc["X"][0])
     if data.shape[1] != d_model:
         raise DataError(
             f"{path}: model expects {d_model} feature columns, got "
@@ -326,19 +337,17 @@ def _read_features(path, doc):
 
 
 def cmd_predict(args) -> int:
-    doc = _load_model_doc(args.model)
+    doc, model, _ = _load_model_doc(args.model)
     transform = doc.get("standardization")
-    X_raw = _read_features(args.data, doc)
+    X_raw = _read_features(args.data, doc, model.dataset.d)
     X = _apply_x_transform(X_raw, transform)
-    calibrated = "upper" in doc and "lower" in doc
+    calibrated = isinstance(model, CalibratedIntervalModel)
     if calibrated:
-        model = CalibratedIntervalModel.from_dict(doc)
         lower, upper, crossed = predict_calibrated(model, X)
         mean = 0.5 * (lower + upper)   # interval barycenter
     else:
-        gp = model_from_dict(doc)
-        mean, _ = predict(gp, X)
-        lower, upper = prediction_interval(gp, X, args.alpha)
+        mean, _ = predict(model, X)
+        lower, upper = prediction_interval(model, X, args.alpha)
         crossed = np.zeros(mean.shape, dtype=bool)
     mean = _y_back(mean, transform)
     lower = _y_back(lower, transform)
@@ -348,25 +357,22 @@ def cmd_predict(args) -> int:
         for m, lo, up, c in zip(np.atleast_1d(mean), np.atleast_1d(lower),
                                 np.atleast_1d(upper), np.atleast_1d(crossed)):
             fh.write(f"{float(m)!r},{float(lo)!r},{float(up)!r},{int(c)}\n")
-    if calibrated:
-        X_train = np.asarray(doc["X"], dtype=float)
-        if X_train.shape == X.shape and np.array_equal(X_train, X):
-            y_train = _y_back(np.asarray(doc["y"], dtype=float), transform)
-            covered = float(np.mean((y_train >= np.atleast_1d(lower))
-                                    & (y_train <= np.atleast_1d(upper))))
-            print(f"training-input coverage sanity: {covered:.4f} "
-                  f"(nominal {1 - model.alpha:.4f})")
+    if calibrated and np.array_equal(model.dataset.X, X):
+        y_train = _y_back(model.dataset.y, transform)
+        covered = float(np.mean((y_train >= np.atleast_1d(lower))
+                                & (y_train <= np.atleast_1d(upper))))
+        print(f"training-input coverage sanity: {covered:.4f} "
+              f"(nominal {1 - model.alpha:.4f})")
     _write_manifest(args.out, args, [args.model, args.data])
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    doc = _load_model_doc(args.model)
-    if "upper" in doc and "lower" in doc:
+    doc, model, _ = _load_model_doc(args.model)
+    if isinstance(model, CalibratedIntervalModel):
         raise DataError("diagnose expects a plain model, not a calibrated "
                         "interval model")
     transform = doc.get("standardization")
-    model = model_from_dict(doc)
     diag = virtual_loo(model)
     y = _y_back(model.dataset.y, transform)
     loo_mean = _y_back(diag.loo_mean, transform)

@@ -4,12 +4,14 @@ MSE cross-validation, and a full-Bayesian predictive baseline.
 Both deterministic criteria are minimized by multi-start bounded L-BFGS-B
 over log hyperparameters inside scale-aware boxes (length-scales relative
 to the per-column input range, amplitude relative to var(y)).  Each
-criterion returns its value with S = d criterion / dK, and
-``kernels.covariance_gradient`` maps S to the analytic gradient in the
-optimizer's log coordinates; ``n_evals`` counts value+gradient
-evaluations.  The Bayesian baseline runs a random-walk Metropolis chain
-over the same log coordinates and propagates the sampled hyperparameters
-into the predictive law.
+evaluation builds the scaled distances h and correlations r(h) once,
+factors K and solves the GLS state once (``gp.solve_gls``).  The criterion
+reads that state and returns its value with S = d criterion / dK, and
+``kernels.covariance_gradient`` maps S, h and r(h) to the analytic
+gradient in the optimizer's log coordinates; ``n_evals`` counts
+value+gradient evaluations.  The Bayesian baseline runs a random-walk
+Metropolis chain over the same log coordinates and propagates the sampled
+hyperparameters into the predictive law.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from scipy import linalg, optimize
 from .exceptions import (
     EstimationFailureError,
     GpcalError,
-    HypothesisH2Error,
-    IllConditionedError,
     InvalidParameterError,
 )
-from .gp import Dataset, TrendSpec, _has_duplicate_rows, build_covariance, \
-    build_regression_matrix, compute_kbar, factor_covariance, fit_gp, predict
-from .kernels import KernelFamily, KernelSpec, covariance_gradient, \
-    gram_matrix, pairwise_sq_diffs
+from .gp import Dataset, GlsState, TrendSpec, _has_duplicate_rows, \
+    _inverse, _kbar, build_regression_matrix, compute_kbar, \
+    factor_covariance, fit_gp, predict, solve_gls
+from .kernels import KernelFamily, KernelSpec, correlation, \
+    covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
+from .loo import loo_mse
 
 __all__ = [
     "EstimationResult",
@@ -90,7 +92,6 @@ class McmcConfig:
     n_samples: int = 2000
     burn_in: int = 500
     proposal_scale: float = 0.1
-    prior: str = "lognormal(0,1)"
     seed: int = 0
 
     def __post_init__(self):
@@ -98,10 +99,6 @@ class McmcConfig:
             raise InvalidParameterError("burn_in must be < n_samples")
         if self.proposal_scale <= 0.0:
             raise InvalidParameterError("proposal_scale must be positive")
-        if self.prior != "lognormal(0,1)":
-            raise InvalidParameterError(
-                f"unsupported prior: {self.prior!r}"
-            )
 
 
 def _data_scales(dataset: Dataset) -> tuple:
@@ -114,26 +111,9 @@ def _data_scales(dataset: Dataset) -> tuple:
     return spans, v
 
 
-def _profile_nll(F, L, y) -> tuple:
-    """Profile NLL y' Kbar y + log det K from the Cholesky factor L of K.
-
-    Also returns w = L^{-1} (y - F beta), so that Kbar y = L^{-T} w.
-    """
-    a = linalg.solve_triangular(L, y, lower=True)
-    quad = float(a @ a)
-    if F.shape[1] > 0:
-        B = linalg.solve_triangular(L, F, lower=True)
-        G = B.T @ B
-        c = B.T @ a
-        try:
-            cG = linalg.cho_factor(G, lower=True)
-        except linalg.LinAlgError:
-            raise IllConditionedError("F' K^{-1} F is singular")
-        gamma = linalg.cho_solve(cG, c)
-        quad -= float(c @ gamma)
-        a = a - B @ gamma
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return quad + logdet, a
+def _profile_nll(gls: GlsState) -> float:
+    """Profile NLL y' Kbar y + log det K of a solved state."""
+    return gls.quad + 2.0 * float(np.sum(np.log(np.diag(gls.L))))
 
 
 def mle_objective(dataset: Dataset, trend: TrendSpec,
@@ -143,62 +123,33 @@ def mle_objective(dataset: Dataset, trend: TrendSpec,
     The regression coefficients are profiled out, so the quadratic form uses
     the GLS residuals; log det K comes from the Cholesky diagonal.
     """
-    F = build_regression_matrix(dataset.X, trend)
-    _, L, _ = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
-    return _profile_nll(F, L, dataset.y)[0]
+    return _profile_nll(fit_gp(dataset, kernel, trend, sq_diffs=sq_diffs).gls)
 
 
 def msecv_objective(dataset: Dataset, trend: TrendSpec,
                     kernel: KernelSpec, sq_diffs=None) -> float:
     """LOO-MSE quadratic form y' Kbar Diag(Kbar)^{-2} Kbar y (= n * loo_mse)."""
-    model = fit_gp(dataset, kernel, trend, sq_diffs=sq_diffs)
-    kbar = compute_kbar(model)
-    ky = kbar @ dataset.y
-    diag = np.diag(kbar)
-    return float(np.sum((ky / diag) ** 2))
+    return dataset.n * loo_mse(fit_gp(dataset, kernel, trend,
+                                      sq_diffs=sq_diffs))
 
 
-def _inverse(L) -> np.ndarray:
-    """K^{-1} from the lower Cholesky factor L of K.
-
-    dpotri fills the lower triangle and keeps L's strict upper triangle,
-    which np.linalg.cholesky leaves zero, so one transpose-add completes it.
-    """
-    inv, info = linalg.lapack.dpotri(L, lower=1)
-    if info != 0:
-        raise IllConditionedError("covariance inverse failed")
-    full = inv + inv.T
-    full.flat[::full.shape[0] + 1] *= 0.5
-    return full
-
-
-def _mle_with_dk(F, L, y) -> tuple:
+def _mle_with_dk(gls: GlsState) -> tuple:
     """Profile NLL and S = dNLL/dK = K^{-1} - (Kbar y)(Kbar y)'."""
-    value, w = _profile_nll(F, L, y)
-    ky = linalg.solve_triangular(L, w, lower=True, trans="T")
-    S = _inverse(L)
+    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T")
+    S = _inverse(gls.L)
     S -= np.outer(ky, ky)
-    return value, S
+    return _profile_nll(gls), S
 
 
-def _msecv_with_dk(F, L, y) -> tuple:
+def _msecv_with_dk(gls: GlsState) -> tuple:
     """LOO-MSE criterion sum e_i^2 and S = d criterion / dK.
 
     With kb = diag Kbar, e = Kbar y / kb and c = e / kb, dKbar = -Kbar dK
     Kbar gives S = -2 sym(Kbar y (Kbar c)' - Kbar Diag(e^2 / kb) Kbar).
     """
-    kbar = _inverse(L)
-    if F.shape[1] > 0:
-        M = kbar @ F
-        try:
-            cG = linalg.cho_factor(F.T @ M, lower=True)
-        except linalg.LinAlgError:
-            raise IllConditionedError("F' K^{-1} F is singular")
-        kbar = kbar - M @ linalg.cho_solve(cG, M.T)
+    kbar = _kbar(gls)
     kb = np.diag(kbar)
-    if kb.min() <= 1e-12 * max(kb.max(), 0.0):
-        raise HypothesisH2Error("Kbar has a vanishing diagonal entry")
-    ky = kbar @ y
+    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T")
     e = ky / kb
     kc = kbar @ (e / kb)
     S = 2.0 * (kbar * (e * e / kb)) @ kbar
@@ -274,10 +225,12 @@ def _make_starts(n_params, n_starts, rng, nugget_slot=False):
 def _log_objective(criterion, dataset, trend, unpack):
     """u -> (value, gradient) of a criterion at the kernel ``unpack(u)``.
 
-    ``criterion(F, L, y)`` returns the value and S = d criterion / dK; the
-    gradient keeps the first len(u) of the (log theta, log sigma2, log
-    nugget) partials.  The regression matrix, the squared differences and
-    the duplicated-row check are done once here, not once per evaluation.
+    ``criterion(gls)`` returns the value and S = d criterion / dK of the
+    solved state; the gradient keeps the first len(u) of the (log theta,
+    log sigma2, log nugget) partials.  The regression matrix, the squared
+    differences and the duplicated-row check are done once here, not once
+    per evaluation; each evaluation builds h and r(h) once for both K and
+    the gradient.
     Returns None where the criterion cannot be evaluated, as for a zero
     nugget on a design with duplicated rows.
     """
@@ -290,11 +243,12 @@ def _log_objective(criterion, dataset, trend, unpack):
             kernel = unpack(u)
             if kernel.nugget == 0.0 and duplicates:
                 return None
-            _, L, _ = factor_covariance(
-                gram_matrix(dataset.X, kernel, sq_diffs=sq_diffs),
-                kernel.nugget, kernel.sigma2)
-            value, S = criterion(F, L, dataset.y)
-            grad = covariance_gradient(kernel, sq_diffs, S)[:u.size]
+            h = scaled_distance_matrix(sq_diffs, kernel.theta)
+            r = correlation(kernel.family, h)
+            _, L, _ = factor_covariance(kernel.sigma2 * r, kernel.nugget,
+                                        kernel.sigma2)
+            value, S = criterion(solve_gls(F, L, dataset.y))
+            grad = covariance_gradient(kernel, sq_diffs, h, r, S)[:u.size]
         except (GpcalError, linalg.LinAlgError, ValueError):
             return None
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -304,33 +258,33 @@ def _log_objective(criterion, dataset, trend, unpack):
     return objective
 
 
-def _log_bounds(*boxes):
-    return [(np.log(lo), np.log(hi)) for lo, hi in boxes]
-
-
 def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
-                criterion, n_starts, seed):
+                criterion, n_starts, seed, sigma2=None):
+    """Multi-start fit of the criterion over log theta, log sigma2 (unless
+    the amplitude is fixed at ``sigma2``) and, when estimated, the log
+    nugget.  Returns (kernel, value, n_evals, converged)."""
     if dataset.n < 2:
         raise EstimationFailureError("insufficient data: need n >= 2")
     spans, v = _data_scales(dataset)
     d = dataset.d
-    boxes = [_THETA_BOUNDS] * d + [_SIGMA2_BOUNDS]
+    boxes = [_THETA_BOUNDS] * d
+    if sigma2 is None:
+        boxes.append(_SIGMA2_BOUNDS)
     if estimate_nugget:
         boxes.append(_NUGGET_BOUNDS)
 
     def unpack(u):
-        theta = spans * np.exp(u[:d])
-        sigma2 = v * np.exp(u[d])
-        eps = v * np.exp(u[d + 1]) if estimate_nugget else nugget
-        return KernelSpec(family=family, sigma2=sigma2, theta=theta,
-                          nugget=eps)
+        return KernelSpec(
+            family=family, theta=spans * np.exp(u[:d]),
+            sigma2=v * np.exp(u[d]) if sigma2 is None else sigma2,
+            nugget=v * np.exp(u[-1]) if estimate_nugget else nugget)
 
     rng = np.random.default_rng(seed)
     starts = _make_starts(len(boxes), n_starts, rng,
                           nugget_slot=estimate_nugget)
     value, u_best, n_evals, converged = _multistart_minimize(
         _log_objective(criterion, dataset, trend, unpack), starts,
-        _log_bounds(*boxes))
+        [(np.log(lo), np.log(hi)) for lo, hi in boxes])
     return unpack(u_best), value, n_evals, converged
 
 
@@ -372,39 +326,20 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     which normalizes the mean squared standardized LOO residual to one.
     """
     if nugget == 0.0 and not estimate_nugget:
-        return _fit_msecv_no_nugget(dataset, trend, family, n_starts, seed)
-    kernel, value, n_evals, converged = _fit_kernel(
-        dataset, trend, family, nugget, estimate_nugget,
-        _msecv_with_dk, n_starts, seed)
+        unit, value, n_evals, converged = _fit_kernel(
+            dataset, trend, family, 0.0, False, _msecv_with_dk, n_starts,
+            seed, sigma2=1.0)
+        # Closed-form amplitude at the fitted length-scales.
+        rbar = compute_kbar(fit_gp(dataset, unit, trend))
+        ry = rbar @ dataset.y
+        kernel = unit.with_(sigma2=float(np.mean(ry * ry / np.diag(rbar))))
+    else:
+        kernel, value, n_evals, converged = _fit_kernel(
+            dataset, trend, family, nugget, estimate_nugget,
+            _msecv_with_dk, n_starts, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MSE_CV",
                             converged=converged)
-
-
-def _fit_msecv_no_nugget(dataset, trend, family, n_starts, seed):
-    if dataset.n < 2:
-        raise EstimationFailureError("insufficient data: need n >= 2")
-    spans, _ = _data_scales(dataset)
-    d = dataset.d
-
-    def unit_kernel(u):
-        return KernelSpec(family=family, sigma2=1.0, theta=spans * np.exp(u),
-                          nugget=0.0)
-
-    rng = np.random.default_rng(seed)
-    starts = _make_starts(d, n_starts, rng)
-    value, u_best, n_evals, converged = _multistart_minimize(
-        _log_objective(_msecv_with_dk, dataset, trend, unit_kernel), starts,
-        _log_bounds(*[_THETA_BOUNDS] * d))
-    # Closed-form amplitude at the fitted length-scales.
-    unit = unit_kernel(u_best)
-    model = fit_gp(dataset, unit, trend)
-    rbar = compute_kbar(model)
-    ry = rbar @ dataset.y
-    sigma2 = float(np.mean(ry * ry / np.diag(rbar)))
-    return EstimationResult(kernel=unit.with_(sigma2=sigma2),
-                            objective_value=value, n_evals=n_evals,
-                            method="MSE_CV", converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +368,13 @@ def random_walk_metropolis(log_target, x0: np.ndarray, n_steps: int,
     return chain, n_accept / n_steps
 
 
-def posterior_mean_kernel(dataset: Dataset, trend: TrendSpec,
-                          family: KernelFamily, nugget: float,
-                          config: McmcConfig) -> tuple:
-    """Plug-in kernel at the posterior mean of the log hyperparameters.
+def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
+           nugget: float, config: McmcConfig, rng: np.random.Generator):
+    """Metropolis chain over (log theta, log sigma2) in data-standardized
+    coordinates, on the profile likelihood times the lognormal(0,1) prior.
 
-    Runs the same chain as the full predictive and averages the retained
-    log-hyperparameter states; used by the CLI to persist a single model
-    from a Bayesian fit.  Returns (kernel, acceptance_rate).
+    Returns (unpack: state -> kernel, the states after burn-in, the
+    acceptance rate, the cached squared differences).
     """
     spans, v = _data_scales(dataset)
     d = dataset.d
@@ -457,12 +391,24 @@ def posterior_mean_kernel(dataset: Dataset, trend: TrendSpec,
             return -np.inf
         return -0.5 * nll - 0.5 * float(u @ u)
 
-    rng = np.random.default_rng(config.seed)
     chain, acc = random_walk_metropolis(
         log_target, np.zeros(d + 1), config.n_samples,
         config.proposal_scale, rng)
-    u_mean = chain[config.burn_in:].mean(axis=0)
-    return unpack(u_mean), acc
+    return unpack, chain[config.burn_in:], acc, sq_diffs
+
+
+def posterior_mean_kernel(dataset: Dataset, trend: TrendSpec,
+                          family: KernelFamily, nugget: float,
+                          config: McmcConfig) -> tuple:
+    """Plug-in kernel at the posterior mean of the log hyperparameters.
+
+    Runs the same chain as the full predictive and averages the retained
+    log-hyperparameter states; used by the CLI to persist a single model
+    from a Bayesian fit.  Returns (kernel, acceptance_rate).
+    """
+    unpack, retained, acc, _ = _chain(dataset, trend, family, nugget, config,
+                                      np.random.default_rng(config.seed))
+    return unpack(retained.mean(axis=0)), acc
 
 
 @dataclass(frozen=True)
@@ -490,26 +436,9 @@ def bayes_predictive(dataset: Dataset, trend: TrendSpec,
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha must lie in (0, 1)")
-    spans, v = _data_scales(dataset)
-    d = dataset.d
-    sq_diffs = pairwise_sq_diffs(dataset.X)
-
-    def unpack(u):
-        return KernelSpec(family=family, sigma2=v * np.exp(u[d]),
-                          theta=spans * np.exp(u[:d]), nugget=nugget)
-
-    def log_target(u):
-        try:
-            nll = mle_objective(dataset, trend, unpack(u), sq_diffs)
-        except (GpcalError, linalg.LinAlgError, ValueError):
-            return -np.inf
-        return -0.5 * nll - 0.5 * float(u @ u)
-
     rng = np.random.default_rng(config.seed)
-    chain, acc = random_walk_metropolis(
-        log_target, np.zeros(d + 1), config.n_samples,
-        config.proposal_scale, rng)
-    retained = chain[config.burn_in:]
+    unpack, retained, acc, sq_diffs = _chain(dataset, trend, family, nugget,
+                                             config, rng)
 
     x_arr = np.asarray(x_new, dtype=float)
     single = x_arr.ndim == 1

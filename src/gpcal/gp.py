@@ -1,20 +1,24 @@
-"""Kriging core: trend bases, covariance assembly, GLS coefficients,
+"""Kriging core: trend bases, covariance assembly, the solved GLS state,
 posterior prediction, and the residual-space machinery.
 
-All dense inverses are avoided in favor of Cholesky/triangular solves.  The
-matrix
+Each (design, kernel, trend) is solved once.  ``factor_covariance`` gives
+the Cholesky factor L of K, and ``solve_gls`` derives from (F, L, y)
+everything the fit, the likelihood, prediction and the LOO formulas read:
+B = L^{-1} F, the Cholesky factor of G = B'B = F' K^{-1} F (the only place
+G is factored), the GLS coefficients beta = G^{-1} B' L^{-1} y and the
+whitened residual w = L^{-1} (y - F beta).  The matrix
 
     Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}
 
-drives both the leave-one-out formulas and the coverage calibration; its
-kernel equals the column space of F, and its diagonal is strictly positive
-whenever no canonical basis vector lies in that column space.
+is built from that state in one place (``_kbar``).  It drives both the
+leave-one-out formulas and the coverage calibration; its kernel equals the
+column space of F, and its diagonal is strictly positive whenever no
+canonical basis vector lies in that column space.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +39,14 @@ __all__ = [
     "TrendSpec",
     "Dataset",
     "FittedGp",
+    "GlsState",
     "ProjectionBasis",
     "HypothesisReport",
     "build_regression_matrix",
     "build_covariance",
     "factor_covariance",
     "fit_beta",
+    "solve_gls",
     "fit_gp",
     "predict",
     "prediction_interval",
@@ -49,17 +55,12 @@ __all__ = [
     "check_hypotheses",
     "model_to_dict",
     "model_from_dict",
-    "save_model",
-    "load_model",
 ]
 
 # Jitter escalation: start at 1e-10 * sigma2 and multiply by 10 up to
 # 1e-6 * sigma2 before giving up.
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
-
-# Default cap on explicit Kbar assembly (n x n dense).
-KBAR_SIZE_CAP = 5000
 
 
 class TrendKind(enum.Enum):
@@ -86,13 +87,6 @@ class TrendSpec:
             return cls(TrendKind(name.lower()))
         except ValueError:
             raise InvalidParameterError(f"unknown trend: {name!r}")
-
-    def n_basis(self, d: int) -> int:
-        if self.kind is TrendKind.SIMPLE:
-            return 0
-        if self.kind is TrendKind.ORDINARY:
-            return 1
-        return d + 1
 
     def basis(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the basis functions at the rows of X, shape (n, p)."""
@@ -159,10 +153,6 @@ class HypothesisReport:
     h3: bool
     k_eps: int
     n_times_a: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.h1 and self.h2 and self.h3
 
 
 def build_regression_matrix(X: np.ndarray, trend: TrendSpec) -> np.ndarray:
@@ -244,40 +234,69 @@ def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
     )
 
 
-def fit_beta(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """GLS coefficients beta = (F' K^{-1} F)^{-1} F' K^{-1} y.
+@dataclass(frozen=True)
+class GlsState:
+    """Generalized least squares on K = L L', solved once.
 
-    L is the lower Cholesky factor of K; everything is computed through
-    triangular solves.  Returns an empty vector for the simple-kriging case.
+    B = L^{-1} F; chol_G is the lower Cholesky factor of G = B'B =
+    F' K^{-1} F (None when p = 0); beta = G^{-1} B' L^{-1} y; w =
+    L^{-1} (y - F beta), so that Kbar y = L^{-T} w; quad = y' Kbar y.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if F.shape[1] == 0:
-        return np.zeros(0)
-    B = linalg.solve_triangular(L, F, lower=True)
+
+    L: np.ndarray
+    B: np.ndarray
+    chol_G: np.ndarray | None
+    beta: np.ndarray
+    w: np.ndarray
+    quad: float
+
+
+def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
+    """The GLS state of (F, L, y) by triangular solves.
+
+    The only place F' K^{-1} F is factored: a singular one raises
+    HypothesisH1Error.  quad is accumulated as |L^{-1} y|^2 - c' beta with
+    c = B' L^{-1} y.
+    """
     a = linalg.solve_triangular(L, y, lower=True)
-    G = B.T @ B
+    quad = float(a @ a)
+    if F.shape[1] == 0:
+        return GlsState(L=L, B=F, chol_G=None, beta=np.zeros(0), w=a,
+                        quad=quad)
+    B = linalg.solve_triangular(L, F, lower=True)
+    c = B.T @ a
     try:
-        cG = linalg.cho_factor(G, lower=True)
+        chol_G = linalg.cholesky(B.T @ B, lower=True)
     except linalg.LinAlgError:
         raise HypothesisH1Error("F' K^{-1} F is singular")
-    return linalg.cho_solve(cG, B.T @ a)
+    beta = linalg.cho_solve((chol_G, True), c)
+    quad -= float(c @ beta)
+    return GlsState(L=L, B=B, chol_G=chol_G, beta=beta, w=a - B @ beta,
+                    quad=quad)
+
+
+def fit_beta(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """GLS coefficients beta = (F' K^{-1} F)^{-1} F' K^{-1} y by
+    ``solve_gls``; empty for simple kriging (p = 0)."""
+    return solve_gls(F, L, np.asarray(y, dtype=float).ravel()).beta
 
 
 @dataclass
 class FittedGp:
-    """A kriging model with cached factorizations.
+    """A kriging model and its solved state.
 
-    Immutable after construction in the sense that no method mutates the
-    numerical state except the lazy Kbar cache; concurrent reads are safe.
+    ``fit_gp`` factors K and solves the GLS problem once (``gls``: L,
+    L^{-1} F, the factor of F' K^{-1} F, beta, L^{-1} (y - F beta));
+    ``predict``, ``compute_kbar`` and the LOO formulas read that state.
+    Only the lazy Kbar cache is ever mutated; concurrent reads are safe.
     """
 
     dataset: Dataset
     kernel: KernelSpec
     trend: TrendSpec
-    beta_hat: np.ndarray
     F: np.ndarray
-    chol_K: np.ndarray
     K: np.ndarray
+    gls: GlsState
     jitter_used: float = 0.0
     _kbar_cache: np.ndarray | None = field(default=None, repr=False)
 
@@ -293,10 +312,18 @@ class FittedGp:
     def p(self) -> int:
         return self.F.shape[1]
 
+    @property
+    def beta_hat(self) -> np.ndarray:
+        return self.gls.beta
+
+    @property
+    def chol_K(self) -> np.ndarray:
+        return self.gls.L
+
 
 def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec,
            sq_diffs: np.ndarray | None = None) -> FittedGp:
-    """Assemble a FittedGp: F, K and its factor, and the GLS coefficients."""
+    """Assemble a FittedGp: F, K and its solved GLS state."""
     if kernel.dim != dataset.d:
         raise ShapeError(
             f"kernel theta has {kernel.dim} entries but design has "
@@ -304,11 +331,8 @@ def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec,
         )
     F = build_regression_matrix(dataset.X, trend)
     K, L, jitter = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
-    beta = fit_beta(F, L, dataset.y)
-    return FittedGp(
-        dataset=dataset, kernel=kernel, trend=trend, beta_hat=beta,
-        F=F, chol_K=L, K=K, jitter_used=jitter,
-    )
+    return FittedGp(dataset=dataset, kernel=kernel, trend=trend, F=F, K=K,
+                    gls=solve_gls(F, L, dataset.y), jitter_used=jitter)
 
 
 def predict(model: FittedGp, x_new) -> tuple:
@@ -319,8 +343,9 @@ def predict(model: FittedGp, x_new) -> tuple:
               + u' (F' K^{-1} F)^{-1} u,   u = f(x) - F' K^{-1} k
 
     The trend-uncertainty quadratic form uses the dimensionally consistent
-    F' K^{-1} k inner factor.  Scalars are returned for a single point,
-    arrays for a batch.
+    F' K^{-1} k inner factor.  L^{-1} F, the factor of F' K^{-1} F, beta
+    and L^{-1} (y - F beta) come from the model's solved state.  Scalars
+    are returned for a single point, arrays for a batch.
     """
     x_arr = np.asarray(x_new, dtype=float)
     single = x_arr.ndim == 1
@@ -329,22 +354,16 @@ def predict(model: FittedGp, x_new) -> tuple:
         raise ShapeError(
             f"x_new has {X_new.shape[1]} columns, model expects {model.d}"
         )
-    L = model.chol_K
-    y = model.dataset.y
+    gls = model.gls
     Kx = cross_covariance(model.dataset.X, X_new, model.kernel)  # n x m
-    A = linalg.solve_triangular(L, Kx, lower=True)               # L^{-1} k
-    resid = y - model.F @ model.beta_hat
-    w = linalg.solve_triangular(L, resid, lower=True)
+    A = linalg.solve_triangular(gls.L, Kx, lower=True)           # L^{-1} k
     f_new = model.trend.basis(X_new)                             # m x p
-    mean = f_new @ model.beta_hat + A.T @ w
+    mean = f_new @ gls.beta + A.T @ gls.w
     prior_var = model.kernel.sigma2 + model.kernel.nugget
     var = prior_var - np.einsum("ij,ij->j", A, A)
     if model.p > 0:
-        B = linalg.solve_triangular(L, model.F, lower=True)      # L^{-1} F
-        G = B.T @ B
-        U = f_new.T - B.T @ A                                    # p x m
-        cG = linalg.cho_factor(G, lower=True)
-        V = linalg.cho_solve(cG, U)
+        U = f_new.T - gls.B.T @ A                                # p x m
+        V = linalg.cho_solve((gls.chol_G, True), U)
         var = var + np.einsum("ij,ij->j", U, V)
     var = np.maximum(var, 0.0)
     if single:
@@ -362,42 +381,48 @@ def prediction_interval(model: FittedGp, x_new, alpha: float) -> tuple:
     return mean - q * sd, mean + q * sd
 
 
-def compute_kbar(model: FittedGp, size_cap: int = KBAR_SIZE_CAP) -> np.ndarray:
-    """Explicit Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}.
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """K^{-1} from the lower Cholesky factor L of K.
+
+    dpotri fills the lower triangle and keeps L's strict upper triangle,
+    which np.linalg.cholesky leaves zero, so one transpose-add completes it.
+    """
+    inv, info = linalg.lapack.dpotri(L, lower=1)
+    if info != 0:
+        raise IllConditionedError("covariance inverse failed")
+    full = inv + inv.T
+    full.flat[::full.shape[0] + 1] *= 0.5
+    return full
+
+
+def _kbar(gls: GlsState) -> np.ndarray:
+    """Kbar = K^{-1} - C C' from a solved state, C = L^{-T} B chol_G^{-T}
+    (so C C' = K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}).
 
     Symmetric PSD with a strictly positive diagonal when no e_i lies in
     Im F; a (relatively) non-positive diagonal entry raises
-    HypothesisH2Error.  Assembly is O(n^3) and refused above size_cap.
+    HypothesisH2Error.
     """
-    n = model.n
-    if n > size_cap:
-        raise InvalidParameterError(
-            f"explicit Kbar assembly refused for n={n} > cap {size_cap}"
-        )
-    if model._kbar_cache is not None:
-        return model._kbar_cache
-    L = model.chol_K
-    identity = np.eye(n)
-    Kinv = linalg.cho_solve((L, True), identity)
-    if model.p > 0:
-        M = linalg.cho_solve((L, True), model.F)        # K^{-1} F
-        G = model.F.T @ M                               # F' K^{-1} F
-        try:
-            cG = linalg.cho_factor(G, lower=True)
-        except linalg.LinAlgError:
-            raise HypothesisH1Error("F' K^{-1} F is singular")
-        kbar = Kinv - M @ linalg.cho_solve(cG, M.T)
-    else:
-        kbar = Kinv
-    kbar = 0.5 * (kbar + kbar.T)
+    kbar = _inverse(gls.L)
+    if gls.chol_G is not None:
+        C = linalg.solve_triangular(gls.chol_G, gls.B.T, lower=True)
+        C = linalg.solve_triangular(gls.L, C.T, lower=True, trans="T")
+        kbar -= C @ C.T
     diag = np.diag(kbar)
     if diag.min() <= 1e-12 * max(diag.max(), 0.0):
         raise HypothesisH2Error(
             "Kbar has a vanishing diagonal entry; some unit vector lies "
             "in the trend span"
         )
-    model._kbar_cache = kbar
     return kbar
+
+
+def compute_kbar(model: FittedGp) -> np.ndarray:
+    """Explicit Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1} of
+    the model (``_kbar``), built on first use and cached."""
+    if model._kbar_cache is None:
+        model._kbar_cache = _kbar(model.gls)
+    return model._kbar_cache
 
 
 def projection_basis(F: np.ndarray) -> ProjectionBasis:
@@ -435,7 +460,6 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
     if not 0.0 < a < 1.0 or a == 0.5:
         raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
     n = dataset.n
-    h1 = True
     try:
         F = build_regression_matrix(dataset.X, trend)
     except HypothesisH1Error:
@@ -446,7 +470,7 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
         pi_diag = np.diag(basis.Pi)
         h2 = bool(pi_diag.min() > 1e-12)
     except HypothesisH2Error:
-        return HypothesisReport(h1=h1, h2=False, h3=False,
+        return HypothesisReport(h1=True, h2=False, h3=False,
                                 k_eps=0, n_times_a=n * a)
     q_a = normal_quantile(a)
     sigma_eps = np.sqrt(kernel.nugget)
@@ -457,7 +481,7 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
         h3 = k_eps < n * a
     else:
         h3 = k_eps > n * a
-    return HypothesisReport(h1=h1, h2=h2, h3=h3, k_eps=k_eps, n_times_a=n * a)
+    return HypothesisReport(h1=True, h2=h2, h3=h3, k_eps=k_eps, n_times_a=n * a)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +508,3 @@ def model_from_dict(doc: dict) -> FittedGp:
     model = fit_gp(dataset, kernel, trend)
     return model
 
-
-def save_model(model: FittedGp, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-
-
-def load_model(path) -> FittedGp:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

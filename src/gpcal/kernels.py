@@ -68,21 +68,24 @@ class KernelFamily(enum.Enum):
 
 
 def correlation(family: KernelFamily, u: np.ndarray) -> np.ndarray:
-    """Unit-amplitude, unit-length-scale correlation profile r(u), u >= 0."""
-    if family is KernelFamily.EXPONENTIAL:
-        return np.exp(-u)
-    if family is KernelFamily.MATERN32:
-        s = _SQRT3 * u
-        return (1.0 + s) * np.exp(-s)
-    if family is KernelFamily.MATERN52:
-        s = _SQRT5 * u
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    if family is KernelFamily.SQUARED_EXPONENTIAL:
-        return np.exp(-0.5 * u * u)
+    """Unit-amplitude, unit-length-scale correlation profile r(u), u >= 0;
+    an overflowed u yields 0 or NaN silently (rejected downstream)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family is KernelFamily.EXPONENTIAL:
+            return np.exp(-u)
+        if family is KernelFamily.MATERN32:
+            s = _SQRT3 * u
+            return (1.0 + s) * np.exp(-s)
+        if family is KernelFamily.MATERN52:
+            s = _SQRT5 * u
+            return (1.0 + s + s * s / 3.0) * np.exp(-s)
+        if family is KernelFamily.SQUARED_EXPONENTIAL:
+            return np.exp(-0.5 * u * u)
     raise InvalidParameterError(f"unhandled kernel family: {family}")
 
 
 def covariance_gradient(spec: KernelSpec, sq_diffs: np.ndarray,
+                        h: np.ndarray, r: np.ndarray,
                         S: np.ndarray) -> np.ndarray:
     """Gradient of a scalar criterion of K = sigma2 R(h) + nugget I in the
     log hyperparameters, given the symmetric S = d criterion / dK.
@@ -94,13 +97,12 @@ def covariance_gradient(spec: KernelSpec, sq_diffs: np.ndarray,
         d/dlog sigma2  = sigma2 sum S o R
         d/dlog nugget  = nugget tr S
 
-    with Delta_j^2 the cached ``pairwise_sq_diffs``.  r'(h)/h comes in
-    closed form from the correlation r(h); for the exponential kernel it is
-    set to 0 where h = 0, whose Delta_j^2 are 0.
+    with Delta_j^2 the cached ``pairwise_sq_diffs``, and h and r = R the
+    scaled distances and unit correlations K was built from.  r'(h)/h
+    comes in closed form from r; for the exponential kernel it is set to 0
+    where h = 0, whose Delta_j^2 are 0.
     """
     family = spec.family
-    h = scaled_distance_matrix(sq_diffs, spec.theta)
-    r = correlation(family, h)
     with np.errstate(over="ignore", invalid="ignore"):
         if family is KernelFamily.EXPONENTIAL:
             slope = np.divide(-r, h, out=np.zeros_like(h), where=h > 0.0)
@@ -233,8 +235,9 @@ def kernel_radial(spec: KernelSpec, x, x_prime) -> float:
 def pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
     """Per-dimension squared differences, shape (n, n, d).
 
-    Cached by fitting loops so that re-evaluating the Gram matrix for a new
-    theta costs one tensor contraction instead of a rebuild from X.
+    Cached by the loops that repeat theta on one design (the fit objective
+    and the Metropolis chain): a new theta then costs one tensor
+    contraction for h, and the gradient reads the same tensor.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -259,7 +262,8 @@ def scaled_distance_matrix(sq_diffs: np.ndarray, theta: np.ndarray) -> np.ndarra
 
 
 def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = None) -> np.ndarray:
-    """n x n kernel matrix on the design X, nugget *not* included."""
+    """n x n kernel matrix on the design X, nugget *not* included; h from
+    the cached ``sq_diffs`` if given, else ``scaled_distances`` (O(n^2))."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError("X must be a 2-D design matrix")
@@ -268,10 +272,10 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = N
             f"design has {X.shape[1]} columns but theta has {spec.dim}"
         )
     if sq_diffs is None:
-        sq_diffs = pairwise_sq_diffs(X)
-    h = scaled_distance_matrix(sq_diffs, spec.theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return spec.sigma2 * correlation(spec.family, h)
+        h = scaled_distances(X, X, spec.theta)
+    else:
+        h = scaled_distance_matrix(sq_diffs, spec.theta)
+    return spec.sigma2 * correlation(spec.family, h)
 
 
 def scaled_distances(X: np.ndarray, X_new: np.ndarray,

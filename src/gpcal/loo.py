@@ -228,9 +228,6 @@ class SigmaScanBasis:
         kdiag = (1.0 / d) @ self.V2.T
         return ky / np.sqrt(kdiag)
 
-    def psi(self, sigma2: float, a: float) -> float:
-        return psi_from_residuals(self.std_residuals(sigma2), a)
-
     def psi_smoothed(self, sigma2: float, a: float,
                      params: SmoothingParams) -> float:
         return psi_smoothed_from_residuals(self.std_residuals(sigma2), a,

@@ -282,8 +282,7 @@ class _Calibration:
 
     def gram(self, lam: float) -> np.ndarray:
         """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return correlation(self.family, self.h0 / lam)
+        return correlation(self.family, self.h0 / lam)
 
     def at(self, lam: float) -> "_LambdaState":
         if self._state is None or self._state.lam != lam:
@@ -463,8 +462,9 @@ class _Side:
 
 def _solution(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               nugget: float, theta0: np.ndarray, delta: SmoothingParams,
-              a: float, best: tuple, trace: LambdaTrace) -> RpieSolution:
-    """The RpieSolution at best = (lambda*, sigma2_opt, W2)."""
+              a: float, best: tuple, trace: LambdaTrace) -> tuple:
+    """The RpieSolution at best = (lambda*, sigma2_opt, W2) and the
+    FittedGp it was read from."""
     lam, s2, obj = best
     theta0 = np.asarray(theta0, dtype=float)
     kernel = KernelSpec(family=family, sigma2=s2, theta=lam * theta0,
@@ -482,7 +482,7 @@ def _solution(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
         psi_raw=psi_from_residuals(z, a),
         kernel=kernel,
         trace=trace,
-    )
+    ), model
 
 
 def _search(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
@@ -545,7 +545,7 @@ def calibrate_quantile(dataset: Dataset, trend: TrendSpec,
     (found,) = _search(dataset, trend, family, nugget, theta0, sigma2_0,
                        (a,), config)
     return _solution(dataset, trend, family, nugget, theta0, config.delta,
-                     *found)
+                     *found)[0]
 
 
 @dataclass(frozen=True)
@@ -592,10 +592,9 @@ class CalibratedIntervalModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibratedIntervalModel":
-        from .gp import TrendSpec as _TrendSpec
         dataset = Dataset(X=np.asarray(doc["X"], dtype=float),
                           y=np.asarray(doc["y"], dtype=float))
-        trend = _TrendSpec.from_string(doc["trend"])
+        trend = TrendSpec.from_string(doc["trend"])
         reference = EstimationResult.from_dict(doc["reference"])
 
         def solution(d):
@@ -646,13 +645,13 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     except CalibrationInfeasibleError as exc:
         exc.side = "upper" if exc.side > 0.5 else "lower"
         raise
-    upper, lower = (_solution(dataset, trend, family, nugget, theta0,
-                              config.delta, *side) for side in found)
+    (upper, upper_model), (lower, lower_model) = (
+        _solution(dataset, trend, family, nugget, theta0, config.delta, *side)
+        for side in found)
     return CalibratedIntervalModel(
         upper=upper, lower=lower, reference=reference,
         dataset=dataset, trend=trend, alpha=alpha,
-        upper_model=fit_gp(dataset, upper.kernel, trend),
-        lower_model=fit_gp(dataset, lower.kernel, trend),
+        upper_model=upper_model, lower_model=lower_model,
     )
 
 

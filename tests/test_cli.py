@@ -7,8 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.cli import ingest_csv, main
+from gpcal.estimation import EstimationResult
 from gpcal.exceptions import DataError
+from gpcal.gp import fit_gp, model_to_dict
+from gpcal.rpie import GridSpec, RpieConfig, calibrate
 
 
 def _write_csv(path, header, rows):
@@ -51,6 +55,13 @@ class TestIngestCsv:
         _write_csv(path, ["x1", "x2"], [[0.0, 1.0]])
         with pytest.raises(DataError, match="missing target"):
             ingest_csv(path, "z")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        _write_csv(path, ["x1", "y"], [[0.0, 1.0], [0.5, 2.0], [cell, 3.0]])
+        with pytest.raises(DataError, match="non-finite value at row 3"):
+            ingest_csv(path, "y")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -263,3 +274,88 @@ class TestBenchmarkCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "morokoff" in err   # usage text lists valid experiments
+
+
+class TestMalformedInputs:
+    """Malformed model documents and non-finite CSV cells are data errors
+    (exit 3) for every subcommand that reads them."""
+
+    @staticmethod
+    def _docs():
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0, 1, (15, 2))
+        ds = Dataset(X=X, y=np.sin(4 * X[:, 0]) + X[:, 1])
+        trend = TrendSpec.from_string("ordinary")
+        kernel = KernelSpec(KernelFamily.MATERN52, 0.5, [0.4, 0.4],
+                            nugget=1e-3)
+        plain = model_to_dict(fit_gp(ds, kernel, trend))
+        plain.update(standardization=None, columns=["a", "b"])
+        reference = EstimationResult(kernel=kernel, objective_value=0.0,
+                                     n_evals=0, method="KNOWN",
+                                     converged=True)
+        calibrated = calibrate(ds, trend, kernel.family, kernel.nugget,
+                               reference, 0.2, RpieConfig(
+                                   lambda_grid=GridSpec(0.1, 10.0, 8)))
+        return plain, calibrated.to_dict()
+
+    @staticmethod
+    def _bad(name, plain, calibrated):
+        if name == "empty":
+            return {}
+        if name == "not_an_object":
+            return [1, 2]
+        doc = json.loads(json.dumps(plain))
+        if name == "kernel_without_sigma2":
+            del doc["kernel"]["sigma2"]
+        elif name == "mistyped_theta":
+            doc["kernel"]["theta"] = "wide"
+        elif name == "ragged_design":
+            doc["X"][0] = [0.5]
+        elif name == "mistyped_standardization":
+            doc["standardization"] = {"x_mean": "zero"}
+        elif name == "calibrated_doc":
+            return calibrated
+        return doc
+
+    # predict accepts a calibrated document; the other two do not.
+    @pytest.mark.parametrize("subcommand, bad", [
+        (sub, bad) for sub in ("calibrate", "predict", "diagnose")
+        for bad in ("empty", "not_an_object", "kernel_without_sigma2",
+                    "mistyped_theta", "ragged_design",
+                    "mistyped_standardization", "calibrated_doc")
+        if (sub, bad) != ("predict", "calibrated_doc")])
+    def test_bad_model_document_is_data_error(self, tmp_path, capsys,
+                                              subcommand, bad):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self._bad(bad, *self._docs())))
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], [[0.1, 0.2], [0.3, 0.4]])
+        out = str(tmp_path / "out")
+        argv = {
+            "calibrate": ["calibrate", "--reference", str(model),
+                          "--out", out],
+            "predict": ["predict", "--model", str(model), "--data",
+                        str(feat), "--out", out],
+            "diagnose": ["diagnose", "--model", str(model), "--out", out],
+        }[subcommand]
+        assert main(argv) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_non_finite_training_cell_is_data_error(self, training_csv,
+                                                    tmp_path):
+        _, X, y = training_csv
+        path = tmp_path / "nan.csv"
+        rows = [[X[i, 0], X[i, 1], y[i]] for i in range(len(y))]
+        rows[4][1] = "nan"
+        _write_csv(path, ["a", "b", "resp"], rows)
+        assert main(["fit", "--data", str(path), "--target", "resp",
+                     "--out", str(tmp_path / "m.json")]) == 3
+
+    def test_non_finite_feature_cell_is_data_error(self, tmp_path):
+        plain, _ = self._docs()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(plain))
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], [[0.1, 0.2], ["nan", 0.4]])
+        assert main(["predict", "--model", str(model), "--data", str(feat),
+                     "--out", str(tmp_path / "p.csv")]) == 3

@@ -1,6 +1,7 @@
 """Kernel closed forms, the radial construction, and structural properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from gpcal.exceptions import InvalidParameterError, ShapeError
 from gpcal.kernels import (
     KernelFamily,
     KernelSpec,
+    correlation,
     cross_covariance,
     gram_matrix,
     kernel_1d,
     kernel_radial,
+    pairwise_sq_diffs,
+    scaled_distance_matrix,
 )
 
 from conftest import ALL_FAMILIES
@@ -172,10 +176,29 @@ class TestGramMatrix:
             np.testing.assert_allclose(cross_covariance(X, X, spec),
                                        gram_matrix(X, spec),
                                        rtol=1e-12, atol=1e-12)
+            # The cached-tensor path the fit objective uses agrees.
+            h = scaled_distance_matrix(pairwise_sq_diffs(X), spec.theta)
+            np.testing.assert_allclose(
+                gram_matrix(X, spec),
+                spec.sigma2 * correlation(family, h), rtol=0, atol=1e-15)
             C = cross_covariance(X, Z, spec)
             oracle = np.array([[kernel_radial(spec, x, z) for z in Z]
                                for x in X])
             np.testing.assert_allclose(C, oracle, rtol=1e-12, atol=1e-12)
+
+    def test_gram_builds_no_pairwise_tensor(self):
+        # Without cached squared differences the peak allocation stays
+        # below one (n, n, d) tensor of them.
+        n, d = 150, 10
+        X = np.random.default_rng(3).uniform(size=(n, d))
+        spec = KernelSpec(KernelFamily.MATERN52, 1.0, np.full(d, 0.8))
+        tracemalloc.start()
+        try:
+            gram_matrix(X, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * d * 8
 
 
 class TestKernelSpec:

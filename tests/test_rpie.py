@@ -1,9 +1,12 @@
 """Amplitude bracketing, Wasserstein distance, and interval calibration."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import morokoff_caflisch, sample_gp_response
@@ -472,3 +475,60 @@ class TestNoNuggetCase:
         assert sol.psi_achieved == pytest.approx(0.95, abs=1e-6)
         # the trace may legitimately contain absent (NaN) entries
         assert np.isfinite(sol.trace.objectives).any()
+
+
+class TestInvariance:
+    """Calibrated bounds on an n=60, d=3 problem under symmetries of the
+    data, to 1e-6 relative to the largest bound."""
+
+    TOL = 1e-6
+    KERNEL = KernelSpec(KernelFamily.MATERN52, 0.05, np.full(3, 0.6),
+                        nugget=1e-4)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1)
+    def _base():
+        ds = _misspecified_dataset(8, n=60, d=3)
+        queries = np.random.default_rng(81).uniform(0, 1, (20, 3))
+        return ds, queries, TestInvariance._bounds(ds, TestInvariance.KERNEL,
+                                                   queries)
+
+    @staticmethod
+    def _bounds(ds, kernel, queries):
+        cal = calibrate(ds, ORD, kernel.family, kernel.nugget,
+                        _reference(kernel), 0.1, FAST)
+        lower, upper, _ = predict_calibrated(cal, queries)
+        return np.concatenate([lower, upper])
+
+    def _assert_close(self, got, want):
+        assert np.max(np.abs(got - want)) <= self.TOL * np.max(np.abs(want))
+
+    @given(perm=st.permutations(range(60)))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_row_permutation(self, perm):
+        ds, queries, want = self._base()
+        idx = np.asarray(perm)
+        got = self._bounds(Dataset(X=ds.X[idx], y=ds.y[idx]), self.KERNEL,
+                           queries)
+        self._assert_close(got, want)
+
+    @given(shift=st.floats(-10.0, 10.0), scale=st.floats(0.1, 10.0))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_affine_response_map(self, shift, scale):
+        # y -> shift + scale * y with the amplitude and nugget scaled by
+        # scale^2 maps each bound the same way.
+        ds, queries, want = self._base()
+        kernel = self.KERNEL.with_(sigma2=scale ** 2 * self.KERNEL.sigma2,
+                                   nugget=scale ** 2 * self.KERNEL.nugget)
+        got = self._bounds(Dataset(X=ds.X, y=shift + scale * ds.y), kernel,
+                           queries)
+        self._assert_close(got, shift + scale * want)
+
+    @given(offset=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_input_translation(self, offset):
+        ds, queries, want = self._base()
+        c = np.asarray(offset)
+        got = self._bounds(Dataset(X=ds.X + c, y=ds.y), self.KERNEL,
+                           queries + c)
+        self._assert_close(got, want)

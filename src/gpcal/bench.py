@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_threaded_blas
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
     UsageError
@@ -489,7 +490,8 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
 
     Seeds are independent jobs; with RPIE_THREADS > 1 they run on a thread
     pool, and rows are always ordered by (seed, method) regardless of
-    completion order.
+    completion order.  BLAS runs single-threaded throughout, pooled or
+    not, so both paths compute the same bits.
     """
     cfg = _config(name)
     scale = scale or ExperimentScale()
@@ -501,11 +503,12 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
                          rpie_config)
 
     workers = min(_max_workers(), len(seeds))
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, seeds))
-    else:
-        results = [job(s) for s in seeds]
+    with single_threaded_blas():
+        if workers > 1 and len(seeds) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(job, seeds))
+        else:
+            results = [job(s) for s in seeds]
 
     rows = []
     traces = {}

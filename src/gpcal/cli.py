@@ -11,7 +11,8 @@ Every run writes a ``*.manifest.json`` next to its outputs recording the
 inputs (with hashes), flags, seed, and library versions.  Per-column
 z-score standardization is on by default; the transform is stored with the
 model and inverted at prediction time, so predictions come back in the
-original units.
+original units.  Every command runs with BLAS set to one thread (see
+``gpcal.blas``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import scipy
 from . import __version__
 from .bench import EXPERIMENT_NAMES, ExperimentScale, run_experiment, \
     write_lambda_trace_csv, write_report_csv, write_summary_json
+from .blas import single_threaded_blas
 from .estimation import EstimationResult, McmcConfig, fit_mle, fit_msecv, \
     mle_objective, posterior_mean_kernel
 from .exceptions import DataError, DomainError, GpcalError, UsageError
@@ -480,7 +482,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_threaded_blas():
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,15 @@ doubles.  It returns the crossing's left end: the smallest amplitude at
 which psi_delta - a is zero or has left the strict sign it has at the
 bottom of the grid.  When n * a is an integer, psi_delta equals a on a
 whole interval of amplitudes, and the left end is its smallest point.
+The bisection is kept exact: stopping it at 1e-9 relative moves the W2
+objectives of the lambda grid by up to 4e-5, since W2 is a difference of
+traces that cancel.
+
+Each side then refines its best grid lambda by golden section in log
+lambda, which stops once the bracket is 1e-6 wide.  lambda* carries no
+more precision than that: a last-bit change in the training responses
+moves it by about 1e-7 relative, and W2 is flat near its minimum, so the
+stop moves W2 by well under 1e-6 relative.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from .gp import (
     projection_basis,
 )
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
-from .loo import SigmaScanBasis, SmoothingParams, _ramp_upper, virtual_loo, \
+from .loo import SigmaScanBasis, SmoothingParams, virtual_loo, \
     psi_from_residuals, psi_smoothed_from_residuals
 from .stats import normal_quantile
 
@@ -74,6 +83,12 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Width in log lambda at which the golden section stops.  Finer is
+# spurious: a 3.5e-15 relative change in the training responses moves
+# lambda* by up to 1.3e-7 relative, while W2 is flat to about 1e-7 near
+# its minimum (a 1e-6 stop moves W2 by at most 5.7e-7 relative).
+_LOG_LAMBDA_TOL = 1e-6
 
 # Amplitudes per batched residual evaluation: bounds the (rows x n) work
 # arrays, and the scan stops at the first batch holding a crossing.
@@ -351,9 +366,14 @@ class _Side:
 
     def excess(self, z: np.ndarray):
         """psi_delta - a along the last axis of z, in the upper
-        orientation (so of opposite sign for a lower bound)."""
-        ramp = _ramp_upper(self.q - self.sign * z, self.delta)
-        return np.mean(ramp, axis=-1) - self.level
+        orientation (so of opposite sign for a lower bound).
+
+        The ramp clip(x / delta, 0, 1) equals ``loo._ramp_upper`` bit for
+        bit; clipping in place keeps this hot call to two temporaries.
+        """
+        x = (self.q - self.sign * z) / self.delta
+        np.clip(x, 0.0, 1.0, out=x)
+        return np.add.reduce(x, axis=-1) / x.shape[-1] - self.level
 
     def sigma_opt_at(self, lam: float) -> float | None:
         """Left end of the first crossing of psi_delta = a on the scan
@@ -406,7 +426,13 @@ class _Side:
 
     def refine(self) -> tuple:
         """(lambda*, sigma2_opt, W2) at the best grid lambda, refined by
-        golden section in log lambda over its two neighbouring cells."""
+        golden section in log lambda over its two neighbouring cells.
+
+        The section stops once the bracket is ``_LOG_LAMBDA_TOL`` = 1e-6
+        wide in log lambda (29 evaluations from a two-cell bracket of the
+        default grid): lambda* already moves by about 1e-7 with the last
+        bits of the data, so finer steps resolve nothing.
+        """
         lambdas, objs = self.lambdas, self.objs
         if not np.any(np.isfinite(objs)):
             cal = self.cal
@@ -440,7 +466,7 @@ class _Side:
             x1 = b_log - _GOLDEN * (b_log - a_log)
             x2 = a_log + _GOLDEN * (b_log - a_log)
             f1, f2 = f(x1), f(x2)
-            for _ in range(40):
+            while b_log - a_log > _LOG_LAMBDA_TOL:
                 if f1 <= f2:
                     b_log, x2, f2 = x2, x1, f1
                     x1 = b_log - _GOLDEN * (b_log - a_log)

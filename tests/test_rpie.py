@@ -15,9 +15,12 @@ from gpcal.exceptions import CalibrationInfeasibleError, \
     IllConditionedError, InvalidMatrixError
 from gpcal.gp import build_regression_matrix, fit_beta, fit_gp, \
     prediction_interval
-from gpcal.loo import SigmaScanBasis
+from gpcal.loo import SigmaScanBasis, _ramp_upper
 from gpcal.rpie import (
+    _GOLDEN,
+    _LOG_LAMBDA_TOL,
     _Calibration,
+    _Side,
     _sqrt_trace,
     CalibratedIntervalModel,
     GridSpec,
@@ -158,6 +161,28 @@ class TestSigmaOpt:
         vals = np.array([basis.psi_smoothed(s, a, config.delta)
                          for s in below])
         assert np.all(np.abs(vals - a) > 1e-6)
+
+
+class TestExcess:
+    @pytest.mark.parametrize("a", [0.95, 0.05])
+    def test_matches_mean_of_ramp_bit_for_bit(self, a, rng):
+        n = 40
+        ds = random_dataset(rng, n=n, d=2)
+        side = _Side(_Calibration(ds, ORD, KernelFamily.MATERN52, 1e-4,
+                                  np.array([0.5, 0.5]), FAST), a)
+        q, sign, delta = side.q, side.sign, side.delta
+        z = rng.standard_normal((64, n)) * 2.0
+        # residuals on the ramp's edges and inside its band
+        z[:, 0] = sign * q
+        z[:, 1] = sign * (q - delta)
+        z[:, 2] = sign * (q - 0.5 * delta)
+        z[::2, 3] = sign * q
+        for zz in (z, z[5], z[:, :1]):
+            want = np.mean(_ramp_upper(q - sign * zz, delta), axis=-1) \
+                - side.level
+            got = side.excess(zz)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestWasserstein:
@@ -359,6 +384,43 @@ class TestCalibrate:
             np.testing.assert_array_equal(side.trace.sigma2_opts,
                                           alone.trace.sigma2_opts)
 
+    def test_search_cost_and_golden_stop(self, monkeypatch):
+        # A default two-sided calibration builds one per-lambda state per
+        # grid lambda and per golden-section step, and each side's section
+        # stops at the first bracket no wider than _LOG_LAMBDA_TOL.
+        built = []
+        evaluated = {}
+        from_gram = SigmaScanBasis.from_gram.__func__
+        evaluate = _Side.evaluate
+
+        def counting_from_gram(cls, *args, **kwargs):
+            built.append(1)
+            return from_gram(cls, *args, **kwargs)
+
+        def recording_evaluate(side, lam):
+            evaluated.setdefault(side.a, []).append(lam)
+            return evaluate(side, lam)
+
+        monkeypatch.setattr(SigmaScanBasis, "from_gram",
+                            classmethod(counting_from_gram))
+        monkeypatch.setattr(_Side, "evaluate", recording_evaluate)
+        ds = _misspecified_dataset(13)
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
+                                    np.array([0.6, 0.7]), nugget=1e-4))
+        config = RpieConfig()
+        calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.1, config)
+        count = config.lambda_grid.count
+        assert len(built) <= count + 2 * 29
+        assert len(evaluated) == 2
+        for lams in evaluated.values():
+            steps = np.log(lams[count:])
+            assert 2 <= steps.size <= 29
+            # The first two points sit at golden ratios of the bracket.
+            width = abs(steps[1] - steps[0]) / (2.0 * _GOLDEN - 1.0)
+            final = width * _GOLDEN ** (steps.size - 2)
+            assert final <= _LOG_LAMBDA_TOL * (1.0 + 1e-9)
+            assert final / _GOLDEN > _LOG_LAMBDA_TOL
+
     def test_duplicate_rows_without_nugget_rejected(self, rng):
         X = rng.uniform(0, 1, (20, 2))
         X[1] = X[0]
@@ -532,3 +594,24 @@ class TestInvariance:
         got = self._bounds(Dataset(X=ds.X + c, y=ds.y), self.KERNEL,
                            queries + c)
         self._assert_close(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_response_negation_swaps_sides(self, seed):
+        # Negating y swaps the two one-sided problems bit for bit, so each
+        # bound of one run is minus the other bound of the other run.
+        ds = _misspecified_dataset(20 + seed, n=40, d=2)
+        kernel = KernelSpec(KernelFamily.MATERN52, 0.05, np.full(2, 0.6),
+                            nugget=1e-4)
+        queries = np.random.default_rng(seed).uniform(0, 1, (20, 2))
+        runs = [calibrate(Dataset(X=ds.X, y=y), ORD, kernel.family,
+                          kernel.nugget, _reference(kernel), 0.1, FAST)
+                for y in (ds.y, -ds.y)]
+        pos, neg = runs
+        for one, other in ((pos.upper, neg.lower), (pos.lower, neg.upper)):
+            assert one.lambda_star == other.lambda_star
+            assert one.sigma2_opt == other.sigma2_opt
+        lo_pos, up_pos, _ = predict_calibrated(pos, queries)
+        lo_neg, up_neg, _ = predict_calibrated(neg, queries)
+        scale = max(np.abs(lo_pos).max(), np.abs(up_pos).max())
+        assert np.max(np.abs(lo_neg + up_pos)) <= 1e-12 * scale
+        assert np.max(np.abs(up_neg + lo_pos)) <= 1e-12 * scale

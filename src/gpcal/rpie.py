@@ -12,10 +12,22 @@ One state serves a whole calibration, both bounds included.  It holds the
 regression matrix F, the residual basis W, the reference law and the scaled
 distances h0 = h(theta0).  Since lambda scales every length-scale together,
 the unit Gram matrix at lambda is R(lambda) = r(h0 / lambda).  Each lambda
-builds R and the eigenbasis of W' R W once (``SigmaScanBasis``); the
-amplitude scan and the W2 law K = sigma2 R + nugget I of both sides use
-them, and ``calibrate`` walks the lambda grid once for both sides.  Only
-the state of the latest lambda is kept.
+builds R and one state from it (``_LambdaState``); the amplitude scan and
+the W2 law K = sigma2 R + nugget I of both sides read that state, and
+``calibrate`` walks the lambda grid once for both sides.  Only the state
+of the latest lambda is kept.
+
+The state takes one of two forms.  With zero nugget sigma2 is a pure
+scale of K = sigma2 R: the standardized LOO residuals are
+z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the W2
+trace root is sqrt(sigma2) Tr (S0 R S0)^{1/2}.  So when the nugget is
+zero and R factors without jitter, one Cholesky factor of R serves every
+amplitude and both sides, and the W2 objective needs no further
+factorization (the scale-free form).  Every other lambda (a positive
+nugget, or an R that needs jitter or fails to factor) builds the
+eigenbasis of W' R W (``SigmaScanBasis``), from which a batch of
+amplitudes costs two matrix products, and factors the law at each
+amplitude it scores.
 
 The amplitude scan evaluates psi_delta over the ``sigma_scan`` grid in
 batches of amplitudes and bisects the first crossing down to adjacent
@@ -54,6 +66,7 @@ from .gp import (
     FittedGp,
     TrendSpec,
     _has_duplicate_rows,
+    _kbar,
     build_regression_matrix,
     check_hypotheses,
     factor_covariance,
@@ -61,6 +74,7 @@ from .gp import (
     fit_gp,
     predict,
     projection_basis,
+    solve_gls,
 )
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
 from .loo import SigmaScanBasis, SmoothingParams, virtual_loo, \
@@ -152,6 +166,12 @@ class RpieSolution:
     psi_achieved is the smoothed proportion at the solution (equal to the
     target up to root-finding tolerance); psi_raw is the step-function
     count, which sits within about half an in-band residual of the target.
+    Both are recomputed from the final model (``fit_gp``, then
+    ``virtual_loo``), independently of the state the root was found on.
+    With zero nugget that is the Cholesky and Kbar route of the
+    scale-free search state itself; with a positive nugget the root was
+    found in the eigenbasis of W' R W, and the recomputation is an
+    independent check of it (perfbench's coverage check relies on it).
     """
 
     lambda_star: float
@@ -259,6 +279,15 @@ class _Calibration:
     ``at(lam)`` returns the per-lambda state, rebuilt only when lam
     changes.  The reference law (K0, m0, S0 = K0^{1/2}, Tr K0) is built
     when the reference amplitude sigma2_0 is given.
+
+    ``objective`` reads the law at (lam, sigma2) from the state's form.  A
+    scale-free state (zero nugget, see ``_LambdaState``) gives it without
+    any factorization,
+
+        W2 = max(||m1 - m0||^2 + Tr K0 + sigma2 Tr R - 2 sqrt(sigma2) T1, 0)
+
+    with T1 = Tr (S0 R S0)^{1/2}; an eigenbasis state factors
+    K = sigma2 R + nugget I and takes the trace root of S0 K S0.
     """
 
     def __init__(self, dataset: Dataset, trend: TrendSpec,
@@ -290,6 +319,7 @@ class _Calibration:
         self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
                         for i in range(0, part.size, _SCAN_CHUNK)]
         self._state = None
+        self.S0 = None
         if sigma2_0 is not None:
             K0, self.m0 = self.law(self.gram(1.0), ref.sigma2)
             self.S0 = sqrtm_psd(K0)
@@ -317,28 +347,83 @@ class _Calibration:
     def objective(self, lam: float, sigma2: float) -> float:
         """Squared W2 distance from the reference law to the law at
         (lam, sigma2)."""
-        K, m = self.law(self.at(lam).R, sigma2)
+        state = self.at(lam)
+        if state.basis is None:
+            dm = state.m1 - self.m0
+            val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
+                        - 2.0 * math.sqrt(sigma2) * state.t1)
+            return max(val, 0.0)
+        K, m = self.law(state.R, sigma2)
         return _w2(m - self.m0, self.tr_K0, self.S0, K)
 
 
+def _unit_factor(R: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of R when ``factor_covariance(R, 0, 1)`` succeeds
+    without jitter; None otherwise."""
+    try:
+        _, L, jitter = factor_covariance(R, 0.0, 1.0)
+    except IllConditionedError:
+        return None
+    return L if jitter == 0.0 else None
+
+
 class _LambdaState:
-    """R(lam), the eigenbasis of W' R W, and the standardized LOO
-    residuals on the amplitude grid, one batch at a time as the sides ask
-    for them."""
+    """What the amplitude scan and the W2 law read at one lambda, in one
+    of two forms.
+
+    Scale-free form: with zero nugget the covariance is K = sigma2 R, so
+    sigma2 is a pure scale.  The standardized LOO residuals are
+    z(sigma2) = z(1) / sqrt(sigma2), the GLS mean m1 = F beta does not
+    depend on sigma2, and Tr (S0 K S0)^{1/2} = sqrt(sigma2) T1.  One
+    Cholesky factor of R gives z(1) (``gp.solve_gls``, then ``gp._kbar``,
+    the route ``virtual_loo`` takes), m1, Tr R and, when the reference
+    law exists, T1 = Tr (S0 R S0)^{1/2}.  Every amplitude of both sides
+    then costs a scaling.  The form is selected when the nugget is zero,
+    the design has no duplicated row, and R factors with no jitter.
+
+    Eigenbasis form, at every other lambda (a positive nugget, or an R
+    that needs jitter or fails to factor): R, the eigenbasis of W' R W
+    (``SigmaScanBasis``) from which each batch of amplitudes costs two
+    matrix products, and a fresh factorization of the law per objective.
+
+    Standardized residuals on the amplitude grid are built one batch at a
+    time as the sides ask for them.
+    """
 
     def __init__(self, cal: _Calibration, lam: float):
         self.lam = lam
         self.R = cal.gram(lam)
-        self.basis = SigmaScanBasis.from_gram(self.R, cal.W, cal.dataset.y,
-                                              cal.nugget)
         self._batches = cal.batches
         self._residuals = {}
+        L = _unit_factor(self.R) \
+            if cal.nugget == 0.0 and not cal.singular else None
+        if L is None:
+            self.basis = SigmaScanBasis.from_gram(self.R, cal.W,
+                                                  cal.dataset.y, cal.nugget)
+            return
+        self.basis = None
+        y = cal.dataset.y
+        gls = solve_gls(cal.F, L, y)
+        kbar = _kbar(gls)
+        self.z1 = (kbar @ y) / np.sqrt(np.diag(kbar))
+        self.m1 = cal.F @ gls.beta
+        self.tr_R = float(np.trace(self.R))
+        self.t1 = None if cal.S0 is None else _sqrt_trace(cal.S0, self.R)
+
+    def std_residuals(self, sigma2: float) -> np.ndarray:
+        """Standardized residuals at amplitude sigma2."""
+        if self.basis is None:
+            return self.z1 / math.sqrt(sigma2)
+        return self.basis.std_residuals(sigma2)
 
     def residuals(self, k: int) -> np.ndarray:
-        """Standardized residuals at the amplitudes of batch k."""
+        """Standardized residuals at the amplitudes of batch k, one row
+        per amplitude."""
         if k not in self._residuals:
-            self._residuals[k] = self.basis.std_residuals_grid(
-                self._batches[k])
+            amps = self._batches[k]
+            self._residuals[k] = (
+                self.z1 / np.sqrt(amps)[:, None] if self.basis is None
+                else self.basis.std_residuals_grid(amps))
         return self._residuals[k]
 
 
@@ -390,12 +475,12 @@ class _Side:
             if hit.any():
                 j = int(np.argmax(hit))
                 lo = amps[j - 1] if j > 0 else prev
-                return self._left_end(state.basis, negative, float(lo),
+                return self._left_end(state, negative, float(lo),
                                       float(amps[j]))
             prev = amps[-1]
         return None
 
-    def _left_end(self, basis: SigmaScanBasis, negative: bool, lo: float,
+    def _left_end(self, state: _LambdaState, negative: bool, lo: float,
                   hi: float) -> float:
         """Bisect in log sigma2 until lo and hi are adjacent doubles; g
         keeps its initial sign at lo and is zero or has lost it at hi."""
@@ -405,7 +490,7 @@ class _Side:
                 mid = lo + 0.5 * (hi - lo)
                 if not lo < mid < hi:
                     return hi
-            g = self.excess(basis.std_residuals(mid))
+            g = self.excess(state.std_residuals(mid))
             if g == 0.0 or (g < 0.0) != negative:
                 hi = mid
             else:
@@ -517,7 +602,7 @@ def _search(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a.
 
     One calibration state serves every level: the lambda grid is walked
-    once, each grid lambda's Gram matrix and eigenbasis serving all
+    once, each grid lambda's Gram matrix and per-lambda state serving all
     levels, then each level is refined by golden section.  The state is
     released on return, before any final fit.
     """
@@ -655,8 +740,8 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     """Calibrate both interval bounds at nominal level 1 - alpha.
 
     Both sides share one calibration state: the lambda grid is walked once
-    and each grid lambda's Gram matrix and eigenbasis serve both, then each
-    side is refined by golden section.  Each side equals
+    and each grid lambda's Gram matrix and per-lambda state serve both,
+    then each side is refined by golden section.  Each side equals
     ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.
     """
     if not 0.0 < alpha < 1.0:

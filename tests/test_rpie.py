@@ -13,6 +13,7 @@ from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import CalibrationInfeasibleError, \
     IllConditionedError, InvalidMatrixError
+from gpcal import rpie
 from gpcal.gp import build_regression_matrix, fit_beta, fit_gp, \
     prediction_interval
 from gpcal.loo import SigmaScanBasis, _ramp_upper
@@ -20,6 +21,7 @@ from gpcal.rpie import (
     _GOLDEN,
     _LOG_LAMBDA_TOL,
     _Calibration,
+    _LambdaState,
     _Side,
     _sqrt_trace,
     CalibratedIntervalModel,
@@ -504,6 +506,135 @@ class TestCalibrate:
         np.testing.assert_allclose(up2, up1, rtol=1e-12)
 
 
+class TestScaleFree:
+    """With zero nugget sigma2 is a pure scale of K = sigma2 R: one
+    Cholesky factor of R per lambda serves every amplitude and the W2 law
+    (the scale-free state), and an R that needs jitter falls back to the
+    eigenbasis of W' R W."""
+
+    THETA0 = np.array([0.6, 0.7, 0.5])
+    SIGMA2_0 = 0.05
+    LAMBDAS = (0.5, 1.0, 2.0)
+    AMPLITUDES = (1e-3, 0.05, 0.7, 20.0)
+
+    def _problem(self):
+        # d = 3 keeps cond R(lambda) <= 1.2e7 on LAMBDAS; both routes then
+        # agree to ~1e-11, well inside the 1e-9 asked below (at d = 2 the
+        # same lambda = 2 gives cond R = 3.3e9 and both routes err by ~5e-9
+        # against a 40-digit solve).
+        ds = _misspecified_dataset(14, n=60, d=3)
+        cal = _Calibration(ds, ORD, KernelFamily.MATERN52, 0.0, self.THETA0,
+                           RpieConfig(), self.SIGMA2_0)
+        return ds, cal
+
+    def test_residuals_match_eigenbasis(self):
+        ds, cal = self._problem()
+        for lam in self.LAMBDAS:
+            state = cal.at(lam)
+            assert state.basis is None
+            basis = SigmaScanBasis.from_gram(cal.gram(lam), cal.W, ds.y, 0.0)
+            for s2 in self.AMPLITUDES:
+                want = basis.std_residuals(s2)
+                np.testing.assert_allclose(state.std_residuals(s2), want,
+                                           rtol=0.0,
+                                           atol=1e-9 * np.abs(want).max())
+            amps = cal.batches[1]
+            want = basis.std_residuals_grid(amps)
+            np.testing.assert_allclose(state.residuals(1), want, rtol=0.0,
+                                       atol=1e-9 * np.abs(want).max())
+
+    def test_objective_matches_wasserstein(self):
+        ds, cal = self._problem()
+        ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, self.SIGMA2_0,
+                                    self.THETA0, nugget=0.0), ORD)
+        m0 = ref.F @ ref.beta_hat
+        for lam in self.LAMBDAS:
+            R = cal.gram(lam)
+            for s2 in self.AMPLITUDES:
+                if lam == 1.0 and s2 == self.SIGMA2_0:
+                    continue    # the reference law itself: W2 = 0
+                model = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, s2,
+                                              lam * self.THETA0, nugget=0.0),
+                               ORD)
+                want = wasserstein2_gaussians(m0, ref.K,
+                                              model.F @ model.beta_hat,
+                                              s2 * R)
+                assert cal.objective(lam, s2) == pytest.approx(want,
+                                                               rel=1e-9)
+
+    def test_one_factorization_per_lambda(self, monkeypatch):
+        # A default two-sided zero-nugget calibration never builds an
+        # eigenbasis and builds one state per grid lambda and per
+        # golden-section step.
+        from_gram = SigmaScanBasis.from_gram.__func__
+        init = _LambdaState.__init__
+        bases, states = [], []
+
+        def counting_from_gram(cls, *args, **kwargs):
+            bases.append(1)
+            return from_gram(cls, *args, **kwargs)
+
+        def counting_init(state, *args):
+            states.append(1)
+            init(state, *args)
+
+        monkeypatch.setattr(SigmaScanBasis, "from_gram",
+                            classmethod(counting_from_gram))
+        monkeypatch.setattr(_LambdaState, "__init__", counting_init)
+        ds, _ = self._problem()
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, self.SIGMA2_0,
+                                    self.THETA0, nugget=0.0))
+        cal = calibrate(ds, ORD, KernelFamily.MATERN52, 0.0, ref, 0.1)
+        assert not bases
+        assert len(states) <= RpieConfig().lambda_grid.count + 2 * 29
+        assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)
+
+    def test_jittered_lambdas_take_eigenbasis_path(self, monkeypatch):
+        # Where the unit factorization reports jitter, the lambda-grid
+        # entries are those of the eigenbasis path (every unit factor
+        # refused) bit for bit; elsewhere they are those of the scale-free
+        # path.
+        ds, _ = self._problem()
+        grid = FAST.lambda_grid.points()
+        factor = rpie.factor_covariance
+        gram = _Calibration.gram
+        built = {}
+        jittered = set()
+
+        def recording_gram(cal, lam):
+            built["lam"], built["R"] = lam, gram(cal, lam)
+            return built["R"]
+
+        def jittering_factor(K, nugget, sigma2):
+            # The unit factorization is the one given the Gram matrix just
+            # built; W2 laws get a scaled copy of it.
+            unit = K is built.get("R")
+            K, L, jitter = factor(K, nugget, sigma2)
+            if unit and built["lam"] in jittered:
+                jitter = 1e-10
+            return K, L, jitter
+
+        monkeypatch.setattr(_Calibration, "gram", recording_gram)
+        monkeypatch.setattr(rpie, "factor_covariance", jittering_factor)
+
+        def traces(lams):
+            jittered.clear()
+            jittered.update(float(lam) for lam in lams)
+            sol = calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 0.0,
+                                     self.THETA0, self.SIGMA2_0, 0.95, FAST)
+            return sol.trace.objectives, sol.trace.sigma2_opts
+
+        scale_free = traces([])
+        mixed = traces(grid[::2])
+        monkeypatch.setattr(rpie, "_unit_factor", lambda R: None)
+        eigen = traces([])
+        for got, sf, eb in zip(mixed, scale_free, eigen):
+            np.testing.assert_array_equal(got[::2], eb[::2])
+            np.testing.assert_array_equal(got[1::2], sf[1::2])
+            # the two paths agree up to round-off of the amplitude roots
+            np.testing.assert_allclose(sf, eb, rtol=1e-5)
+
+
 class TestNoNuggetCase:
     def test_sigma_opt_exists_near_unit_lambda(self):
         # Exponential kernel, no nugget, well-specified responses: the
@@ -541,19 +672,23 @@ class TestNoNuggetCase:
 
 class TestInvariance:
     """Calibrated bounds on an n=60, d=3 problem under symmetries of the
-    data, to 1e-6 relative to the largest bound."""
+    data, to 1e-6 relative to the largest bound.  Each symmetry is checked
+    with a positive nugget and with zero nugget, where every lambda of
+    these problems takes the scale-free state."""
 
     TOL = 1e-6
-    KERNEL = KernelSpec(KernelFamily.MATERN52, 0.05, np.full(3, 0.6),
-                        nugget=1e-4)
+    KERNELS = (KernelSpec(KernelFamily.MATERN52, 0.05, np.full(3, 0.6),
+                          nugget=1e-4),
+               KernelSpec(KernelFamily.MATERN52, 0.05, np.full(3, 0.6),
+                          nugget=0.0))
 
     @staticmethod
-    @functools.lru_cache(maxsize=1)
-    def _base():
+    @functools.lru_cache(maxsize=2)
+    def _base(i):
         ds = _misspecified_dataset(8, n=60, d=3)
         queries = np.random.default_rng(81).uniform(0, 1, (20, 3))
-        return ds, queries, TestInvariance._bounds(ds, TestInvariance.KERNEL,
-                                                   queries)
+        return ds, queries, TestInvariance._bounds(
+            ds, TestInvariance.KERNELS[i], queries)
 
     @staticmethod
     def _bounds(ds, kernel, queries):
@@ -568,30 +703,32 @@ class TestInvariance:
     @given(perm=st.permutations(range(60)))
     @settings(max_examples=5, deadline=None, derandomize=True)
     def test_row_permutation(self, perm):
-        ds, queries, want = self._base()
         idx = np.asarray(perm)
-        got = self._bounds(Dataset(X=ds.X[idx], y=ds.y[idx]), self.KERNEL,
-                           queries)
-        self._assert_close(got, want)
+        for i, kernel in enumerate(self.KERNELS):
+            ds, queries, want = self._base(i)
+            got = self._bounds(Dataset(X=ds.X[idx], y=ds.y[idx]), kernel,
+                               queries)
+            self._assert_close(got, want)
 
     @given(shift=st.floats(-10.0, 10.0), scale=st.floats(0.1, 10.0))
     @settings(max_examples=5, deadline=None, derandomize=True)
     def test_affine_response_map(self, shift, scale):
         # y -> shift + scale * y with the amplitude and nugget scaled by
         # scale^2 maps each bound the same way.
-        ds, queries, want = self._base()
-        kernel = self.KERNEL.with_(sigma2=scale ** 2 * self.KERNEL.sigma2,
-                                   nugget=scale ** 2 * self.KERNEL.nugget)
-        got = self._bounds(Dataset(X=ds.X, y=shift + scale * ds.y), kernel,
-                           queries)
-        self._assert_close(got, shift + scale * want)
+        for i, kernel in enumerate(self.KERNELS):
+            ds, queries, want = self._base(i)
+            kernel = kernel.with_(sigma2=scale ** 2 * kernel.sigma2,
+                                  nugget=scale ** 2 * kernel.nugget)
+            got = self._bounds(Dataset(X=ds.X, y=shift + scale * ds.y),
+                               kernel, queries)
+            self._assert_close(got, shift + scale * want)
 
     @given(offset=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
     @settings(max_examples=5, deadline=None, derandomize=True)
     def test_input_translation(self, offset):
-        ds, queries, want = self._base()
+        ds, queries, want = self._base(0)
         c = np.asarray(offset)
-        got = self._bounds(Dataset(X=ds.X + c, y=ds.y), self.KERNEL,
+        got = self._bounds(Dataset(X=ds.X + c, y=ds.y), self.KERNELS[0],
                            queries + c)
         self._assert_close(got, want)
 
@@ -600,18 +737,19 @@ class TestInvariance:
         # Negating y swaps the two one-sided problems bit for bit, so each
         # bound of one run is minus the other bound of the other run.
         ds = _misspecified_dataset(20 + seed, n=40, d=2)
-        kernel = KernelSpec(KernelFamily.MATERN52, 0.05, np.full(2, 0.6),
-                            nugget=1e-4)
         queries = np.random.default_rng(seed).uniform(0, 1, (20, 2))
-        runs = [calibrate(Dataset(X=ds.X, y=y), ORD, kernel.family,
-                          kernel.nugget, _reference(kernel), 0.1, FAST)
-                for y in (ds.y, -ds.y)]
-        pos, neg = runs
-        for one, other in ((pos.upper, neg.lower), (pos.lower, neg.upper)):
-            assert one.lambda_star == other.lambda_star
-            assert one.sigma2_opt == other.sigma2_opt
-        lo_pos, up_pos, _ = predict_calibrated(pos, queries)
-        lo_neg, up_neg, _ = predict_calibrated(neg, queries)
-        scale = max(np.abs(lo_pos).max(), np.abs(up_pos).max())
-        assert np.max(np.abs(lo_neg + up_pos)) <= 1e-12 * scale
-        assert np.max(np.abs(up_neg + lo_pos)) <= 1e-12 * scale
+        for kernel in self.KERNELS:
+            kernel = kernel.with_(theta=np.full(2, 0.6))
+            runs = [calibrate(Dataset(X=ds.X, y=y), ORD, kernel.family,
+                              kernel.nugget, _reference(kernel), 0.1, FAST)
+                    for y in (ds.y, -ds.y)]
+            pos, neg = runs
+            for one, other in ((pos.upper, neg.lower),
+                               (pos.lower, neg.upper)):
+                assert one.lambda_star == other.lambda_star
+                assert one.sigma2_opt == other.sigma2_opt
+            lo_pos, up_pos, _ = predict_calibrated(pos, queries)
+            lo_neg, up_neg, _ = predict_calibrated(neg, queries)
+            scale = max(np.abs(lo_pos).max(), np.abs(up_pos).max())
+            assert np.max(np.abs(lo_neg + up_pos)) <= 1e-12 * scale
+            assert np.max(np.abs(up_neg + lo_pos)) <= 1e-12 * scale

@@ -50,7 +50,9 @@ class InvalidMatrixError(GpcalError, ValueError):
 
 class CalibrationInfeasibleError(GpcalError):
     """No scanned hyperparameter achieved the target quasi-Gaussian
-    proportion.  Carries the diagnostics needed to judge why."""
+    proportion.  Carries the diagnostics needed to judge why: k_eps and
+    n_times_a from ``gp.check_hypotheses``, and side, the interval bound
+    that failed ("upper" for a level above 1/2, "lower" below it)."""
 
     def __init__(self, message, k_eps=None, n_times_a=None, side=None):
         super().__init__(message)

@@ -132,10 +132,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal basis W of (Im F)^perp and the projector Pi = W W'."""
+    """Orthonormal basis W of (Im F)^perp; the n x n projector Pi = W W'
+    is formed on access."""
 
     W: np.ndarray
-    Pi: np.ndarray
+
+    @property
+    def Pi(self) -> np.ndarray:
+        return self.W @ self.W.T
 
 
 @dataclass(frozen=True)
@@ -435,8 +439,7 @@ def projection_basis(F: np.ndarray) -> ProjectionBasis:
     F = np.asarray(F, dtype=float)
     n, p = F.shape
     if p == 0:
-        W = np.eye(n)
-        return ProjectionBasis(W=W, Pi=W.copy())
+        return ProjectionBasis(W=np.eye(n))
     if p >= n:
         raise HypothesisH2Error(
             f"no residual space: p={p} basis functions for n={n} points"
@@ -445,9 +448,7 @@ def projection_basis(F: np.ndarray) -> ProjectionBasis:
     diag = np.abs(np.diag(R[:p, :p]))
     if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
         raise HypothesisH1Error("regression matrix is rank deficient")
-    W = Q[:, p:]
-    Pi = W @ W.T
-    return ProjectionBasis(W=W, Pi=Pi)
+    return ProjectionBasis(W=Q[:, p:])
 
 
 def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
@@ -456,6 +457,7 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
 
     k_eps counts the indices with (Pi y)_i / sqrt(Pi_ii) <= sigma_eps * q_a;
     h3 requires k_eps < n*a for a > 1/2 and k_eps > n*a for a < 1/2.
+    Pi itself is not formed: Pi_ii = sum_j W_ij^2 and Pi y = W (W' y).
     """
     if not 0.0 < a < 1.0 or a == 0.5:
         raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
@@ -466,15 +468,15 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
         return HypothesisReport(h1=False, h2=False, h3=False,
                                 k_eps=0, n_times_a=n * a)
     try:
-        basis = projection_basis(F)
-        pi_diag = np.diag(basis.Pi)
+        W = projection_basis(F).W
+        pi_diag = np.einsum("ij,ij->i", W, W)
         h2 = bool(pi_diag.min() > 1e-12)
     except HypothesisH2Error:
         return HypothesisReport(h1=True, h2=False, h3=False,
                                 k_eps=0, n_times_a=n * a)
     q_a = normal_quantile(a)
     sigma_eps = np.sqrt(kernel.nugget)
-    proj = basis.Pi @ dataset.y
+    proj = W @ (W.T @ dataset.y)
     ratios = proj / np.sqrt(np.maximum(pi_diag, 1e-300))
     k_eps = int(np.sum(ratios <= sigma_eps * q_a))
     if a > 0.5:

@@ -17,17 +17,16 @@ the W2 law K = sigma2 R + nugget I of both sides read that state, and
 ``calibrate`` walks the lambda grid once for both sides.  Only the state
 of the latest lambda is kept.
 
-The state takes one of two forms.  With zero nugget sigma2 is a pure
+The nugget chooses the state's form.  With zero nugget sigma2 is a pure
 scale of K = sigma2 R: the standardized LOO residuals are
 z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the W2
-trace root is sqrt(sigma2) Tr (S0 R S0)^{1/2}.  So when the nugget is
-zero and R factors without jitter, one Cholesky factor of R serves every
-amplitude and both sides, and the W2 objective needs no further
-factorization (the scale-free form).  Every other lambda (a positive
-nugget, or an R that needs jitter or fails to factor) builds the
+trace root is sqrt(sigma2) Tr (S0 R S0)^{1/2}, so one Cholesky factor
+serves every amplitude, both sides and the W2 objective (the scale-free
+form).  It factors the R + j I of ``gp.factor_covariance(R, 0, 1)``,
+whose jitter scales with sigma2: ``fit_gp`` builds sigma2 (R + j I) at
+every amplitude.  With a positive nugget each lambda builds the
 eigenbasis of W' R W (``SigmaScanBasis``), from which a batch of
-amplitudes costs two matrix products, and factors the law at each
-amplitude it scores.
+amplitudes costs two matrix products, and factors the law it scores.
 
 The amplitude scan evaluates psi_delta over the ``sigma_scan`` grid in
 batches of amplitudes and bisects the first crossing down to adjacent
@@ -299,6 +298,9 @@ class _Calibration:
             raise ShapeError(
                 f"theta has {ref.dim} entries but design has {dataset.d} "
                 "columns")
+        if ref.nugget == 0.0 and _has_duplicate_rows(dataset.X):
+            raise IllConditionedError(
+                "duplicated design rows with zero nugget make K singular")
         self.dataset = dataset
         self.trend = trend
         self.family = family
@@ -308,8 +310,6 @@ class _Calibration:
         self.F = build_regression_matrix(dataset.X, trend)
         self.W = projection_basis(self.F).W
         self.h0 = scaled_distances(dataset.X, dataset.X, self.theta0)
-        self.singular = self.nugget == 0.0 and \
-            _has_duplicate_rows(dataset.X)
         v = float(np.var(dataset.y))
         grid = config.sigma_scan.points(scale=v if v > 0.0 else 1.0)
         parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
@@ -338,9 +338,6 @@ class _Calibration:
     def law(self, R: np.ndarray, sigma2: float) -> tuple:
         """Covariance K = sigma2 R + nugget I, factored under the jitter
         policy of ``gp.build_covariance``, and the GLS trend mean F beta."""
-        if self.singular:
-            raise IllConditionedError(
-                "duplicated design rows with zero nugget make K singular")
         K, L, _ = factor_covariance(sigma2 * R, self.nugget, sigma2)
         return K, self.F @ fit_beta(self.F, L, self.dataset.y)
 
@@ -357,32 +354,21 @@ class _Calibration:
         return _w2(m - self.m0, self.tr_K0, self.S0, K)
 
 
-def _unit_factor(R: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of R when ``factor_covariance(R, 0, 1)`` succeeds
-    without jitter; None otherwise."""
-    try:
-        _, L, jitter = factor_covariance(R, 0.0, 1.0)
-    except IllConditionedError:
-        return None
-    return L if jitter == 0.0 else None
-
-
 class _LambdaState:
-    """What the amplitude scan and the W2 law read at one lambda, in one
-    of two forms.
+    """What the amplitude scan and the W2 law read at one lambda, in the
+    form the nugget selects.
 
-    Scale-free form: with zero nugget the covariance is K = sigma2 R, so
+    Scale-free form, with zero nugget: the covariance is K = sigma2 R, so
     sigma2 is a pure scale.  The standardized LOO residuals are
     z(sigma2) = z(1) / sqrt(sigma2), the GLS mean m1 = F beta does not
-    depend on sigma2, and Tr (S0 K S0)^{1/2} = sqrt(sigma2) T1.  One
-    Cholesky factor of R gives z(1) (``gp.solve_gls``, then ``gp._kbar``,
-    the route ``virtual_loo`` takes), m1, Tr R and, when the reference
-    law exists, T1 = Tr (S0 R S0)^{1/2}.  Every amplitude of both sides
-    then costs a scaling.  The form is selected when the nugget is zero,
-    the design has no duplicated row, and R factors with no jitter.
+    depend on sigma2, and Tr (S0 K S0)^{1/2} = sqrt(sigma2) T1.  R is the
+    R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
+    jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
+    ``gp._kbar``, the route ``virtual_loo`` takes), m1, Tr R and, when the
+    reference law exists, T1 = Tr (S0 R S0)^{1/2}.  Every amplitude of
+    both sides then costs a scaling.
 
-    Eigenbasis form, at every other lambda (a positive nugget, or an R
-    that needs jitter or fails to factor): R, the eigenbasis of W' R W
+    Eigenbasis form, with a positive nugget: R, the eigenbasis of W' R W
     (``SigmaScanBasis``) from which each batch of amplitudes costs two
     matrix products, and a fresh factorization of the law per objective.
 
@@ -395,13 +381,12 @@ class _LambdaState:
         self.R = cal.gram(lam)
         self._batches = cal.batches
         self._residuals = {}
-        L = _unit_factor(self.R) \
-            if cal.nugget == 0.0 and not cal.singular else None
-        if L is None:
+        if cal.nugget > 0.0:
             self.basis = SigmaScanBasis.from_gram(self.R, cal.W,
                                                   cal.dataset.y, cal.nugget)
             return
         self.basis = None
+        self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
         y = cal.dataset.y
         gls = solve_gls(cal.F, L, y)
         kbar = _kbar(gls)
@@ -529,7 +514,8 @@ class _Side:
             raise CalibrationInfeasibleError(
                 f"no lambda on the grid admits psi_delta = {self.a}: "
                 f"k_eps={report.k_eps}, n*a={report.n_times_a:.2f}",
-                k_eps=report.k_eps, n_times_a=report.n_times_a, side=self.a)
+                k_eps=report.k_eps, n_times_a=report.n_times_a,
+                side="upper" if self.a > 0.5 else "lower")
 
         finite = np.where(np.isfinite(objs))[0]
         i_best = int(finite[np.argmin(objs[finite])])
@@ -750,12 +736,8 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     if nugget is None:
         nugget = reference.kernel.nugget
     theta0, sigma2_0 = reference.kernel.theta, reference.kernel.sigma2
-    try:
-        found = _search(dataset, trend, family, nugget, theta0, sigma2_0,
-                        (1.0 - alpha / 2.0, alpha / 2.0), config)
-    except CalibrationInfeasibleError as exc:
-        exc.side = "upper" if exc.side > 0.5 else "lower"
-        raise
+    found = _search(dataset, trend, family, nugget, theta0, sigma2_0,
+                    (1.0 - alpha / 2.0, alpha / 2.0), config)
     (upper, upper_model), (lower, lower_model) = (
         _solution(dataset, trend, family, nugget, theta0, config.delta, *side)
         for side in found)

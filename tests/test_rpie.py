@@ -13,10 +13,9 @@ from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import CalibrationInfeasibleError, \
     IllConditionedError, InvalidMatrixError
-from gpcal import rpie
-from gpcal.gp import build_regression_matrix, fit_beta, fit_gp, \
-    prediction_interval
-from gpcal.loo import SigmaScanBasis, _ramp_upper
+from gpcal.gp import build_regression_matrix, factor_covariance, fit_beta, \
+    fit_gp, prediction_interval
+from gpcal.loo import SigmaScanBasis, _ramp_upper, virtual_loo
 from gpcal.rpie import (
     _GOLDEN,
     _LOG_LAMBDA_TOL,
@@ -328,6 +327,14 @@ class TestCalibrateQuantile:
                                np.array([0.5, 0.5]), 0.02, 0.95, FAST)
         assert exc.value.k_eps is not None
         assert exc.value.n_times_a == pytest.approx(15 * 0.95)
+        assert exc.value.side == "upper"
+        with pytest.raises(CalibrationInfeasibleError) as exc:
+            calibrate(ds, ORD, KernelFamily.MATERN32, 0.05,
+                      _reference(KernelSpec(KernelFamily.MATERN32, 0.02,
+                                            np.array([0.5, 0.5]),
+                                            nugget=0.05)),
+                      0.1, FAST)
+        assert exc.value.side == "upper"
 
     def test_negation_mirror_between_sides(self):
         # Negating the responses swaps the two one-sided problems exactly:
@@ -508,9 +515,10 @@ class TestCalibrate:
 
 class TestScaleFree:
     """With zero nugget sigma2 is a pure scale of K = sigma2 R: one
-    Cholesky factor of R per lambda serves every amplitude and the W2 law
-    (the scale-free state), and an R that needs jitter falls back to the
-    eigenbasis of W' R W."""
+    Cholesky factor per lambda serves every amplitude and the W2 law (the
+    scale-free state).  An R that needs jitter is replaced by the R + j I
+    that ``factor_covariance`` returns, the matrix ``fit_gp`` scales at
+    every amplitude, so every zero-nugget lambda takes this state."""
 
     THETA0 = np.array([0.6, 0.7, 0.5])
     SIGMA2_0 = 0.05
@@ -589,50 +597,83 @@ class TestScaleFree:
         assert len(states) <= RpieConfig().lambda_grid.count + 2 * 29
         assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)
 
-    def test_jittered_lambdas_take_eigenbasis_path(self, monkeypatch):
-        # Where the unit factorization reports jitter, the lambda-grid
-        # entries are those of the eigenbasis path (every unit factor
-        # refused) bit for bit; elsewhere they are those of the scale-free
-        # path.
-        ds, _ = self._problem()
-        grid = FAST.lambda_grid.points()
-        factor = rpie.factor_covariance
-        gram = _Calibration.gram
-        built = {}
-        jittered = set()
+    # Squared-exponential case in which the 7 largest of the 25 FAST grid
+    # lambdas give an R that only factors with jitter 1e-10.
+    SE = KernelFamily.SQUARED_EXPONENTIAL
+    SE_THETA0 = np.full(2, 0.4)
 
-        def recording_gram(cal, lam):
-            built["lam"], built["R"] = lam, gram(cal, lam)
-            return built["R"]
+    def _se_problem(self):
+        local = np.random.default_rng(0)
+        X = local.uniform(0, 1, (40, 2))
+        y = morokoff_caflisch(X) + 0.01 * local.standard_normal(40)
+        ds = Dataset(X=X, y=y)
+        cal = _Calibration(ds, ORD, self.SE, 0.0, self.SE_THETA0, FAST,
+                           float(np.var(y)))
+        jitters = {float(lam): factor_covariance(cal.gram(lam), 0.0, 1.0)[2]
+                   for lam in FAST.lambda_grid.points()}
+        jittered = {lam: j for lam, j in jitters.items() if j > 0.0}
+        assert len(jittered) == 7
+        return ds, cal, jittered
 
-        def jittering_factor(K, nugget, sigma2):
-            # The unit factorization is the one given the Gram matrix just
-            # built; W2 laws get a scaled copy of it.
-            unit = K is built.get("R")
-            K, L, jitter = factor(K, nugget, sigma2)
-            if unit and built["lam"] in jittered:
-                jitter = 1e-10
-            return K, L, jitter
+    def test_jittered_lambdas_stay_scale_free(self, monkeypatch):
+        # Every zero-nugget lambda takes the scale-free state, those whose
+        # R needs jitter included: no eigenbasis is ever built.
+        from_gram = SigmaScanBasis.from_gram.__func__
+        bases = []
 
-        monkeypatch.setattr(_Calibration, "gram", recording_gram)
-        monkeypatch.setattr(rpie, "factor_covariance", jittering_factor)
+        def counting_from_gram(cls, *args, **kwargs):
+            bases.append(1)
+            return from_gram(cls, *args, **kwargs)
 
-        def traces(lams):
-            jittered.clear()
-            jittered.update(float(lam) for lam in lams)
-            sol = calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 0.0,
-                                     self.THETA0, self.SIGMA2_0, 0.95, FAST)
-            return sol.trace.objectives, sol.trace.sigma2_opts
+        ds, cal, _ = self._se_problem()
+        monkeypatch.setattr(SigmaScanBasis, "from_gram",
+                            classmethod(counting_from_gram))
+        ref = _reference(KernelSpec(self.SE, float(np.var(ds.y)),
+                                    self.SE_THETA0, nugget=0.0))
+        out = calibrate(ds, ORD, self.SE, 0.0, ref, 0.1, FAST)
+        assert not bases
+        assert out.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)
 
-        scale_free = traces([])
-        mixed = traces(grid[::2])
-        monkeypatch.setattr(rpie, "_unit_factor", lambda R: None)
-        eigen = traces([])
-        for got, sf, eb in zip(mixed, scale_free, eigen):
-            np.testing.assert_array_equal(got[::2], eb[::2])
-            np.testing.assert_array_equal(got[1::2], sf[1::2])
-            # the two paths agree up to round-off of the amplitude roots
-            np.testing.assert_allclose(sf, eb, rtol=1e-5)
+    def test_jittered_state_is_the_fitted_model(self):
+        # At a jittered lambda the state reads R + j I, the matrix fit_gp
+        # factors (scaled by sigma2) at every amplitude.  cond(R + j I) is
+        # about 4e11 here, so the two routes agree only to round-off of
+        # that conditioning: a one-ulp change of sigma2 alone moves the
+        # fit_gp residuals by 1.6e-5 of max |z|.  Measured here: residuals
+        # 7.8e-6 of max |z| apart, W2 1.1e-5 relative.
+        ds, cal, jittered = self._se_problem()
+        ref = fit_gp(ds, KernelSpec(self.SE, float(np.var(ds.y)),
+                                    self.SE_THETA0, nugget=0.0), ORD)
+        m0 = ref.F @ ref.beta_hat
+        for lam, jitter in jittered.items():
+            state = cal.at(lam)
+            np.testing.assert_array_equal(
+                state.R, cal.gram(lam) + jitter * np.eye(ds.n))
+            for s2 in (0.01, 1.0, 100.0):
+                s2 *= float(np.var(ds.y))
+                model = fit_gp(ds, KernelSpec(self.SE, s2,
+                                              lam * self.SE_THETA0,
+                                              nugget=0.0), ORD)
+                assert model.jitter_used == pytest.approx(s2 * jitter,
+                                                          rel=1e-12)
+                np.testing.assert_allclose(model.K, s2 * state.R, rtol=0.0,
+                                           atol=1e-13 * s2)
+                want = virtual_loo(model).std_resid
+                np.testing.assert_allclose(state.std_residuals(s2), want,
+                                           rtol=0.0,
+                                           atol=1e-4 * np.abs(want).max())
+                w2 = wasserstein2_gaussians(m0, ref.K,
+                                            model.F @ model.beta_hat,
+                                            s2 * state.R)
+                assert cal.objective(lam, s2) == pytest.approx(w2, rel=1e-3)
+
+    def test_duplicate_rows_rejected_by_sigma_opt(self, rng):
+        X = rng.uniform(0, 1, (20, 2))
+        X[1] = X[0]
+        ds = Dataset(X=X, y=rng.standard_normal(20))
+        with pytest.raises(IllConditionedError):
+            sigma_opt(ds, ORD, KernelFamily.MATERN52, np.array([0.5, 0.5]),
+                      0.0, 0.95, FAST)
 
 
 class TestNoNuggetCase:

@@ -1,0 +1,94 @@
+"""Source hygiene of the gpcal package, checked on its syntax trees.
+
+Every imported name is used or re-exported through ``__all__``, and every
+private module-level function or class and every private method is
+referenced somewhere in the package outside its own definition, so that a
+deletion leaves no orphan behind.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gpcal"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(node) -> Counter:
+    """Identifiers read under node: bare names and attribute names."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _dunder_all(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _imported(tree) -> list:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [a.asname or a.name for a in node.names]
+    return out
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree) -> list:
+    """Private module-level functions and classes, and private methods of
+    module-level classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs) and _private(node.name):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [m for m in node.body
+                    if isinstance(m, defs[:2]) and _private(m.name)]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_used(path):
+    tree = _tree(path)
+    used = _names(tree)
+    exported = _dunder_all(tree)
+    unused = [name for name in _imported(tree)
+              if not used[name] and name not in exported]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_private_definitions_are_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    refs = Counter()
+    for tree in trees.values():
+        refs += _names(tree)
+        # a private name imported by another module counts as a reference
+        refs += Counter(a.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        for a in node.names)
+    orphans = [f"{name}: {node.name}"
+               for name, tree in trees.items()
+               for node in _private_definitions(tree)
+               if refs[node.name] <= _names(node)[node.name]]
+    assert not orphans, f"unreferenced private definitions: {orphans}"

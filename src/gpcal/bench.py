@@ -231,7 +231,6 @@ def sample_gp_response(X: np.ndarray, kernel: KernelSpec,
 @dataclass(frozen=True)
 class IntervalMetrics:
     q2: float
-    loo_cp: float
     cp: float
     mpiw: float
     sdpiw: float
@@ -242,8 +241,7 @@ def compute_metrics(y_test, means, lowers, uppers, ybar=None) -> IntervalMetrics
 
     q2 compares squared errors against the spread around ybar (the test-set
     mean unless supplied), so a constant predictor at that mean scores 0.
-    Widths of crossed bounds count as empty (zero length).  loo_cp is not
-    derivable from test data; the caller fills it in.
+    Widths of crossed bounds count as empty (zero length).
     """
     y_test = np.asarray(y_test, dtype=float).ravel()
     if y_test.size == 0:
@@ -267,8 +265,7 @@ def compute_metrics(y_test, means, lowers, uppers, ybar=None) -> IntervalMetrics
     widths = np.maximum(uppers - lowers, 0.0)
     mpiw = float(np.mean(widths))
     sdpiw = float(np.std(widths))
-    return IntervalMetrics(q2=q2, loo_cp=math.nan, cp=cp, mpiw=mpiw,
-                           sdpiw=sdpiw)
+    return IntervalMetrics(q2=q2, cp=cp, mpiw=mpiw, sdpiw=sdpiw)
 
 
 # ---------------------------------------------------------------------------

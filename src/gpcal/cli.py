@@ -34,7 +34,8 @@ from .bench import EXPERIMENT_NAMES, ExperimentScale, run_experiment, \
 from .blas import single_threaded_blas
 from .estimation import EstimationResult, McmcConfig, fit_mle, fit_msecv, \
     mle_objective, posterior_mean_kernel
-from .exceptions import DataError, DomainError, GpcalError, UsageError
+from .exceptions import DataError, DomainError, GpcalError, \
+    InvalidParameterError, UsageError
 from .gp import Dataset, TrendSpec, fit_gp, model_from_dict, \
     model_to_dict, predict, prediction_interval
 from .kernels import KernelFamily
@@ -205,9 +206,9 @@ def _lambda_grid_type(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda grid: {text!r}")
-    if not (0.0 < lo < hi) or count < 2:
+    if not (0.0 < lo < hi < math.inf) or count < 2:
         raise argparse.ArgumentTypeError(
-            "lambda grid needs 0 < lo < hi and count >= 2")
+            "lambda grid needs 0 < lo < hi < inf and count >= 2")
     return (lo, hi, count)
 
 
@@ -294,13 +295,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    try:
+        delta = SmoothingParams(args.delta)
+        delta.validate_for(1.0 - args.alpha / 2.0)
+    except InvalidParameterError as exc:
+        raise UsageError(f"--delta: {exc}")
     doc, model, reference = _load_model_doc(args.reference)
     if isinstance(model, CalibratedIntervalModel):
         raise DataError(f"{args.reference}: calibrate expects a fitted "
                         "model, not a calibrated interval model")
     lo, hi, count = args.lambda_grid
-    config = RpieConfig(delta=SmoothingParams(args.delta),
-                        lambda_grid=GridSpec(lo, hi, count))
+    config = RpieConfig(delta=delta, lambda_grid=GridSpec(lo, hi, count))
     calibrated = calibrate(model.dataset, model.trend, model.kernel.family,
                            model.kernel.nugget, reference, args.alpha,
                            config)
@@ -390,6 +395,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
     scale = ExperimentScale(n=args.n, d=args.d, seeds=args.seeds)
     report = run_experiment(args.name, scale=scale,

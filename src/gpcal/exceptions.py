@@ -18,8 +18,8 @@ class ShapeError(GpcalError, ValueError):
 
 
 class UsageError(GpcalError, ValueError):
-    """A setting outside the command-line flags, such as an environment
-    variable, has an invalid value."""
+    """A setting has an invalid value that the flag parser cannot reject:
+    an environment variable, or a flag whose range depends on another."""
 
 
 class DataError(GpcalError, ValueError):

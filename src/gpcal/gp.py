@@ -40,12 +40,10 @@ __all__ = [
     "Dataset",
     "FittedGp",
     "GlsState",
-    "ProjectionBasis",
     "HypothesisReport",
     "build_regression_matrix",
     "build_covariance",
     "factor_covariance",
-    "fit_beta",
     "solve_gls",
     "fit_gp",
     "predict",
@@ -128,18 +126,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class ProjectionBasis:
-    """Orthonormal basis W of (Im F)^perp; the n x n projector Pi = W W'
-    is formed on access."""
-
-    W: np.ndarray
-
-    @property
-    def Pi(self) -> np.ndarray:
-        return self.W @ self.W.T
 
 
 @dataclass(frozen=True)
@@ -277,12 +263,6 @@ def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
     quad -= float(c @ beta)
     return GlsState(L=L, B=B, chol_G=chol_G, beta=beta, w=a - B @ beta,
                     quad=quad)
-
-
-def fit_beta(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """GLS coefficients beta = (F' K^{-1} F)^{-1} F' K^{-1} y by
-    ``solve_gls``; empty for simple kriging (p = 0)."""
-    return solve_gls(F, L, np.asarray(y, dtype=float).ravel()).beta
 
 
 @dataclass
@@ -429,8 +409,9 @@ def compute_kbar(model: FittedGp) -> np.ndarray:
     return model._kbar_cache
 
 
-def projection_basis(F: np.ndarray) -> ProjectionBasis:
-    """Orthonormal complement W of Im F and the projector Pi onto it.
+def projection_basis(F: np.ndarray) -> np.ndarray:
+    """Orthonormal basis W of the complement of Im F, so that W W' is the
+    projector onto it.
 
     Built from the full QR decomposition of F.  p = n leaves no residual
     space and raises HypothesisH2Error; rank deficiency raises
@@ -439,7 +420,7 @@ def projection_basis(F: np.ndarray) -> ProjectionBasis:
     F = np.asarray(F, dtype=float)
     n, p = F.shape
     if p == 0:
-        return ProjectionBasis(W=np.eye(n))
+        return np.eye(n)
     if p >= n:
         raise HypothesisH2Error(
             f"no residual space: p={p} basis functions for n={n} points"
@@ -448,7 +429,7 @@ def projection_basis(F: np.ndarray) -> ProjectionBasis:
     diag = np.abs(np.diag(R[:p, :p]))
     if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
         raise HypothesisH1Error("regression matrix is rank deficient")
-    return ProjectionBasis(W=Q[:, p:])
+    return Q[:, p:]
 
 
 def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
@@ -468,7 +449,7 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
         return HypothesisReport(h1=False, h2=False, h3=False,
                                 k_eps=0, n_times_a=n * a)
     try:
-        W = projection_basis(F).W
+        W = projection_basis(F)
         pi_diag = np.einsum("ij,ij->i", W, W)
         h2 = bool(pi_diag.min() > 1e-12)
     except HypothesisH2Error:

@@ -190,13 +190,13 @@ class SigmaScanBasis:
                  family, theta: np.ndarray, nugget: float):
         spec = KernelSpec(family=family, sigma2=1.0, theta=theta, nugget=0.0)
         R = gram_matrix(np.atleast_2d(np.asarray(X, dtype=float)), spec)
-        self._factor(R, projection_basis(F).W, y, nugget)
+        self._factor(R, projection_basis(F), y, nugget)
 
     @classmethod
     def from_gram(cls, R: np.ndarray, W: np.ndarray, y: np.ndarray,
                   nugget: float) -> "SigmaScanBasis":
         """Basis from a unit-amplitude Gram matrix R and the orthonormal
-        complement W of the trend span (``projection_basis(F).W``)."""
+        complement W of the trend span (``projection_basis(F)``)."""
         basis = cls.__new__(cls)
         basis._factor(R, W, y, nugget)
         return basis
@@ -214,19 +214,21 @@ class SigmaScanBasis:
         self.c = V.T @ np.asarray(y, dtype=float).ravel()
         self.nugget = float(nugget)
 
-    def std_residuals(self, sigma2: float) -> np.ndarray:
-        """(Kbar y)_i / sqrt(Kbar_ii) at amplitude sigma2."""
-        d = sigma2 * self.lam + self.nugget
-        ky = self.V @ (self.c / d)
-        kdiag = self.V2 @ (1.0 / d)
-        return ky / np.sqrt(kdiag)
+    def _scales(self, sigma2s) -> np.ndarray:
+        """sigma2 lam_j + nugget, one row per amplitude of a vector."""
+        return np.asarray(sigma2s, dtype=float)[..., None] * self.lam \
+            + self.nugget
 
-    def std_residuals_grid(self, sigma2s: np.ndarray) -> np.ndarray:
-        """Row g holds std_residuals(sigma2s[g]), shape (G, n)."""
-        d = np.asarray(sigma2s, dtype=float)[:, None] * self.lam + self.nugget
-        ky = (self.c / d) @ self.V.T
-        kdiag = (1.0 / d) @ self.V2.T
-        return ky / np.sqrt(kdiag)
+    def kbar_y(self, sigma2s) -> np.ndarray:
+        """Kbar y = V diag(1 / (sigma2 lam + nugget)) c at amplitude
+        sigma2s, shaped as ``std_residuals``."""
+        return (self.c / self._scales(sigma2s)) @ self.V.T
+
+    def std_residuals(self, sigma2s) -> np.ndarray:
+        """(Kbar y)_i / sqrt(Kbar_ii) at amplitude sigma2s: shape (n,) for
+        a scalar, and (G, n) with row g at sigma2s[g] for G amplitudes."""
+        kdiag = (1.0 / self._scales(sigma2s)) @ self.V2.T
+        return self.kbar_y(sigma2s) / np.sqrt(kdiag)
 
     def psi_smoothed(self, sigma2: float, a: float,
                      params: SmoothingParams) -> float:

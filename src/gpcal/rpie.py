@@ -9,24 +9,27 @@ reference law.  A two-sided interval uses two such one-sided models, one per
 bound.
 
 One state serves a whole calibration, both bounds included.  It holds the
-regression matrix F, the residual basis W, the reference law and the scaled
-distances h0 = h(theta0).  Since lambda scales every length-scale together,
-the unit Gram matrix at lambda is R(lambda) = r(h0 / lambda).  Each lambda
-builds R and one state from it (``_LambdaState``); the amplitude scan and
-the W2 law K = sigma2 R + nugget I of both sides read that state, and
-``calibrate`` walks the lambda grid once for both sides.  Only the state
-of the latest lambda is kept.
+regression matrix F, the residual basis W, the reference law (that of the
+reference fit) and the scaled distances h0 = h(theta0).  Since lambda
+scales every length-scale together, the unit Gram matrix at lambda is
+R(lambda) = r(h0 / lambda).  Each lambda builds R and one state from it
+(``_LambdaState``); the amplitude scan and the W2 law K = sigma2 R +
+nugget I of both sides read that state, and ``calibrate`` walks the lambda
+grid once for both sides.  Only the state of the latest lambda is kept.
+Each state supplies the law's GLS mean and trace root Tr (S0 K S0)^{1/2},
+S0 the reference covariance's square root, to one W2 formula that
+factors nothing.
 
 The nugget chooses the state's form.  With zero nugget sigma2 is a pure
 scale of K = sigma2 R: the standardized LOO residuals are
-z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the W2
-trace root is sqrt(sigma2) Tr (S0 R S0)^{1/2}, so one Cholesky factor
-serves every amplitude, both sides and the W2 objective (the scale-free
-form).  It factors the R + j I of ``gp.factor_covariance(R, 0, 1)``,
-whose jitter scales with sigma2: ``fit_gp`` builds sigma2 (R + j I) at
-every amplitude.  With a positive nugget each lambda builds the
-eigenbasis of W' R W (``SigmaScanBasis``), from which a batch of
-amplitudes costs two matrix products, and factors the law it scores.
+z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the trace
+root is sqrt(sigma2) Tr (S0 R S0)^{1/2}, so one Cholesky factor serves
+every amplitude and both sides (the scale-free form).  It factors the
+R + j I of ``gp.factor_covariance(R, 0, 1)``, whose jitter scales with
+sigma2: ``fit_gp`` builds sigma2 (R + j I) at every amplitude.  With a
+positive nugget each lambda builds the eigenbasis of W' R W
+(``SigmaScanBasis``), from which a batch of amplitudes costs two matrix
+products, and the law reads its mean from that basis.
 
 The amplitude scan evaluates psi_delta over the ``sigma_scan`` grid in
 batches of amplitudes and bisects the first crossing down to adjacent
@@ -69,7 +72,6 @@ from .gp import (
     build_regression_matrix,
     check_hypotheses,
     factor_covariance,
-    fit_beta,
     fit_gp,
     predict,
     projection_basis,
@@ -171,6 +173,7 @@ class RpieSolution:
     scale-free search state itself; with a positive nugget the root was
     found in the eigenbasis of W' R W, and the recomputation is an
     independent check of it (perfbench's coverage check relies on it).
+    wasserstein2 is the search state's objective, not recomputed.
     """
 
     lambda_star: float
@@ -205,53 +208,58 @@ def sqrtm_psd(K: np.ndarray) -> np.ndarray:
     result well-defined for nearly singular covariance matrices.
     """
     K = np.asarray(K, dtype=float)
-    w, U = np.linalg.eigh(0.5 * (K + K.T))
-    w = np.maximum(w, 0.0)
-    return (U * np.sqrt(w)) @ U.T
+    return _psd_root(*np.linalg.eigh(0.5 * (K + K.T)))
 
 
-def _check_covariance(K: np.ndarray, name: str) -> np.ndarray:
+def _psd_root(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U diag(w)^{1/2} U' with round-off negatives of w clipped at zero."""
+    return (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
+
+
+def _symmetrized(K, name: str) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InvalidMatrixError(f"{name} must be square")
     scale = max(float(np.abs(K).max()), 1e-300)
     if float(np.abs(K - K.T).max()) > 1e-8 * scale:
         raise InvalidMatrixError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (K + K.T))
-    if w.min() < -1e-8 * max(float(w.max()), 1e-300):
-        raise InvalidMatrixError(f"{name} is not positive semi-definite")
     return 0.5 * (K + K.T)
 
 
-def _sqrt_trace(S1: np.ndarray, K2: np.ndarray) -> float:
-    """Tr (S1 K2 S1)^{1/2} from the eigenvalues of S1 K2 S1, with
-    round-off negatives clipped at zero."""
-    w = np.linalg.eigvalsh(S1 @ K2 @ S1)
+def _check_psd(w: np.ndarray, name: str) -> None:
+    if w.min() < -1e-8 * max(float(w.max()), 1e-300):
+        raise InvalidMatrixError(f"{name} is not positive semi-definite")
+
+
+def _trace_root(M: np.ndarray) -> float:
+    """Tr M^{1/2} from the eigenvalues of M (its lower triangle read as
+    symmetric), with round-off negatives clipped at zero."""
+    w = np.linalg.eigvalsh(M)
     return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
-
-
-def _w2(dm: np.ndarray, tr_K1: float, S1: np.ndarray, K2: np.ndarray
-        ) -> float:
-    """||dm||^2 + Tr K1 + Tr K2 - 2 Tr (S1 K2 S1)^{1/2} with S1 = K1^{1/2},
-    clipped at zero against round-off."""
-    val = float(dm @ dm + tr_K1 + np.trace(K2) - 2.0 * _sqrt_trace(S1, K2))
-    return max(val, 0.0)
 
 
 def wasserstein2_gaussians(m1, K1, m2, K2) -> float:
     """Squared 2-Wasserstein distance between two Gaussian laws.
 
     ||m1 - m2||^2 + Tr(K1 + K2 - 2 (K1^{1/2} K2 K1^{1/2})^{1/2}),
-    clipped at zero against round-off.
+    clipped at zero against round-off.  One eigendecomposition of K1 both
+    checks it for positive semi-definiteness and gives K1^{1/2}.
     """
     m1 = np.asarray(m1, dtype=float).ravel()
     m2 = np.asarray(m2, dtype=float).ravel()
-    K1 = _check_covariance(K1, "K1")
-    K2 = _check_covariance(K2, "K2")
+    K1 = _symmetrized(K1, "K1")
+    w1, U1 = np.linalg.eigh(K1)
+    _check_psd(w1, "K1")
+    K2 = _symmetrized(K2, "K2")
+    _check_psd(np.linalg.eigvalsh(K2), "K2")
     if m1.size != m2.size or K1.shape[0] != m1.size or \
             K2.shape[0] != m2.size:
         raise InvalidMatrixError("mean/covariance dimensions disagree")
-    return _w2(m1 - m2, float(np.trace(K1)), sqrtm_psd(K1), K2)
+    S1 = _psd_root(w1, U1)
+    dm = m1 - m2
+    val = float(dm @ dm + np.trace(K1) + np.trace(K2)
+                - 2.0 * _trace_root(S1 @ K2 @ S1))
+    return max(val, 0.0)
 
 
 def _scan_extension(grid: np.ndarray) -> np.ndarray:
@@ -276,17 +284,12 @@ class _Calibration:
     """State shared by every lambda and both sides of one calibration.
 
     ``at(lam)`` returns the per-lambda state, rebuilt only when lam
-    changes.  The reference law (K0, m0, S0 = K0^{1/2}, Tr K0) is built
-    when the reference amplitude sigma2_0 is given.
+    changes.  Given the reference amplitude sigma2_0, the reference law is
+    the reference fit (K0 = ``fit_gp(...).K``, m0 = F beta), with
+    S0 = K0^{1/2} and Tr K0.  ``objective`` is one formula for both state
+    forms, each supplying the mean m and root = Tr (S0 K S0)^{1/2}:
 
-    ``objective`` reads the law at (lam, sigma2) from the state's form.  A
-    scale-free state (zero nugget, see ``_LambdaState``) gives it without
-    any factorization,
-
-        W2 = max(||m1 - m0||^2 + Tr K0 + sigma2 Tr R - 2 sqrt(sigma2) T1, 0)
-
-    with T1 = Tr (S0 R S0)^{1/2}; an eigenbasis state factors
-    K = sigma2 R + nugget I and takes the trace root of S0 K S0.
+        W2 = max(||m - m0||^2 + Tr K0 + sigma2 Tr R + n nugget - 2 root, 0)
     """
 
     def __init__(self, dataset: Dataset, trend: TrendSpec,
@@ -308,7 +311,7 @@ class _Calibration:
         self.theta0 = ref.theta
         self.config = config
         self.F = build_regression_matrix(dataset.X, trend)
-        self.W = projection_basis(self.F).W
+        self.W = projection_basis(self.F)
         self.h0 = scaled_distances(dataset.X, dataset.X, self.theta0)
         v = float(np.var(dataset.y))
         grid = config.sigma_scan.points(scale=v if v > 0.0 else 1.0)
@@ -319,11 +322,12 @@ class _Calibration:
         self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
                         for i in range(0, part.size, _SCAN_CHUNK)]
         self._state = None
-        self.S0 = None
+        self.K0 = self.S0 = None
         if sigma2_0 is not None:
-            K0, self.m0 = self.law(self.gram(1.0), ref.sigma2)
-            self.S0 = sqrtm_psd(K0)
-            self.tr_K0 = float(np.trace(K0))
+            model = fit_gp(dataset, ref, trend)
+            self.K0, self.m0 = model.K, self.F @ model.beta_hat
+            self.S0 = sqrtm_psd(self.K0)
+            self.tr_K0 = float(np.trace(self.K0))
 
     def gram(self, lam: float) -> np.ndarray:
         """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
@@ -335,45 +339,36 @@ class _Calibration:
             self._state = _LambdaState(self, lam)
         return self._state
 
-    def law(self, R: np.ndarray, sigma2: float) -> tuple:
-        """Covariance K = sigma2 R + nugget I, factored under the jitter
-        policy of ``gp.build_covariance``, and the GLS trend mean F beta."""
-        K, L, _ = factor_covariance(sigma2 * R, self.nugget, sigma2)
-        return K, self.F @ fit_beta(self.F, L, self.dataset.y)
-
     def objective(self, lam: float, sigma2: float) -> float:
         """Squared W2 distance from the reference law to the law at
         (lam, sigma2)."""
         state = self.at(lam)
-        if state.basis is None:
-            dm = state.m1 - self.m0
-            val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
-                        - 2.0 * math.sqrt(sigma2) * state.t1)
-            return max(val, 0.0)
-        K, m = self.law(state.R, sigma2)
-        return _w2(m - self.m0, self.tr_K0, self.S0, K)
+        dm = state.mean(sigma2) - self.m0
+        val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
+                    + self.dataset.n * self.nugget
+                    - 2.0 * state.root(sigma2))
+        return max(val, 0.0)
 
 
 class _LambdaState:
     """What the amplitude scan and the W2 law read at one lambda, in the
-    form the nugget selects.
+    form the nugget selects.  Both give the GLS mean ``mean(sigma2)`` and
+    ``root(sigma2)`` = Tr (S0 K S0)^{1/2} from A = S0 R S0, formed once.
 
-    Scale-free form, with zero nugget: the covariance is K = sigma2 R, so
-    sigma2 is a pure scale.  The standardized LOO residuals are
-    z(sigma2) = z(1) / sqrt(sigma2), the GLS mean m1 = F beta does not
-    depend on sigma2, and Tr (S0 K S0)^{1/2} = sqrt(sigma2) T1.  R is the
+    Scale-free form, with zero nugget: K = sigma2 R, so the standardized
+    LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
+    not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  R is the
     R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
     jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
-    ``gp._kbar``, the route ``virtual_loo`` takes), m1, Tr R and, when the
-    reference law exists, T1 = Tr (S0 R S0)^{1/2}.  Every amplitude of
-    both sides then costs a scaling.
+    ``gp._kbar``, the route ``virtual_loo`` takes) and m1.
 
-    Eigenbasis form, with a positive nugget: R, the eigenbasis of W' R W
-    (``SigmaScanBasis``) from which each batch of amplitudes costs two
-    matrix products, and a fresh factorization of the law per objective.
+    Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
+    (``SigmaScanBasis``), from which each batch of amplitudes costs two
+    matrix products.  The mean is y - K Kbar y with Kbar y from the basis,
+    and root = Tr (sigma2 A + nugget K0)^{1/2}, since S0 S0 = K0.
 
-    Standardized residuals on the amplitude grid are built one batch at a
-    time as the sides ask for them.
+    Residuals on the amplitude grid are built one batch at a time as the
+    sides ask for them.
     """
 
     def __init__(self, cal: _Calibration, lam: float):
@@ -381,19 +376,35 @@ class _LambdaState:
         self.R = cal.gram(lam)
         self._batches = cal.batches
         self._residuals = {}
+        self._y, self._nugget, self._K0 = cal.dataset.y, cal.nugget, cal.K0
         if cal.nugget > 0.0:
-            self.basis = SigmaScanBasis.from_gram(self.R, cal.W,
-                                                  cal.dataset.y, cal.nugget)
-            return
-        self.basis = None
-        self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
-        y = cal.dataset.y
-        gls = solve_gls(cal.F, L, y)
-        kbar = _kbar(gls)
-        self.z1 = (kbar @ y) / np.sqrt(np.diag(kbar))
-        self.m1 = cal.F @ gls.beta
+            self.basis = SigmaScanBasis.from_gram(self.R, cal.W, self._y,
+                                                  cal.nugget)
+        else:
+            self.basis = None
+            self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
+            gls = solve_gls(cal.F, L, self._y)
+            kbar = _kbar(gls)
+            self.z1 = (kbar @ self._y) / np.sqrt(np.diag(kbar))
+            self.m1 = cal.F @ gls.beta
         self.tr_R = float(np.trace(self.R))
-        self.t1 = None if cal.S0 is None else _sqrt_trace(cal.S0, self.R)
+        if cal.S0 is not None:
+            self.A = (cal.S0 @ self.R) @ cal.S0
+            if self.basis is None:
+                self.t1 = _trace_root(self.A)
+
+    def mean(self, sigma2: float) -> np.ndarray:
+        """GLS mean F beta of the law at amplitude sigma2."""
+        if self.basis is None:
+            return self.m1
+        ky = self.basis.kbar_y(sigma2)
+        return self._y - (sigma2 * (self.R @ ky) + self._nugget * ky)
+
+    def root(self, sigma2: float) -> float:
+        """Tr (S0 K S0)^{1/2} at amplitude sigma2."""
+        if self.basis is None:
+            return math.sqrt(sigma2) * self.t1
+        return _trace_root(sigma2 * self.A + self._nugget * self._K0)
 
     def std_residuals(self, sigma2: float) -> np.ndarray:
         """Standardized residuals at amplitude sigma2."""
@@ -408,7 +419,7 @@ class _LambdaState:
             amps = self._batches[k]
             self._residuals[k] = (
                 self.z1 / np.sqrt(amps)[:, None] if self.basis is None
-                else self.basis.std_residuals_grid(amps))
+                else self.basis.std_residuals(amps))
         return self._residuals[k]
 
 

@@ -276,6 +276,42 @@ class TestBenchmarkCommand:
         assert "morokoff" in err   # usage text lists valid experiments
 
 
+class TestBadFlags:
+    """Out-of-range flag values are usage errors (exit 2), caught before
+    any work: --delta must lie in (0, q_{1 - alpha/2}) and --lambda-grid
+    must be finite, and a benchmark needs at least one seed."""
+
+    @pytest.mark.parametrize("flags", [
+        ["calibrate", "--delta", "-1"],
+        ["calibrate", "--delta", "nan"],
+        ["calibrate", "--delta", "5"],
+        ["calibrate", "--lambda-grid", "0.1,inf,10"],
+        ["benchmark", "zhou_nugget", "--seeds", "0"],
+    ], ids=["delta_negative", "delta_nan", "delta_above_quantile",
+            "lambda_grid_inf", "zero_seeds"])
+    def test_exits_with_usage_code(self, tmp_path, flags):
+        if flags[0] == "calibrate":
+            rng = np.random.default_rng(5)
+            X = rng.uniform(0, 1, (15, 2))
+            ds = Dataset(X=X, y=np.sin(4 * X[:, 0]) + X[:, 1])
+            kernel = KernelSpec(KernelFamily.MATERN52, 0.5, [0.4, 0.4],
+                                nugget=1e-3)
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(model_to_dict(
+                fit_gp(ds, kernel, TrendSpec.from_string("ordinary")))))
+            argv = flags + ["--reference", str(model),
+                            "--out", str(tmp_path / "cal.json")]
+        else:
+            argv = flags + ["--out-dir", str(tmp_path / "bench")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert not list(tmp_path.glob("cal*")) and \
+            not (tmp_path / "bench").exists()
+
+
 class TestMalformedInputs:
     """Malformed model documents and non-finite CSV cells are data errors
     (exit 3) for every subcommand that reads them."""

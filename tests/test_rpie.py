@@ -13,8 +13,8 @@ from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import CalibrationInfeasibleError, \
     IllConditionedError, InvalidMatrixError
-from gpcal.gp import build_regression_matrix, factor_covariance, fit_beta, \
-    fit_gp, prediction_interval
+from gpcal.gp import build_regression_matrix, factor_covariance, fit_gp, \
+    prediction_interval, solve_gls
 from gpcal.loo import SigmaScanBasis, _ramp_upper, virtual_loo
 from gpcal.rpie import (
     _GOLDEN,
@@ -22,7 +22,7 @@ from gpcal.rpie import (
     _Calibration,
     _LambdaState,
     _Side,
-    _sqrt_trace,
+    _trace_root,
     CalibratedIntervalModel,
     GridSpec,
     RpieConfig,
@@ -261,7 +261,8 @@ class TestWasserstein:
             S1 = sqrtm_psd(A @ A.T + 0.1 * np.eye(n))
             K2 = B @ B.T
             expected = np.trace(sqrtm_psd(S1 @ K2 @ S1))
-            assert _sqrt_trace(S1, K2) == pytest.approx(expected, rel=1e-12)
+            assert _trace_root(S1 @ K2 @ S1) == pytest.approx(expected,
+                                                              rel=1e-12)
 
     def test_sqrtm_squares_back(self, rng):
         for n in (3, 10, 50):
@@ -306,7 +307,7 @@ class TestCalibrateQuantile:
         sol = calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 1e-4,
                                  np.array([0.5, 0.5]), 0.04, 0.95, FAST)
         model = fit_gp(ds, sol.kernel, ORD)
-        expected = fit_beta(model.F, model.chol_K, ds.y)
+        expected = solve_gls(model.F, model.chol_K, ds.y).beta
         np.testing.assert_allclose(sol.beta_opt, expected, rtol=1e-10)
 
     def test_single_point_grid(self):
@@ -547,7 +548,7 @@ class TestScaleFree:
                                            rtol=0.0,
                                            atol=1e-9 * np.abs(want).max())
             amps = cal.batches[1]
-            want = basis.std_residuals_grid(amps)
+            want = basis.std_residuals(amps)
             np.testing.assert_allclose(state.residuals(1), want, rtol=0.0,
                                        atol=1e-9 * np.abs(want).max())
 
@@ -674,6 +675,67 @@ class TestScaleFree:
         with pytest.raises(IllConditionedError):
             sigma_opt(ds, ORD, KernelFamily.MATERN52, np.array([0.5, 0.5]),
                       0.0, 0.95, FAST)
+
+
+class TestEigenbasisLaw:
+    """With a positive nugget the W2 law is read from the eigenbasis
+    state: the mean y - K Kbar y and Tr (sigma2 S0 R S0 + nugget K0)^{1/2},
+    with S0 R S0 formed once per lambda.  Only the reference fit and the
+    two final fits factor a covariance."""
+
+    NUGGET = 1e-3
+
+    def test_objective_matches_wasserstein(self):
+        ds = _misspecified_dataset(14, n=60, d=3)
+        theta0, sigma2_0 = TestScaleFree.THETA0, TestScaleFree.SIGMA2_0
+        cal = _Calibration(ds, ORD, KernelFamily.MATERN52, self.NUGGET,
+                           theta0, RpieConfig(), sigma2_0)
+        ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, sigma2_0, theta0,
+                                    nugget=self.NUGGET), ORD)
+        m0 = ref.F @ ref.beta_hat
+        for lam in TestScaleFree.LAMBDAS:
+            assert cal.at(lam).basis is not None
+            for s2 in TestScaleFree.AMPLITUDES:
+                if lam == 1.0 and s2 == sigma2_0:
+                    continue    # the reference law itself: W2 = 0
+                model = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, s2,
+                                              lam * theta0,
+                                              nugget=self.NUGGET), ORD)
+                want = wasserstein2_gaussians(m0, ref.K,
+                                              model.F @ model.beta_hat,
+                                              model.K)
+                assert cal.objective(lam, s2) == pytest.approx(want,
+                                                               rel=1e-9)
+
+    @pytest.mark.parametrize("nugget", [1e-2, 0.0])
+    def test_factorizations_per_calibration(self, monkeypatch, nugget):
+        # A default two-sided calibration factors the reference fit and
+        # the two final fits; a zero-nugget one also factors R once per
+        # lambda state.
+        import gpcal.gp
+        import gpcal.rpie
+        factor = gpcal.gp.factor_covariance
+        init = _LambdaState.__init__
+        calls, states = [], []
+
+        def counting_factor(*args):
+            calls.append(1)
+            return factor(*args)
+
+        def counting_init(state, *args):
+            states.append(1)
+            init(state, *args)
+
+        for module in (gpcal.gp, gpcal.rpie):
+            monkeypatch.setattr(module, "factor_covariance", counting_factor)
+        monkeypatch.setattr(_LambdaState, "__init__", counting_init)
+        ds = _misspecified_dataset(14, n=60, d=3)
+        ref = _reference(KernelSpec(KernelFamily.MATERN52,
+                                    TestScaleFree.SIGMA2_0,
+                                    TestScaleFree.THETA0, nugget=nugget))
+        calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref, 0.1)
+        assert len(states) > RpieConfig().lambda_grid.count
+        assert len(calls) == 3 + (len(states) if nugget == 0.0 else 0)
 
 
 class TestNoNuggetCase:

@@ -9,9 +9,12 @@ threading and about 50 s with one BLAS thread.
 
 ``single_threaded_blas()`` sets both libraries to one thread through their
 exported setters and restores the previous counts on exit.  The count is
-process-wide, so the context belongs around a whole batch of work, such as
-an experiment run or a CLI command.  When neither library exports a
-setter (another BLAS build), the context does nothing.
+process-wide, so the context is reference-counted across threads: the first
+entry saves the counts and sets them to one, and only the last exit
+restores them, so a thread leaving while another is still inside changes
+nothing.  It wraps the fits, the calibration, experiment runs and CLI
+commands, and nests freely.  When neither library exports a setter
+(another BLAS build), the context does nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy
@@ -61,15 +65,27 @@ def _thread_controls() -> tuple:
     return tuple(controls)
 
 
+_lock = threading.Lock()
+_depth = 0          # contexts open in any thread
+_saved = []         # thread counts to restore when the last one closes
+
+
 @contextmanager
 def single_threaded_blas():
     """Run the body with every bundled OpenBLAS set to one thread."""
+    global _depth, _saved
     controls = _thread_controls()
-    saved = [getter() for _, getter in controls]
-    for setter, _ in controls:
-        setter(1)
+    with _lock:
+        if _depth == 0:
+            _saved = [getter() for _, getter in controls]
+            for setter, _ in controls:
+                setter(1)
+        _depth += 1
     try:
         yield
     finally:
-        for (setter, _), count in zip(controls, saved):
-            setter(count)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for (setter, _), count in zip(controls, _saved):
+                    setter(count)

@@ -395,8 +395,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
+    for flag in ("n", "d", "seeds"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
     scale = ExperimentScale(n=args.n, d=args.d, seeds=args.seeds)
     report = run_experiment(args.name, scale=scale,

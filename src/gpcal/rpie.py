@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import single_threaded_blas
 from .estimation import EstimationResult
 from .exceptions import (
     CalibrationInfeasibleError,
@@ -643,12 +644,16 @@ def relaxation_objective(dataset: Dataset, trend: TrendSpec,
     return obj
 
 
+@single_threaded_blas()
 def calibrate_quantile(dataset: Dataset, trend: TrendSpec,
                        family: KernelFamily, nugget: float,
                        theta0, sigma2_0: float, a: float,
                        config: RpieConfig | None = None) -> RpieSolution:
     """Calibrate one quantile side: grid-search L(lambda), refine the best
-    cell by golden section, and assemble the solution at the minimizer."""
+    cell by golden section, and assemble the solution at the minimizer.
+    BLAS runs on one thread for the duration of the call, as in
+    :func:`calibrate`, so each side of a two-sided calibration is
+    bit-identical to this."""
     config = config or RpieConfig()
     (found,) = _search(dataset, trend, family, nugget, theta0, sigma2_0,
                        (a,), config)
@@ -730,6 +735,7 @@ class CalibratedIntervalModel:
         )
 
 
+@single_threaded_blas()
 def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               nugget: float | None, reference: EstimationResult,
               alpha: float, config: RpieConfig | None = None
@@ -739,7 +745,8 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     Both sides share one calibration state: the lambda grid is walked once
     and each grid lambda's Gram matrix and per-lambda state serve both,
     then each side is refined by golden section.  Each side equals
-    ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.
+    ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.  BLAS runs on one
+    thread for the duration of the call.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha must lie in (0, 1)")

@@ -51,7 +51,7 @@ EXPERIMENTS = ("morokoff", "wingweight", "zhou_nonugget", "zhou_nugget")
 ALPHA = 0.1
 DESK_SCALE = ExperimentScale(n=200, d=10, seeds=5)
 HOLDOUT_N = 20_000
-_HOLDOUT_CHUNK = 2_000   # bounds the n x m x d cross-covariance temporaries
+_HOLDOUT_CHUNK = 2_000   # bounds the m x n cross-covariance of each call
 
 _fixture_elapsed = {}
 

@@ -279,7 +279,8 @@ class TestBenchmarkCommand:
 class TestBadFlags:
     """Out-of-range flag values are usage errors (exit 2), caught before
     any work: --delta must lie in (0, q_{1 - alpha/2}) and --lambda-grid
-    must be finite, and a benchmark needs at least one seed."""
+    must be finite, and a benchmark needs at least one seed, one point
+    and one input dimension."""
 
     @pytest.mark.parametrize("flags", [
         ["calibrate", "--delta", "-1"],
@@ -287,8 +288,12 @@ class TestBadFlags:
         ["calibrate", "--delta", "5"],
         ["calibrate", "--lambda-grid", "0.1,inf,10"],
         ["benchmark", "zhou_nugget", "--seeds", "0"],
+        ["benchmark", "zhou_nugget", "--n", "0"],
+        ["benchmark", "zhou_nugget", "--d", "0"],
+        ["benchmark", "zhou_nugget", "--n", "-3"],
     ], ids=["delta_negative", "delta_nan", "delta_above_quantile",
-            "lambda_grid_inf", "zero_seeds"])
+            "lambda_grid_inf", "zero_seeds", "zero_n", "zero_d",
+            "negative_n"])
     def test_exits_with_usage_code(self, tmp_path, flags):
         if flags[0] == "calibrate":
             rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import ExperimentScale, experiment_split, \
@@ -132,6 +133,77 @@ class TestMultistartMinimize:
         assert value == -6.0 and converged
 
 
+def _wells(levels):
+    """1-d objective min_k levels[k] + (u - c_k)^2 with the wells c_k 4
+    apart, and the well centres."""
+    centres = 4.0 * (np.arange(len(levels)) - (len(levels) - 1) / 2.0)
+
+    def objective(u):
+        k = int(np.argmin(levels + (u[0] - centres) ** 2))
+        return float(levels[k] + (u[0] - centres[k]) ** 2), \
+            2.0 * (u - centres[k])
+
+    return objective, centres
+
+
+class TestMultistartStopping:
+    """Starts run in index order; after the third start and each later
+    one the search stops once another start has matched the best value.
+    Each case lists the well that every start falls into."""
+
+    BOUNDS = [(-30.0, 30.0)]
+    # Wells 0 and 1 are 1e-4 apart, far beyond the agreement tolerance.
+    LEVELS = np.array([0.0, 1e-4, -1.0, 2.0, -2.0, 3.0])
+
+    def run(self, wells):
+        objective, centres = _wells(self.LEVELS)
+        # Start i sits 0.3 + 0.1 i from its well's centre, inside its
+        # basin and distinct from every other start.
+        starts = [np.array([centres[k] + 0.3 + 0.1 * i])
+                  for i, k in enumerate(wells)]
+        seen = []
+
+        def recording(u):
+            seen.append(np.array(u))
+            return objective(u)
+
+        value, _, n_evals, _ = _multistart_minimize(recording, starts,
+                                                    self.BOUNDS)
+        # A start ran when its point was evaluated; n_evals is the summed
+        # nfev of the starts that ran.
+        ran = [x0 for x0 in starts
+               if any(np.array_equal(x0, x) for x in seen)]
+        assert n_evals == sum(
+            optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                              bounds=self.BOUNDS).nfev for x0 in ran)
+        return value, len(ran)
+
+    def test_stops_after_third_start_when_first_and_third_agree(self):
+        value, n_ran = self.run([2, 3, 2, 4, 4])
+        assert n_ran == 3
+        assert value == pytest.approx(-1.0, abs=1e-9)
+
+    def test_two_starts_agreeing_on_a_local_optimum_do_not_stop(self):
+        # Starts 0 and 1 agree on the higher well; start 2 finds the lower
+        # one and start 3 confirms it.  Start 4 would find a lower well
+        # still, so its absence shows the search stopped after start 3.
+        value, n_ran = self.run([0, 0, 2, 2, 4])
+        assert n_ran == 4
+        assert value == pytest.approx(-1.0, abs=1e-9)
+
+    def test_all_starts_run_when_none_agree(self):
+        value, n_ran = self.run([0, 1, 3, 5, 2])
+        assert n_ran == 5
+        assert value == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("wells", [[0, 0], [0, 0, 2]],
+                             ids=["two", "three"])
+    def test_all_starts_run_up_to_three(self, wells):
+        value, n_ran = self.run(wells)
+        assert n_ran == len(wells)
+        assert value == pytest.approx(self.LEVELS[wells[-1]], abs=1e-9)
+
+
 # The squared exponential at nugget 0 is left out: the condition number of
 # its Gram matrix grows so fast with the length-scales (2e5 at the point
 # below, 7e7 at twice and 2e10 at four times its length-scales) that
@@ -238,6 +310,22 @@ class TestFitMle:
                          seed=2)
         assert result.converged
         assert result.objective_value <= -157.12
+
+    def test_third_start_guards_against_an_agreeing_local_optimum(self):
+        # Seed 109 of the desk morokoff inputs (150 training points, d=10,
+        # Matern 5/2, nugget 1e-4; experiment_split builds the benchmark's
+        # desk inputs).  Starts 0 and 1 both end at -687.97081, 0.183
+        # above the optimum -688.15422 that starts 2 to 4 reach: stopping
+        # once the first two agree would return the higher one.
+        train, _, _ = experiment_split("morokoff",
+                                       ExperimentScale(n=200, d=10), 109)
+        first = fit_mle(train, ORD, KernelFamily.MATERN52, nugget=1e-4,
+                        seed=109)
+        assert first.objective_value == pytest.approx(-688.1542189453094,
+                                                      abs=1e-6)
+        again = fit_mle(train, ORD, KernelFamily.MATERN52, nugget=1e-4,
+                        seed=109)
+        assert again.to_dict() == first.to_dict()
 
     def test_scale_equivariance(self):
         ds, _ = _simulated_dataset(3, n=60, nugget=0.0)

@@ -105,8 +105,8 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in >= self.n_samples:
-            raise InvalidParameterError("burn_in must be < n_samples")
+        if not 0 <= self.burn_in < self.n_samples:
+            raise InvalidParameterError("burn_in must lie in [0, n_samples)")
         if self.proposal_scale <= 0.0:
             raise InvalidParameterError("proposal_scale must be positive")
 
@@ -176,7 +176,10 @@ def _multistart_minimize(objective, x0_list, bounds):
     cannot be evaluated (a covariance that stays singular after jitter,
     overflow).  The optimizer then sees a finite penalty above every value
     met so far with a zero gradient, so its line search backs away instead
-    of stalling on inf.
+    of stalling on inf.  Each start's end value is read back from the
+    values kept per evaluated point (None where it failed, and the start is
+    skipped), not from ``res.fun``: after an abnormal line search that is
+    the last trial's value, while ``res.x`` is the iterate before it.
 
     After the third start and after each later one, the search stops when
     some other start already run ended within ``_AGREE_RTOL *
@@ -191,10 +194,12 @@ def _multistart_minimize(objective, x0_list, bounds):
     own verdict on the start that produced the best point.
     """
     worst = 0.0
+    values_at = {}     # point bytes -> value, None where it failed
 
     def penalized(u):
         nonlocal worst
         out = objective(u)
+        values_at[u.tobytes()] = None if out is None else out[0]
         if out is None:
             return 1e6 * max(1.0, worst), np.zeros_like(u)
         worst = max(worst, out[0])
@@ -207,9 +212,10 @@ def _multistart_minimize(objective, x0_list, bounds):
         res = optimize.minimize(penalized, x0, jac=True, method="L-BFGS-B",
                                 bounds=bounds)
         total_evals += res.nfev
-        out = objective(res.x)
-        if out is not None:
-            value = out[0]
+        # L-BFGS-B ends on a point it evaluated: the last one or, after an
+        # abnormal line search, the iterate before it.
+        value = values_at[res.x.tobytes()]
+        if value is not None:
             values.append(value)
             norm = float(np.linalg.norm(res.x))
             if best is None or value < best[0] or \
@@ -383,6 +389,8 @@ def random_walk_metropolis(log_target, x0: np.ndarray, n_steps: int,
     Returns the chain (n_steps x dim, including the start state) and the
     acceptance rate.
     """
+    if n_steps < 1:
+        raise InvalidParameterError("n_steps must be at least 1")
     x = np.asarray(x0, dtype=float).copy()
     dim = x.size
     chain = np.empty((n_steps, dim))

@@ -32,7 +32,7 @@ from .exceptions import (
     ShapeError,
 )
 from .kernels import KernelSpec, cross_covariance, gram_matrix
-from .stats import normal_quantile
+from .stats import check_level, normal_quantile
 
 __all__ = [
     "TrendKind",
@@ -300,10 +300,6 @@ class FittedGp:
     def beta_hat(self) -> np.ndarray:
         return self.gls.beta
 
-    @property
-    def chol_K(self) -> np.ndarray:
-        return self.gls.L
-
 
 def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec,
            sq_diffs: np.ndarray | None = None) -> FittedGp:
@@ -440,8 +436,7 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
     h3 requires k_eps < n*a for a > 1/2 and k_eps > n*a for a < 1/2.
     Pi itself is not formed: Pi_ii = sum_j W_ij^2 and Pi y = W (W' y).
     """
-    if not 0.0 < a < 1.0 or a == 0.5:
-        raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
+    check_level(a)
     n = dataset.n
     try:
         F = build_regression_matrix(dataset.X, trend)

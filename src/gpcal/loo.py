@@ -7,9 +7,16 @@ leave-one-out mean and variance through Kbar without refitting:
 
 so the standardized LOO residual is (Kbar y)_i / sqrt(Kbar_ii).  The
 quasi-Gaussian proportion psi_a counts how many of those residuals fall at
-or below the normal a-quantile; its delta-smoothed variant replaces the
-step with a width-delta ramp so the count becomes continuous in the
-hyperparameters.
+or below the normal a-quantile; its delta-smoothed variant psi_delta
+replaces the step with a width-delta ramp so the count becomes continuous
+in the hyperparameters.
+
+The ramp is written once (``_ramp_mean``): the mean over residuals z of
+clip((q - sign z) / delta, 0, 1).  For a > 1/2 psi_delta is that mean at
+q = q_a and sign +1, the paper's h_delta^+(q_a - z).  For a < 1/2 it uses
+the mirror identity h_delta^-(x) = 1 - h_delta^+(-x) with q_a = -q_{1-a}:
+psi_delta = 1 - (the mean at q = q_{1-a} and sign -1).  The calibration's
+amplitude search (``rpie``) reads the same mean in the same orientation.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 from .exceptions import InvalidParameterError
 from .gp import FittedGp, compute_kbar, projection_basis
 from .kernels import KernelSpec, gram_matrix
-from .stats import normal_quantile
+from .stats import check_level, normal_quantile
 
 __all__ = [
     "LooDiagnostics",
@@ -52,7 +59,7 @@ class SmoothingParams:
     """Ramp width for the smoothed quasi-Gaussian proportion.
 
     delta must stay below q_a (a > 1/2) or q_{1-a} (a < 1/2) so that the
-    ramp saturates at the quantile itself; the check runs at use sites.
+    ramp saturates at the quantile; ``validate_for`` checks both a and it.
     """
 
     delta: float = 1e-2
@@ -62,10 +69,8 @@ class SmoothingParams:
             raise InvalidParameterError("delta must be positive")
 
     def validate_for(self, a: float) -> None:
-        if a > 0.5:
-            limit = normal_quantile(a)
-        else:
-            limit = normal_quantile(1.0 - a)
+        check_level(a)
+        limit = normal_quantile(a if a > 0.5 else 1.0 - a)
         if self.delta >= limit:
             raise InvalidParameterError(
                 f"delta={self.delta} too large for quantile level a={a}: "
@@ -100,47 +105,35 @@ def loo_mse(model: FittedGp) -> float:
     return float(np.mean((ky / diag) ** 2))
 
 
-def _heaviside(x: np.ndarray) -> np.ndarray:
-    # h(0) = 1 by convention: the indicator of {x >= 0}.
-    return (x >= 0.0).astype(float)
+def _ramp_mean(z: np.ndarray, q: float, sign: float, delta: float):
+    """Mean over the last axis of z of clip((q - sign z) / delta, 0, 1).
 
-
-def _ramp_upper(x: np.ndarray, delta: float) -> np.ndarray:
-    """h_delta^+ : 0 below 0, linear ramp on (0, delta], 1 above delta."""
-    return np.where(x > delta, 1.0, np.where(x > 0.0, x / delta, 0.0))
-
-
-def _ramp_lower(x: np.ndarray, delta: float) -> np.ndarray:
-    """h_delta^- : 1 at or above 0, ramp on [-delta, 0), 0 below -delta."""
-    return np.where(x >= 0.0, 1.0,
-                    np.where(x >= -delta, 1.0 + x / delta, 0.0))
+    q, sign and delta come checked and computed by the caller; clipping in
+    place keeps this hot call of the amplitude search to two temporaries.
+    """
+    x = (q - sign * z) / delta
+    np.clip(x, 0.0, 1.0, out=x)
+    return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
 def psi_from_residuals(std_resid: np.ndarray, a: float) -> float:
-    """Raw quasi-Gaussian proportion from standardized LOO residuals."""
-    if not 0.0 < a < 1.0 or a == 0.5:
-        raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
-    q_a = normal_quantile(a)
-    return float(np.mean(_heaviside(q_a - std_resid)))
+    """Raw quasi-Gaussian proportion: the share of standardized LOO
+    residuals at or below q_a."""
+    check_level(a)
+    return float(np.mean(np.asarray(std_resid) <= normal_quantile(a)))
 
 
 def psi_smoothed_from_residuals(std_resid: np.ndarray, a: float,
                                 params: SmoothingParams) -> float:
-    """Smoothed quasi-Gaussian proportion psi_delta.
-
-    Uses the upper ramp h_delta^+ for a > 1/2 and the lower ramp h_delta^-
-    for a < 1/2, matching the side of the quantile being pinned.
-    """
-    if not 0.0 < a < 1.0 or a == 0.5:
-        raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
+    """Smoothed quasi-Gaussian proportion psi_delta: the ramp mean at q_a
+    for a > 1/2, and its mirror 1 - (the ramp mean at q_{1-a} of -z) for
+    a < 1/2."""
     params.validate_for(a)
-    q_a = normal_quantile(a)
-    arg = q_a - std_resid
+    z = np.asarray(std_resid, dtype=float)
     if a > 0.5:
-        vals = _ramp_upper(arg, params.delta)
-    else:
-        vals = _ramp_lower(arg, params.delta)
-    return float(np.mean(vals))
+        return float(_ramp_mean(z, normal_quantile(a), 1.0, params.delta))
+    return 1.0 - float(_ramp_mean(z, normal_quantile(1.0 - a), -1.0,
+                                  params.delta))
 
 
 def quasi_gaussian(model: FittedGp, a: float) -> float:
@@ -229,8 +222,3 @@ class SigmaScanBasis:
         a scalar, and (G, n) with row g at sigma2s[g] for G amplitudes."""
         kdiag = (1.0 / self._scales(sigma2s)) @ self.V2.T
         return self.kbar_y(sigma2s) / np.sqrt(kdiag)
-
-    def psi_smoothed(self, sigma2: float, a: float,
-                     params: SmoothingParams) -> float:
-        return psi_smoothed_from_residuals(self.std_residuals(sigma2), a,
-                                           params)

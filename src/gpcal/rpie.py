@@ -31,7 +31,7 @@ positive nugget each lambda builds the eigenbasis of W' R W
 (``SigmaScanBasis``), from which a batch of amplitudes costs two matrix
 products, and the law reads its mean from that basis.
 
-The amplitude scan evaluates psi_delta over the ``sigma_scan`` grid in
+The amplitude scan evaluates psi_delta over the ``_SIGMA_SCAN`` grid in
 batches of amplitudes and bisects the first crossing down to adjacent
 doubles.  It returns the crossing's left end: the smallest amplitude at
 which psi_delta - a is zero or has left the strict sign it has at the
@@ -79,8 +79,8 @@ from .gp import (
     solve_gls,
 )
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
-from .loo import SigmaScanBasis, SmoothingParams, virtual_loo, \
-    psi_from_residuals, psi_smoothed_from_residuals
+from .loo import SigmaScanBasis, SmoothingParams, _ramp_mean, \
+    psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
 from .stats import normal_quantile
 
 __all__ = [
@@ -137,19 +137,20 @@ class GridSpec:
                                    self.count)
 
 
+# Amplitude scan grid, relative to var(y) (1 when y is constant).
+_SIGMA_SCAN = GridSpec(1e-8, 1e8, 200)
+
+
 @dataclass(frozen=True)
 class RpieConfig:
     """Calibration controls.
 
-    lambda_grid spans the common length-scale factor; sigma_scan spans the
-    amplitude bracketing grid relative to var(y).
+    lambda_grid spans the common length-scale factor.
     """
 
     delta: SmoothingParams = field(default_factory=SmoothingParams)
     lambda_grid: GridSpec = field(
         default_factory=lambda: GridSpec(1e-2, 1e2, 60))
-    sigma_scan: GridSpec = field(
-        default_factory=lambda: GridSpec(1e-8, 1e8, 200))
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,9 @@ class RpieSolution:
     """One calibrated quantile-side model.
 
     psi_achieved is the smoothed proportion at the solution (equal to the
-    target up to root-finding tolerance); psi_raw is the step-function
+    target up to root-finding tolerance), scored in the orientation the
+    root is solved in: 1 - psi_{1-a}(-z) for a lower bound (a < 1/2), as
+    ``loo.psi_smoothed_from_residuals`` does; psi_raw is the step-function
     count, which sits within about half an in-band residual of the target.
     Both are recomputed from the final model (``fit_gp``, then
     ``virtual_loo``), independently of the state the root was found on.
@@ -315,7 +318,7 @@ class _Calibration:
         self.W = projection_basis(self.F)
         self.h0 = scaled_distances(dataset.X, dataset.X, self.theta0)
         v = float(np.var(dataset.y))
-        grid = config.sigma_scan.points(scale=v if v > 0.0 else 1.0)
+        grid = _SIGMA_SCAN.points(scale=v if v > 0.0 else 1.0)
         parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
             else [grid]
         # The amplitude scan in ascending batches: the grid, then its
@@ -430,8 +433,8 @@ class _Side:
 
     A lower bound (a < 1/2) is evaluated in the upper orientation,
     psi_a(z) = 1 - psi_{1-a}(-z), so that negating y swaps the two sides
-    bit for bit.  The smoothing width and q_a are checked and computed once
-    here.
+    bit for bit.  The level, the smoothing width and q are checked and
+    computed once here.
     """
 
     def __init__(self, cal: _Calibration, a: float):
@@ -448,14 +451,9 @@ class _Side:
 
     def excess(self, z: np.ndarray):
         """psi_delta - a along the last axis of z, in the upper
-        orientation (so of opposite sign for a lower bound).
-
-        The ramp clip(x / delta, 0, 1) equals ``loo._ramp_upper`` bit for
-        bit; clipping in place keeps this hot call to two temporaries.
-        """
-        x = (self.q - self.sign * z) / self.delta
-        np.clip(x, 0.0, 1.0, out=x)
-        return np.add.reduce(x, axis=-1) / x.shape[-1] - self.level
+        orientation (so of opposite sign for a lower bound): the ramp mean
+        of ``loo.psi_smoothed_from_residuals`` minus its level."""
+        return _ramp_mean(z, self.q, self.sign, self.delta) - self.level
 
     def sigma_opt_at(self, lam: float) -> float | None:
         """Left end of the first crossing of psi_delta = a on the scan

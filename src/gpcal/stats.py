@@ -8,7 +8,16 @@ algorithm), which is accurate to full double precision -- far inside the
 import numpy as np
 from scipy import special
 
-__all__ = ["normal_quantile", "normal_cdf"]
+from .exceptions import InvalidParameterError
+
+__all__ = ["check_level", "normal_quantile", "normal_cdf"]
+
+
+def check_level(a: float) -> None:
+    """Reject a quantile level a outside (0, 1) or equal to 1/2, where no
+    one-sided interval bound exists."""
+    if not 0.0 < a < 1.0 or a == 0.5:
+        raise InvalidParameterError("a must lie in (0,1) and differ from 1/2")
 
 
 def normal_quantile(a):

@@ -203,6 +203,42 @@ class TestMultistartStopping:
         assert n_ran == len(wells)
         assert value == pytest.approx(self.LEVELS[wells[-1]], abs=1e-9)
 
+    @pytest.mark.parametrize("wells", [[2, 3, 2, 4, 4], [0, 1, 3, 5, 2]],
+                             ids=["stopped", "all"])
+    def test_objective_sees_exactly_n_evals_calls(self, wells):
+        # A start's end value is the optimizer's own: no start evaluates
+        # its end point again.
+        objective, centres = _wells(self.LEVELS)
+        calls = []
+
+        def recording(u):
+            calls.append(u)
+            return objective(u)
+
+        starts = [np.array([centres[k] + 0.3 + 0.1 * i])
+                  for i, k in enumerate(wells)]
+        _, _, n_evals, _ = _multistart_minimize(recording, starts,
+                                                self.BOUNDS)
+        assert len(calls) == n_evals
+
+    def test_start_ending_on_a_failed_point_is_skipped(self):
+        # The first start sits where the criterion cannot be evaluated:
+        # its zero penalty gradient ends it there, and it is skipped
+        # without a further call.
+        objective, centres = _wells(self.LEVELS)
+        calls = []
+
+        def failing(u):
+            calls.append(u)
+            return None if u[0] > 20.0 else objective(u)
+
+        value, u, n_evals, _ = _multistart_minimize(
+            failing, [np.array([25.0]), np.array([centres[2] + 0.3])],
+            self.BOUNDS)
+        assert value == pytest.approx(-1.0, abs=1e-9)
+        assert u[0] == pytest.approx(centres[2], abs=1e-4)
+        assert len(calls) == n_evals
+
 
 # The squared exponential at nugget 0 is left out: the condition number of
 # its Gram matrix grows so fast with the length-scales (2e5 at the point
@@ -420,6 +456,11 @@ class TestRandomWalkMetropolis:
         assert abs(np.quantile(samples, 0.975) - 1.96) <= 0.15
         assert abs(np.quantile(samples, 0.025) + 1.96) <= 0.15
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            random_walk_metropolis(lambda x: 0.0, np.zeros(1), 0, 1.0,
+                                   np.random.default_rng(0))
+
 
 class TestBayesPredictive:
     def test_config_validation(self):
@@ -427,6 +468,11 @@ class TestBayesPredictive:
             McmcConfig(n_samples=100, burn_in=100)
         with pytest.raises(InvalidParameterError):
             McmcConfig(proposal_scale=0.0)
+
+    def test_negative_burn_in_rejected(self):
+        # burn_in = -3 would keep only the last 3 states of the chain.
+        with pytest.raises(InvalidParameterError):
+            McmcConfig(n_samples=100, burn_in=-3)
 
     def test_single_retained_sample_degenerates(self, rng):
         ds = random_dataset(rng, n=10, d=1)

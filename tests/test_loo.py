@@ -281,6 +281,6 @@ class TestSigmaScanBasis:
             basis = SigmaScanBasis(ds.X, ds.y, F, KernelFamily.MATERN32,
                                    theta, 0.05)
             grid = np.var(ds.y) * np.logspace(-8, 8, 200)
-            vals = np.array([basis.psi_smoothed(s, 0.95, params)
-                             for s in grid]) - 0.95
+            vals = np.array([psi_smoothed_from_residuals(
+                basis.std_residuals(s), 0.95, params) for s in grid]) - 0.95
             assert np.any(vals[:-1] * vals[1:] <= 0.0)

@@ -12,13 +12,15 @@ from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import CalibrationInfeasibleError, \
-    IllConditionedError, InvalidMatrixError
+    IllConditionedError, InvalidMatrixError, InvalidParameterError
 from gpcal.gp import build_regression_matrix, factor_covariance, fit_gp, \
     prediction_interval, solve_gls
-from gpcal.loo import SigmaScanBasis, _ramp_upper, virtual_loo
+from gpcal.loo import SigmaScanBasis, SmoothingParams, \
+    psi_smoothed_from_residuals, virtual_loo
 from gpcal.rpie import (
     _GOLDEN,
     _LOG_LAMBDA_TOL,
+    _SIGMA_SCAN,
     _Calibration,
     _LambdaState,
     _Side,
@@ -34,13 +36,13 @@ from gpcal.rpie import (
     sqrtm_psd,
     wasserstein2_gaussians,
 )
+from gpcal.stats import normal_quantile
 
 from conftest import random_dataset
 
 ORD = TrendSpec.from_string("ordinary")
 
-FAST = RpieConfig(lambda_grid=GridSpec(1e-1, 1e1, 25),
-                  sigma_scan=GridSpec(1e-8, 1e8, 120))
+FAST = RpieConfig(lambda_grid=GridSpec(1e-1, 1e1, 25))
 
 
 def _reference(kernel):
@@ -77,7 +79,8 @@ class TestSigmaOpt:
             F = build_regression_matrix(ds.X, ORD)
             basis = SigmaScanBasis(ds.X, ds.y, F, KernelFamily.MATERN52,
                                    theta, 0.02)
-            assert basis.psi_smoothed(s2, a, config.delta) == \
+            assert psi_smoothed_from_residuals(
+                basis.std_residuals(s2), a, config.delta) == \
                 pytest.approx(a, abs=1e-6)
 
     def test_absent_for_degenerate_residuals(self, rng):
@@ -103,7 +106,8 @@ class TestSigmaOpt:
         F = build_regression_matrix(ds.X, ORD)
         basis = SigmaScanBasis(ds.X, ds.y, F, KernelFamily.MATERN52,
                                theta, 1e-4)
-        assert basis.psi_smoothed(s2, 0.95, config.delta) == \
+        assert psi_smoothed_from_residuals(
+            basis.std_residuals(s2), 0.95, config.delta) == \
             pytest.approx(0.95, abs=1e-6)
 
     @pytest.mark.parametrize("a", [0.95, 0.05])
@@ -121,9 +125,10 @@ class TestSigmaOpt:
                                1e-4)
 
         def g(s):
-            return basis.psi_smoothed(s, a, config.delta) - a
+            return psi_smoothed_from_residuals(
+                basis.std_residuals(s), a, config.delta) - a
 
-        initial = np.sign(g(config.sigma_scan.points(np.var(ds.y))[0]))
+        initial = np.sign(g(_SIGMA_SCAN.points(np.var(ds.y))[0]))
         assert initial != 0.0
         assert abs(g(s2)) <= 1e-12
         assert np.sign(g(s2 * (1.0 - 1e-9))) == initial
@@ -139,7 +144,7 @@ class TestSigmaOpt:
         rows = np.vstack([state.residuals(k)
                           for k in range(len(cal.batches))])
         assert rows.shape == (amps.size, ds.n)
-        assert amps.size > RpieConfig().sigma_scan.count
+        assert amps.size > _SIGMA_SCAN.count
         assert np.all(np.diff(amps) > 0.0)
         for s2, row in zip(amps, rows):
             z = state.basis.std_residuals(s2)
@@ -157,33 +162,86 @@ class TestSigmaOpt:
         F = build_regression_matrix(ds.X, ORD)
         basis = SigmaScanBasis(ds.X, ds.y, F, KernelFamily.MATERN32,
                                theta, 0.05)
-        grid = np.var(ds.y) * np.logspace(-8, 8, config.sigma_scan.count)
+        grid = np.var(ds.y) * np.logspace(-8, 8, _SIGMA_SCAN.count)
         below = grid[grid < s2 * (1 - 1e-9)]
-        vals = np.array([basis.psi_smoothed(s, a, config.delta)
-                         for s in below])
+        vals = np.array([psi_smoothed_from_residuals(
+            basis.std_residuals(s), a, config.delta) for s in below])
         assert np.all(np.abs(vals - a) > 1e-6)
 
 
+def _h_upper(x, delta):
+    """The paper's h_delta^+: 0 at or below 0, x / delta on (0, delta],
+    1 above delta."""
+    return np.where(x > delta, 1.0, np.where(x > 0.0, x / delta, 0.0))
+
+
+def _h_lower(x, delta):
+    """The paper's h_delta^-: 1 at or above 0, 1 + x / delta on
+    [-delta, 0), 0 below -delta."""
+    return np.where(x >= 0.0, 1.0,
+                    np.where(x >= -delta, 1.0 + x / delta, 0.0))
+
+
 class TestExcess:
+    """The amplitude search's excess and the public psi_delta read one
+    ramp; both match the paper's piecewise ramps at q_a, h_delta^+ for an
+    upper bound and h_delta^- for a lower one.  The upper side matches bit
+    for bit.  The lower side is scored at -q_{1-a}, which differs from q_a
+    in the last bits, and through 1 - mean, so it matches to 1e-13: a
+    residual on the ramp's edge moves its term by |q_a + q_{1-a}| / delta,
+    about 7e-14 at a = 0.05."""
+
     @pytest.mark.parametrize("a", [0.95, 0.05])
-    def test_matches_mean_of_ramp_bit_for_bit(self, a, rng):
+    def test_matches_paper_ramps(self, a, rng):
         n = 40
         ds = random_dataset(rng, n=n, d=2)
         side = _Side(_Calibration(ds, ORD, KernelFamily.MATERN52, 1e-4,
                                   np.array([0.5, 0.5]), FAST), a)
         q, sign, delta = side.q, side.sign, side.delta
+        params = SmoothingParams(delta)
         z = rng.standard_normal((64, n)) * 2.0
         # residuals on the ramp's edges and inside its band
         z[:, 0] = sign * q
         z[:, 1] = sign * (q - delta)
         z[:, 2] = sign * (q - 0.5 * delta)
         z[::2, 3] = sign * q
+        ramp = _h_upper if a > 0.5 else _h_lower
         for zz in (z, z[5], z[:, :1]):
-            want = np.mean(_ramp_upper(q - sign * zz, delta), axis=-1) \
-                - side.level
+            psi = np.mean(ramp(normal_quantile(a) - zz, delta), axis=-1)
             got = side.excess(zz)
-            assert np.shape(got) == np.shape(want)
-            np.testing.assert_array_equal(got, want)
+            public = np.array([psi_smoothed_from_residuals(row, a, params)
+                               for row in np.atleast_2d(zz)])
+            assert np.shape(got) == np.shape(psi)
+            if a > 0.5:
+                np.testing.assert_array_equal(got, psi - a)
+                np.testing.assert_array_equal(public, np.atleast_1d(psi))
+            else:
+                np.testing.assert_allclose(got, a - psi, rtol=0, atol=1e-13)
+                np.testing.assert_allclose(public, np.atleast_1d(psi),
+                                           rtol=0, atol=1e-13)
+
+
+class TestBadLevel:
+    """A quantile level outside (0, 1), or equal to 1/2, is rejected by
+    every entry point of the amplitude search with the level check's
+    InvalidParameterError."""
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 1.5, 0.5])
+    @pytest.mark.parametrize("entry", ["sigma_opt", "relaxation_objective",
+                                       "calibrate_quantile"])
+    def test_rejected(self, entry, a):
+        ds = _misspecified_dataset(5, n=20)
+        theta, family = np.array([0.5, 0.5]), KernelFamily.MATERN52
+        calls = {
+            "sigma_opt": lambda: sigma_opt(
+                ds, ORD, family, theta, 1e-4, a, FAST),
+            "relaxation_objective": lambda: relaxation_objective(
+                ds, ORD, family, 1e-4, theta, 0.05, 1.0, a, FAST),
+            "calibrate_quantile": lambda: calibrate_quantile(
+                ds, ORD, family, 1e-4, theta, 0.05, a, FAST),
+        }
+        with pytest.raises(InvalidParameterError, match="differ from 1/2"):
+            calls[entry]()
 
 
 class TestWasserstein:
@@ -307,7 +365,7 @@ class TestCalibrateQuantile:
         sol = calibrate_quantile(ds, ORD, KernelFamily.MATERN52, 1e-4,
                                  np.array([0.5, 0.5]), 0.04, 0.95, FAST)
         model = fit_gp(ds, sol.kernel, ORD)
-        expected = solve_gls(model.F, model.chol_K, ds.y).beta
+        expected = solve_gls(model.F, model.gls.L, ds.y).beta
         np.testing.assert_allclose(sol.beta_opt, expected, rtol=1e-10)
 
     def test_single_point_grid(self):
@@ -764,8 +822,7 @@ class TestNoNuggetCase:
                           np.array([0.4, 0.4]), nugget=0.0)
         y = sample_gp_response(X, spec, local)
         ds = Dataset(X=X, y=y)
-        config = RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, 30),
-                            sigma_scan=GridSpec(1e-8, 1e8, 120))
+        config = RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, 30))
         sol = calibrate_quantile(ds, ORD, KernelFamily.EXPONENTIAL, 0.0,
                                  spec.theta, spec.sigma2, 0.95, config)
         assert sol.psi_achieved == pytest.approx(0.95, abs=1e-6)

@@ -3,7 +3,9 @@
 Every imported name is used or re-exported through ``__all__``, and every
 private module-level function or class and every private method is
 referenced somewhere in the package outside its own definition, so that a
-deletion leaves no orphan behind.
+deletion leaves no orphan behind.  Every public one is either listed in an
+``__all__`` or referenced from the package, the benchmark (``perfbench``)
+or the demos: code that only the tests call does not belong in the package.
 """
 
 import ast
@@ -12,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gpcal"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gpcal"
 MODULES = sorted(SRC.glob("*.py"))
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) \
+    + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _tree(path):
@@ -54,18 +59,29 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree) -> list:
-    """Private module-level functions and classes, and private methods of
-    module-level classes."""
+def _definitions(tree, keep) -> list:
+    """Module-level functions and classes, and methods of module-level
+    classes, whose names pass keep."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
-        if isinstance(node, defs) and _private(node.name):
+        if isinstance(node, defs) and keep(node.name):
             out.append(node)
         if isinstance(node, ast.ClassDef):
             out += [m for m in node.body
-                    if isinstance(m, defs[:2]) and _private(m.name)]
+                    if isinstance(m, defs[:2]) and keep(m.name)]
     return out
+
+
+def _references(trees) -> Counter:
+    """Identifiers read in trees, names imported from a module included."""
+    refs = Counter()
+    for tree in trees:
+        refs += _names(tree)
+        refs += Counter(a.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        for a in node.names)
+    return refs
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -80,15 +96,21 @@ def test_imports_are_used(path):
 
 def test_private_definitions_are_referenced():
     trees = {path.name: _tree(path) for path in MODULES}
-    refs = Counter()
-    for tree in trees.values():
-        refs += _names(tree)
-        # a private name imported by another module counts as a reference
-        refs += Counter(a.name for node in ast.walk(tree)
-                        if isinstance(node, ast.ImportFrom)
-                        for a in node.names)
+    refs = _references(trees.values())
     orphans = [f"{name}: {node.name}"
                for name, tree in trees.items()
-               for node in _private_definitions(tree)
+               for node in _definitions(tree, _private)
                if refs[node.name] <= _names(node)[node.name]]
     assert not orphans, f"unreferenced private definitions: {orphans}"
+
+
+def test_public_definitions_are_exported_or_used():
+    trees = {path.name: _tree(path) for path in MODULES}
+    refs = _references([*trees.values(), *map(_tree, CALLERS)])
+    exported = set().union(*map(_dunder_all, trees.values()))
+    unused = [f"{name}: {node.name}"
+              for name, tree in trees.items()
+              for node in _definitions(tree, lambda n: not n.startswith("_"))
+              if node.name not in exported
+              and refs[node.name] <= _names(node)[node.name]]
+    assert not unused, f"public definitions only tests use: {unused}"

@@ -190,11 +190,22 @@ def _nugget_type(text):
             v = float(text[len("fixed:"):])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad nugget value: {text!r}")
-        if v < 0.0:
-            raise argparse.ArgumentTypeError("nugget must be >= 0")
+        if not 0.0 <= v < math.inf:
+            raise argparse.ArgumentTypeError(
+                "nugget must be finite and >= 0")
         return ("fixed", v)
     raise argparse.ArgumentTypeError(
         "nugget must be 'fixed:<value>' or 'joint'")
+
+
+def _seed_type(text):
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if v < 0:
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return v
 
 
 def _lambda_grid_type(text):
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--nugget", type=_nugget_type,
                        default=("fixed", 0.0),
                        help="'fixed:<value>' (original units) or 'joint'")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_seed_type, default=0)
     p_fit.add_argument("--no-standardize", dest="standardize",
                        action="store_false",
                        help="fit on raw columns instead of z-scores")

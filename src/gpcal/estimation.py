@@ -19,6 +19,8 @@ hyperparameters into the predictive law.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,13 @@ class McmcConfig:
             raise InvalidParameterError("burn_in must lie in [0, n_samples)")
         if self.proposal_scale <= 0.0:
             raise InvalidParameterError("proposal_scale must be positive")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """Reject a random seed that is not an integer >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidParameterError("seed must be an integer >= 0")
 
 
 def _data_scales(dataset: Dataset) -> tuple:
@@ -291,7 +300,13 @@ def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
                 criterion, n_starts, seed, sigma2=None):
     """Multi-start fit of the criterion over log theta, log sigma2 (unless
     the amplitude is fixed at ``sigma2``) and, when estimated, the log
-    nugget.  Returns (kernel, value, n_evals, converged)."""
+    nugget.  Returns (kernel, value, n_evals, converged).  The arguments
+    are checked before any start runs."""
+    if not (isinstance(n_starts, numbers.Integral) and n_starts >= 1):
+        raise InvalidParameterError("n_starts must be an integer >= 1")
+    _check_seed(seed)
+    if not 0.0 <= nugget < math.inf:
+        raise InvalidParameterError("nugget must be finite and >= 0")
     if dataset.n < 2:
         raise EstimationFailureError("insufficient data: need n >= 2")
     spans, v = _data_scales(dataset)

@@ -8,9 +8,11 @@ law over the training design is closest, in 2-Wasserstein distance, to the
 reference law.  A two-sided interval uses two such one-sided models, one per
 bound.
 
-One state serves a whole calibration, both bounds included.  It holds the
-regression matrix F, the residual basis W, the reference law (that of the
-reference fit) and the scaled distances h0 = h(theta0).  Since lambda
+One state serves a whole calibration, both bounds included.  It is built
+on the reference fit (a ``FittedGp`` at theta0 and the reference amplitude),
+which supplies the design, the trend and its regression matrix F, the
+kernel family, the nugget and the reference law; the state adds the
+residual basis W and the scaled distances h0 = h(theta0).  Since lambda
 scales every length-scale together, the unit Gram matrix at lambda is
 R(lambda) = r(h0 / lambda).  Each lambda builds R and one state from it
 (``_LambdaState``); the amplitude scan and the W2 law K = sigma2 R +
@@ -51,6 +53,7 @@ stop moves W2 by well under 1e-6 relative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,18 +62,14 @@ from .blas import single_threaded_blas
 from .estimation import EstimationResult
 from .exceptions import (
     CalibrationInfeasibleError,
-    IllConditionedError,
     InvalidMatrixError,
     InvalidParameterError,
-    ShapeError,
 )
 from .gp import (
     Dataset,
     FittedGp,
     TrendSpec,
-    _has_duplicate_rows,
     _kbar,
-    build_regression_matrix,
     check_hypotheses,
     factor_covariance,
     fit_gp,
@@ -113,22 +112,26 @@ _SCAN_CHUNK = 64
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strictly increasing log-spaced grid; a single-point grid degenerates
-    to its (lo == hi) value."""
+    """Strictly increasing log-spaced grid with finite bounds and an
+    integer count (numpy integers included); a single-point grid
+    degenerates to its (lo == hi) value."""
 
     lo: float
     hi: float
     count: int
 
     def __post_init__(self):
+        if not isinstance(self.count, numbers.Integral):
+            raise InvalidParameterError("grid count must be an integer")
         if self.count < 1:
             raise InvalidParameterError("grid needs at least 1 point")
         if self.count == 1:
-            if not (0.0 < self.lo and self.lo == self.hi):
+            if not (0.0 < self.lo < math.inf and self.lo == self.hi):
                 raise InvalidParameterError(
-                    "a single-point grid needs lo == hi > 0")
-        elif not (0.0 < self.lo < self.hi):
-            raise InvalidParameterError("grid must satisfy 0 < lo < hi")
+                    "a single-point grid needs lo == hi, finite and > 0")
+        elif not (0.0 < self.lo < self.hi < math.inf):
+            raise InvalidParameterError(
+                "grid must satisfy 0 < lo < hi < inf")
 
     def points(self, scale: float = 1.0) -> np.ndarray:
         if self.count == 1:
@@ -288,36 +291,25 @@ class _Calibration:
     """State shared by every lambda and both sides of one calibration.
 
     ``at(lam)`` returns the per-lambda state, rebuilt only when lam
-    changes.  Given the reference amplitude sigma2_0, the reference law is
-    the reference fit (K0 = ``fit_gp(...).K``, m0 = F beta), with
-    S0 = K0^{1/2} and Tr K0.  ``objective`` is one formula for both state
-    forms, each supplying the mean m and root = Tr (S0 K S0)^{1/2}:
+    changes.  The reference fit ``ref`` supplies the design, the trend, F,
+    the kernel family, the nugget and theta0, all its shape and design
+    checks done by ``fit_gp``.  Its law is the reference law: K0 = ref.K
+    and m0 = F beta, with S0 = K0^{1/2} and Tr K0.  ``objective`` is one
+    formula for both state forms, each supplying the mean m and
+    root = Tr (S0 K S0)^{1/2}:
 
         W2 = max(||m - m0||^2 + Tr K0 + sigma2 Tr R + n nugget - 2 root, 0)
     """
 
-    def __init__(self, dataset: Dataset, trend: TrendSpec,
-                 family: KernelFamily, nugget: float, theta0,
-                 config: RpieConfig, sigma2_0: float | None = None):
-        ref = KernelSpec(family=family, theta=theta0, nugget=nugget,
-                         sigma2=1.0 if sigma2_0 is None else sigma2_0)
-        if ref.dim != dataset.d:
-            raise ShapeError(
-                f"theta has {ref.dim} entries but design has {dataset.d} "
-                "columns")
-        if ref.nugget == 0.0 and _has_duplicate_rows(dataset.X):
-            raise IllConditionedError(
-                "duplicated design rows with zero nugget make K singular")
-        self.dataset = dataset
-        self.trend = trend
-        self.family = family
-        self.nugget = ref.nugget
-        self.theta0 = ref.theta
+    def __init__(self, ref: FittedGp, config: RpieConfig):
+        self.ref = ref
         self.config = config
-        self.F = build_regression_matrix(dataset.X, trend)
+        self.nugget = ref.kernel.nugget
+        self.F = ref.F
         self.W = projection_basis(self.F)
-        self.h0 = scaled_distances(dataset.X, dataset.X, self.theta0)
-        v = float(np.var(dataset.y))
+        X, y = ref.dataset.X, ref.dataset.y
+        self.h0 = scaled_distances(X, X, ref.kernel.theta)
+        v = float(np.var(y))
         grid = _SIGMA_SCAN.points(scale=v if v > 0.0 else 1.0)
         parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
             else [grid]
@@ -326,16 +318,13 @@ class _Calibration:
         self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
                         for i in range(0, part.size, _SCAN_CHUNK)]
         self._state = None
-        self.K0 = self.S0 = None
-        if sigma2_0 is not None:
-            model = fit_gp(dataset, ref, trend)
-            self.K0, self.m0 = model.K, self.F @ model.beta_hat
-            self.S0 = sqrtm_psd(self.K0)
-            self.tr_K0 = float(np.trace(self.K0))
+        self.m0 = self.F @ ref.beta_hat
+        self.S0 = sqrtm_psd(ref.K)
+        self.tr_K0 = float(np.trace(ref.K))
 
     def gram(self, lam: float) -> np.ndarray:
         """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
-        return correlation(self.family, self.h0 / lam)
+        return correlation(self.ref.kernel.family, self.h0 / lam)
 
     def at(self, lam: float) -> "_LambdaState":
         if self._state is None or self._state.lam != lam:
@@ -349,7 +338,7 @@ class _Calibration:
         state = self.at(lam)
         dm = state.mean(sigma2) - self.m0
         val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
-                    + self.dataset.n * self.nugget
+                    + self.ref.n * self.nugget
                     - 2.0 * state.root(sigma2))
         return max(val, 0.0)
 
@@ -380,7 +369,8 @@ class _LambdaState:
         self.R = cal.gram(lam)
         self._batches = cal.batches
         self._residuals = {}
-        self._y, self._nugget, self._K0 = cal.dataset.y, cal.nugget, cal.K0
+        self._y, self._nugget, self._K0 = cal.ref.dataset.y, cal.nugget, \
+            cal.ref.K
         if cal.nugget > 0.0:
             self.basis = SigmaScanBasis.from_gram(self.R, cal.W, self._y,
                                                   cal.nugget)
@@ -392,10 +382,9 @@ class _LambdaState:
             self.z1 = (kbar @ self._y) / np.sqrt(np.diag(kbar))
             self.m1 = cal.F @ gls.beta
         self.tr_R = float(np.trace(self.R))
-        if cal.S0 is not None:
-            self.A = (cal.S0 @ self.R) @ cal.S0
-            if self.basis is None:
-                self.t1 = _trace_root(self.A)
+        self.A = (cal.S0 @ self.R) @ cal.S0
+        if self.basis is None:
+            self.t1 = _trace_root(self.A)
 
     def mean(self, sigma2: float) -> np.ndarray:
         """GLS mean F beta of the law at amplitude sigma2."""
@@ -515,12 +504,9 @@ class _Side:
         """
         lambdas, objs = self.lambdas, self.objs
         if not np.any(np.isfinite(objs)):
-            cal = self.cal
-            report = check_hypotheses(
-                cal.dataset, cal.trend,
-                KernelSpec(family=cal.family, sigma2=1.0, theta=cal.theta0,
-                           nugget=cal.nugget),
-                self.a)
+            ref = self.cal.ref
+            report = check_hypotheses(ref.dataset, ref.trend, ref.kernel,
+                                      self.a)
             raise CalibrationInfeasibleError(
                 f"no lambda on the grid admits psi_delta = {self.a}: "
                 f"k_eps={report.k_eps}, n*a={report.n_times_a:.2f}",
@@ -567,16 +553,14 @@ class _Side:
                            sigma2_opts=self.s2s)
 
 
-def _solution(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-              nugget: float, theta0: np.ndarray, delta: SmoothingParams,
-              a: float, best: tuple, trace: LambdaTrace) -> tuple:
-    """The RpieSolution at best = (lambda*, sigma2_opt, W2) and the
-    FittedGp it was read from."""
+def _solution(ref: FittedGp, delta: SmoothingParams, a: float, best: tuple,
+              trace: LambdaTrace) -> tuple:
+    """The RpieSolution at best = (lambda*, sigma2_opt, W2) on the
+    reference fit ref, and the FittedGp it was read from."""
     lam, s2, obj = best
-    theta0 = np.asarray(theta0, dtype=float)
-    kernel = KernelSpec(family=family, sigma2=s2, theta=lam * theta0,
-                        nugget=nugget)
-    model = fit_gp(dataset, kernel, trend)
+    theta0 = ref.kernel.theta
+    kernel = ref.kernel.with_(sigma2=s2, theta=lam * theta0)
+    model = fit_gp(ref.dataset, kernel, ref.trend)
     z = virtual_loo(model).std_resid
     return RpieSolution(
         lambda_star=lam,
@@ -592,18 +576,16 @@ def _solution(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     ), model
 
 
-def _search(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-            nugget: float, theta0, sigma2_0: float, levels: tuple,
-            config: RpieConfig) -> list:
-    """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a.
+def _search(ref: FittedGp, levels: tuple, config: RpieConfig) -> list:
+    """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a,
+    calibrated on the reference fit ref.
 
     One calibration state serves every level: the lambda grid is walked
     once, each grid lambda's Gram matrix and per-lambda state serving all
     levels, then each level is refined by golden section.  The state is
-    released on return, before any final fit.
+    released on return, before any final fit; ref itself is the caller's.
     """
-    cal = _Calibration(dataset, trend, family, nugget, theta0, config,
-                       sigma2_0)
+    cal = _Calibration(ref, config)
     sides = [_Side(cal, a) for a in levels]
     for i in range(config.lambda_grid.count):
         for side in sides:
@@ -616,16 +598,17 @@ def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               config: RpieConfig) -> float | None:
     """Smallest amplitude at which psi_delta(sigma2, theta) equals a.
 
-    The scan grid is searched in batches for the first crossing, which is
-    bisected down to adjacent doubles; the left end of the crossing is
-    returned, so a plateau psi_delta = a (n * a an integer) yields its
-    smallest point.  With a positive nugget the scan continues past the top
-    of the grid when the grid itself has no crossing.  Absence (no crossing
-    anywhere) is a value, not an error; it arises in the no-nugget case for
-    extreme length-scales.
+    The search runs on a reference fit at theta and unit amplitude, whose
+    law it does not read.  The scan grid is searched in batches for the
+    first crossing, which is bisected down to adjacent doubles; the left
+    end of the crossing is returned, so a plateau psi_delta = a (n * a an
+    integer) yields its smallest point.  With a positive nugget the scan
+    continues past the top of the grid when the grid itself has no
+    crossing.  Absence (no crossing anywhere) is a value, not an error; it
+    arises in the no-nugget case for extreme length-scales.
     """
-    cal = _Calibration(dataset, trend, family, nugget, theta, config)
-    return _Side(cal, a).sigma_opt_at(1.0)
+    ref = fit_gp(dataset, KernelSpec(family, 1.0, theta, nugget), trend)
+    return _Side(_Calibration(ref, config), a).sigma_opt_at(1.0)
 
 
 def relaxation_objective(dataset: Dataset, trend: TrendSpec,
@@ -636,9 +619,8 @@ def relaxation_objective(dataset: Dataset, trend: TrendSpec,
     achieves the target proportion at this lambda."""
     if lam <= 0.0:
         raise InvalidParameterError("lambda must be positive")
-    cal = _Calibration(dataset, trend, family, nugget, theta0, config,
-                       sigma2_0)
-    obj, _ = _Side(cal, a).evaluate(lam)
+    ref = fit_gp(dataset, KernelSpec(family, sigma2_0, theta0, nugget), trend)
+    obj, _ = _Side(_Calibration(ref, config), a).evaluate(lam)
     return obj
 
 
@@ -653,10 +635,9 @@ def calibrate_quantile(dataset: Dataset, trend: TrendSpec,
     :func:`calibrate`, so each side of a two-sided calibration is
     bit-identical to this."""
     config = config or RpieConfig()
-    (found,) = _search(dataset, trend, family, nugget, theta0, sigma2_0,
-                       (a,), config)
-    return _solution(dataset, trend, family, nugget, theta0, config.delta,
-                     *found)[0]
+    ref = fit_gp(dataset, KernelSpec(family, sigma2_0, theta0, nugget), trend)
+    (found,) = _search(ref, (a,), config)
+    return _solution(ref, config.delta, *found)[0]
 
 
 @dataclass(frozen=True)
@@ -674,16 +655,14 @@ class CalibratedIntervalModel:
 
     def loo_coverage(self) -> float:
         """Step-count LOO coverage: psi_{1-alpha/2}(upper model) minus
-        psi_{alpha/2}(lower model).
+        psi_{alpha/2}(lower model), read from the counts each side recorded
+        (``psi_raw``), as ``loo_coverage_smoothed`` reads ``psi_achieved``.
 
         Quantized to 1/n steps; with fractional n*a it sits at least half a
         count above the nominal level, and an extra count appears whenever
         two residuals share a smoothing band.
         """
-        z_up = virtual_loo(self.upper_model).std_resid
-        z_lo = virtual_loo(self.lower_model).std_resid
-        return psi_from_residuals(z_up, self.upper.a) \
-            - psi_from_residuals(z_lo, self.lower.a)
+        return self.upper.psi_raw - self.lower.psi_raw
 
     def loo_coverage_smoothed(self) -> float:
         """By-construction coverage from the smoothed proportions each side
@@ -718,7 +697,7 @@ class CalibratedIntervalModel:
                 wasserstein2=float(d["wasserstein2"]),
                 a=float(d["a"]),
                 psi_achieved=float(d["psi_achieved"]),
-                psi_raw=float(d.get("psi_raw", math.nan)),
+                psi_raw=float(d["psi_raw"]),
                 kernel=kernel,
                 trace=LambdaTrace(np.array([]), np.array([]), np.array([])),
             )
@@ -740,9 +719,11 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
               ) -> CalibratedIntervalModel:
     """Calibrate both interval bounds at nominal level 1 - alpha.
 
-    Both sides share one calibration state: the lambda grid is walked once
-    and each grid lambda's Gram matrix and per-lambda state serve both,
-    then each side is refined by golden section.  Each side equals
+    The reference kernel (with this family and nugget) is fitted once, and
+    both sides share one calibration state built on that fit: the lambda
+    grid is walked once and each grid lambda's Gram matrix and per-lambda
+    state serve both, then each side is refined by golden section.  Each
+    side equals
     ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.  BLAS runs on one
     thread for the duration of the call.
     """
@@ -751,12 +732,11 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     config = config or RpieConfig()
     if nugget is None:
         nugget = reference.kernel.nugget
-    theta0, sigma2_0 = reference.kernel.theta, reference.kernel.sigma2
-    found = _search(dataset, trend, family, nugget, theta0, sigma2_0,
-                    (1.0 - alpha / 2.0, alpha / 2.0), config)
+    ref = fit_gp(dataset, reference.kernel.with_(family=family,
+                                                 nugget=nugget), trend)
+    found = _search(ref, (1.0 - alpha / 2.0, alpha / 2.0), config)
     (upper, upper_model), (lower, lower_model) = (
-        _solution(dataset, trend, family, nugget, theta0, config.delta, *side)
-        for side in found)
+        _solution(ref, config.delta, *side) for side in found)
     return CalibratedIntervalModel(
         upper=upper, lower=lower, reference=reference,
         dataset=dataset, trend=trend, alpha=alpha,

@@ -279,22 +279,28 @@ class TestBenchmarkCommand:
 class TestBadFlags:
     """Out-of-range flag values are usage errors (exit 2), caught before
     any work: --delta must lie in (0, q_{1 - alpha/2}) and --lambda-grid
-    must be finite, and a benchmark needs at least one seed, one point
-    and one input dimension."""
+    must be finite, a fit needs a seed >= 0 and a finite nugget, and a
+    benchmark needs at least one seed, one point and one input
+    dimension."""
 
     @pytest.mark.parametrize("flags", [
         ["calibrate", "--delta", "-1"],
         ["calibrate", "--delta", "nan"],
         ["calibrate", "--delta", "5"],
         ["calibrate", "--lambda-grid", "0.1,inf,10"],
+        ["fit", "--seed", "-1"],
+        ["fit", "--nugget", "fixed:nan"],
+        ["fit", "--nugget", "fixed:inf"],
         ["benchmark", "zhou_nugget", "--seeds", "0"],
         ["benchmark", "zhou_nugget", "--n", "0"],
         ["benchmark", "zhou_nugget", "--d", "0"],
         ["benchmark", "zhou_nugget", "--n", "-3"],
     ], ids=["delta_negative", "delta_nan", "delta_above_quantile",
-            "lambda_grid_inf", "zero_seeds", "zero_n", "zero_d",
+            "lambda_grid_inf", "fit_seed_negative", "fit_nugget_nan",
+            "fit_nugget_inf", "zero_seeds", "zero_n", "zero_d",
             "negative_n"])
-    def test_exits_with_usage_code(self, tmp_path, flags):
+    def test_exits_with_usage_code(self, tmp_path, training_csv, flags):
+        out = tmp_path / "out"
         if flags[0] == "calibrate":
             rng = np.random.default_rng(5)
             X = rng.uniform(0, 1, (15, 2))
@@ -304,17 +310,18 @@ class TestBadFlags:
             model = tmp_path / "model.json"
             model.write_text(json.dumps(model_to_dict(
                 fit_gp(ds, kernel, TrendSpec.from_string("ordinary")))))
-            argv = flags + ["--reference", str(model),
-                            "--out", str(tmp_path / "cal.json")]
+            argv = flags + ["--reference", str(model), "--out", str(out)]
+        elif flags[0] == "fit":
+            argv = flags + ["--data", str(training_csv[0]), "--target",
+                            "resp", "--out", str(out)]
         else:
-            argv = flags + ["--out-dir", str(tmp_path / "bench")]
+            argv = flags + ["--out-dir", str(out)]
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         assert code == 2
-        assert not list(tmp_path.glob("cal*")) and \
-            not (tmp_path / "bench").exists()
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestMalformedInputs:
@@ -356,14 +363,20 @@ class TestMalformedInputs:
             doc["standardization"] = {"x_mean": "zero"}
         elif name == "calibrated_doc":
             return calibrated
+        elif name == "calibrated_without_psi_raw":
+            doc = json.loads(json.dumps(calibrated))
+            del doc["lower"]["psi_raw"]
         return doc
 
-    # predict accepts a calibrated document; the other two do not.
+    # predict accepts a calibrated document, the other two do not; a
+    # calibrated document must carry the step counts (psi_raw) its
+    # loo_coverage() reads.
     @pytest.mark.parametrize("subcommand, bad", [
         (sub, bad) for sub in ("calibrate", "predict", "diagnose")
         for bad in ("empty", "not_an_object", "kernel_without_sigma2",
                     "mistyped_theta", "ragged_design",
-                    "mistyped_standardization", "calibrated_doc")
+                    "mistyped_standardization", "calibrated_doc",
+                    "calibrated_without_psi_raw")
         if (sub, bad) != ("predict", "calibrated_doc")])
     def test_bad_model_document_is_data_error(self, tmp_path, capsys,
                                               subcommand, bad):

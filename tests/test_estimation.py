@@ -423,6 +423,42 @@ class TestFitMsecv:
         assert probes >= 97   # allow a couple of lucky probes
 
 
+class TestFitArguments:
+    """A start count below one, a negative seed and a negative or NaN
+    nugget are rejected before any optimizer start runs."""
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_msecv],
+                             ids=["mle", "msecv"])
+    @pytest.mark.parametrize("kwargs", [
+        {"n_starts": 0}, {"n_starts": -3}, {"n_starts": 2.5},
+        {"seed": -2}, {"seed": 1.5},
+        {"nugget": -1.0}, {"nugget": math.nan}, {"nugget": math.inf},
+    ], ids=["starts_0", "starts_neg", "starts_frac", "seed_neg",
+            "seed_frac", "nugget_neg", "nugget_nan", "nugget_inf"])
+    def test_rejected_before_any_start(self, monkeypatch, rng, fit, kwargs):
+        import gpcal.estimation
+
+        def no_start(*args):
+            raise AssertionError("an optimizer start ran")
+
+        monkeypatch.setattr(gpcal.estimation, "_multistart_minimize",
+                            no_start)
+        ds = random_dataset(rng, n=12, d=2)
+        with pytest.raises(InvalidParameterError):
+            fit(ds, ORD, KernelFamily.MATERN32, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_mcmc_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            McmcConfig(seed=seed)
+
+    def test_numpy_integers_accepted(self, rng):
+        ds = random_dataset(rng, n=12, d=2)
+        fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
+                n_starts=np.int64(1), seed=np.int64(3))
+        McmcConfig(seed=np.int64(3))
+
+
 class TestRandomWalkMetropolis:
     def test_detailed_balance_on_toy_gaussian(self):
         # Target N(2, 1.5^2): the sample mean sits within 3 Monte Carlo

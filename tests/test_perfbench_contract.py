@@ -2,12 +2,16 @@
 shapes, on a 20-point problem.
 
 perfbench/workloads.py traces these calls; a change to a name or a
-signature it relies on fails here instead of in a benchmark run.
+signature it relies on fails here instead of in a benchmark run.  The
+benchmark's own self-test (perfbench/selftest.py) runs here too, as a slow
+test.
 """
 
 import ast
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,8 @@ from gpcal.rpie import RpieConfig, calibrate, calibrate_quantile, \
     predict_calibrated, relaxation_objective, sigma_opt, \
     wasserstein2_gaussians
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 TREND = TrendSpec.from_string("ordinary")
 
 
@@ -114,3 +119,13 @@ def test_probe_calls_with_perfbench_shapes(tmp_path):
     got = np.loadtxt(out_path, delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_allclose(got[:, 1], lo, rtol=1e-10)
     np.testing.assert_allclose(got[:, 2], hi, rtol=1e-10)
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    # Every workload once at the tiny size, untraced and traced, and the
+    # refusal to run without the sources; exit 0 when all of it holds.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=900)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

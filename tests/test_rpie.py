@@ -1,7 +1,9 @@
 """Amplitude bracketing, Wasserstein distance, and interval calibration."""
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import morokoff_caflisch, sample_gp_response
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import CalibrationInfeasibleError, \
-    IllConditionedError, InvalidMatrixError, InvalidParameterError
+    IllConditionedError, InvalidMatrixError, InvalidParameterError, \
+    ShapeError
 from gpcal.gp import build_regression_matrix, factor_covariance, fit_gp, \
     prediction_interval, solve_gls
 from gpcal.loo import SigmaScanBasis, SmoothingParams, \
-    psi_smoothed_from_residuals, virtual_loo
+    psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
 from gpcal.rpie import (
     _GOLDEN,
     _LOG_LAMBDA_TOL,
@@ -137,8 +140,9 @@ class TestSigmaOpt:
         # Every batch of the amplitude scan, the extension past the top of
         # the grid included, equals the scalar residuals at its amplitudes.
         ds = random_dataset(rng, n=40, d=2)
-        cal = _Calibration(ds, ORD, KernelFamily.MATERN32, 0.01,
-                           np.array([0.3, 0.6]), RpieConfig())
+        cal = _Calibration(fit_gp(ds, KernelSpec(
+            KernelFamily.MATERN32, 1.0, [0.3, 0.6], nugget=0.01), ORD),
+            RpieConfig())
         state = cal.at(1.7)
         amps = np.concatenate(cal.batches)
         rows = np.vstack([state.residuals(k)
@@ -195,8 +199,9 @@ class TestExcess:
     def test_matches_paper_ramps(self, a, rng):
         n = 40
         ds = random_dataset(rng, n=n, d=2)
-        side = _Side(_Calibration(ds, ORD, KernelFamily.MATERN52, 1e-4,
-                                  np.array([0.5, 0.5]), FAST), a)
+        side = _Side(_Calibration(fit_gp(ds, KernelSpec(
+            KernelFamily.MATERN52, 1.0, [0.5, 0.5], nugget=1e-4), ORD),
+            FAST), a)
         q, sign, delta = side.q, side.sign, side.delta
         params = SmoothingParams(delta)
         z = rng.standard_normal((64, n)) * 2.0
@@ -242,6 +247,47 @@ class TestBadLevel:
         }
         with pytest.raises(InvalidParameterError, match="differ from 1/2"):
             calls[entry]()
+
+
+class TestBadTheta:
+    """A theta whose length differs from the design's column count is
+    rejected by every entry point with the reference fit's ShapeError."""
+
+    @pytest.mark.parametrize("entry", ["sigma_opt", "relaxation_objective",
+                                       "calibrate_quantile", "calibrate"])
+    def test_rejected(self, entry):
+        ds = _misspecified_dataset(5, n=20)
+        theta, family = np.array([0.5, 0.5, 0.5]), KernelFamily.MATERN52
+        ref = _reference(KernelSpec(family, 0.05, theta, nugget=1e-4))
+        calls = {
+            "sigma_opt": lambda: sigma_opt(
+                ds, ORD, family, theta, 1e-4, 0.95, FAST),
+            "relaxation_objective": lambda: relaxation_objective(
+                ds, ORD, family, 1e-4, theta, 0.05, 1.0, 0.95, FAST),
+            "calibrate_quantile": lambda: calibrate_quantile(
+                ds, ORD, family, 1e-4, theta, 0.05, 0.95, FAST),
+            "calibrate": lambda: calibrate(
+                ds, ORD, family, 1e-4, ref, 0.1, FAST),
+        }
+        with pytest.raises(ShapeError, match="3 entries"):
+            calls[entry]()
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("lo, hi, count", [
+        (1e-2, math.inf, 5), (math.nan, 1e2, 5), (1e-2, math.nan, 5),
+        (math.inf, math.inf, 1), (1e-2, 1e2, 2.5), (1e-2, 1e2, 5.0),
+        (1e-2, 1e2, "5"),
+    ], ids=["hi_inf", "lo_nan", "hi_nan", "single_inf", "count_frac",
+            "count_float", "count_str"])
+    def test_rejected(self, lo, hi, count):
+        with pytest.raises(InvalidParameterError):
+            GridSpec(lo, hi, count)
+
+    def test_numpy_integer_count(self):
+        grid = GridSpec(1e-2, 1e2, np.int64(7))
+        np.testing.assert_array_equal(grid.points(),
+                                      GridSpec(1e-2, 1e2, 7).points())
 
 
 class TestWasserstein:
@@ -433,6 +479,54 @@ class TestCalibrate:
         assert cal.upper.a == pytest.approx(0.9)
         assert cal.lower.a == pytest.approx(0.1)
 
+    def test_loo_coverage_reads_recorded_counts(self):
+        # loo_coverage() is the difference of the step counts each side
+        # recorded, which equal the counts of the final models' residuals,
+        # and it survives a document round trip.
+        ds = _misspecified_dataset(7)
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
+                                    np.array([0.6, 0.7]), nugget=1e-4))
+        cal = calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.2,
+                        FAST)
+        recount = (
+            psi_from_residuals(virtual_loo(cal.upper_model).std_resid, 0.9)
+            - psi_from_residuals(virtual_loo(cal.lower_model).std_resid,
+                                 0.1))
+        assert cal.loo_coverage() == recount
+        loaded = CalibratedIntervalModel.from_dict(cal.to_dict())
+        assert loaded.loo_coverage() == recount
+
+    def test_state_released_before_final_fits(self, monkeypatch):
+        # With the cycle collector off, the calibration state is freed by
+        # reference counting alone as soon as _search returns: no
+        # reference cycle keeps it alive through the two final fits.
+        import gpcal.rpie
+        refs, alive = [], []
+
+        class Tracked(_Calibration):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        search = gpcal.rpie._search
+
+        def checked(*args):
+            out = search(*args)
+            alive.append(refs[-1]() is not None)
+            return out
+
+        monkeypatch.setattr(gpcal.rpie, "_Calibration", Tracked)
+        monkeypatch.setattr(gpcal.rpie, "_search", checked)
+        ds = _misspecified_dataset(7)
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
+                                    np.array([0.6, 0.7]), nugget=1e-4))
+        gc.disable()
+        try:
+            calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.2, FAST)
+        finally:
+            gc.enable()
+        assert len(refs) == 1 and alive == [False]
+
     def test_sides_equal_one_sided_calibrations(self):
         # Sharing one state between both sides changes no bit of either.
         ds = _misspecified_dataset(12)
@@ -590,8 +684,9 @@ class TestScaleFree:
         # same lambda = 2 gives cond R = 3.3e9 and both routes err by ~5e-9
         # against a 40-digit solve).
         ds = _misspecified_dataset(14, n=60, d=3)
-        cal = _Calibration(ds, ORD, KernelFamily.MATERN52, 0.0, self.THETA0,
-                           RpieConfig(), self.SIGMA2_0)
+        cal = _Calibration(fit_gp(ds, KernelSpec(
+            KernelFamily.MATERN52, self.SIGMA2_0, self.THETA0), ORD),
+            RpieConfig())
         return ds, cal
 
     def test_residuals_match_eigenbasis(self):
@@ -666,8 +761,8 @@ class TestScaleFree:
         X = local.uniform(0, 1, (40, 2))
         y = morokoff_caflisch(X) + 0.01 * local.standard_normal(40)
         ds = Dataset(X=X, y=y)
-        cal = _Calibration(ds, ORD, self.SE, 0.0, self.SE_THETA0, FAST,
-                           float(np.var(y)))
+        cal = _Calibration(fit_gp(ds, KernelSpec(
+            self.SE, float(np.var(y)), self.SE_THETA0), ORD), FAST)
         jitters = {float(lam): factor_covariance(cal.gram(lam), 0.0, 1.0)[2]
                    for lam in FAST.lambda_grid.points()}
         jittered = {lam: j for lam, j in jitters.items() if j > 0.0}
@@ -746,10 +841,9 @@ class TestEigenbasisLaw:
     def test_objective_matches_wasserstein(self):
         ds = _misspecified_dataset(14, n=60, d=3)
         theta0, sigma2_0 = TestScaleFree.THETA0, TestScaleFree.SIGMA2_0
-        cal = _Calibration(ds, ORD, KernelFamily.MATERN52, self.NUGGET,
-                           theta0, RpieConfig(), sigma2_0)
         ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, sigma2_0, theta0,
                                     nugget=self.NUGGET), ORD)
+        cal = _Calibration(ref, RpieConfig())
         m0 = ref.F @ ref.beta_hat
         for lam in TestScaleFree.LAMBDAS:
             assert cal.at(lam).basis is not None

@@ -27,7 +27,8 @@ for method, cols in report.summary.items():
     mpiw = cols["mpiw"]["mean"]
     print(f"  {method:>10}: cp {cp:.3f}, mpiw {mpiw:.4f}")
 
-# Each calibration recorded its lambda trace for plotting.
-(seed, method, side), trace = sorted(report.traces.items())[0]
-print(f"\nlambda trace for seed {seed}, {method}, {side} bound: "
+# Each calibrated model keeps its lambda traces for plotting.
+(seed, method), calibrated = sorted(report.calibrations.items())[0]
+trace = calibrated.upper.trace
+print(f"\nlambda trace for seed {seed}, {method}, upper bound: "
       f"{len(trace.lambdas)} grid points")

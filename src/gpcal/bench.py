@@ -20,22 +20,24 @@ methods, calibrates the interval bounds, and reports coverage/width metrics.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .blas import single_threaded_blas
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
-    UsageError
+    InvalidParameterError, UsageError
 from .gp import Dataset, TrendSpec, build_covariance, fit_gp, \
     prediction_interval, predict
 from .kernels import KernelFamily, KernelSpec
 from .loo import loo_coverage
-from .rpie import RpieConfig, calibrate, predict_calibrated
+from .rpie import calibrate, predict_calibrated
 from .stats import normal_cdf
 
 __all__ = [
@@ -236,12 +238,12 @@ class IntervalMetrics:
     sdpiw: float
 
 
-def compute_metrics(y_test, means, lowers, uppers, ybar=None) -> IntervalMetrics:
+def compute_metrics(y_test, means, lowers, uppers) -> IntervalMetrics:
     """Out-of-sample accuracy and interval-quality metrics.
 
-    q2 compares squared errors against the spread around ybar (the test-set
-    mean unless supplied), so a constant predictor at that mean scores 0.
-    Widths of crossed bounds count as empty (zero length).
+    q2 compares squared errors against the spread around the test-set mean,
+    so a constant predictor at that mean scores 0; it is NaN when means is
+    None.  Widths of crossed bounds count as empty (zero length).
     """
     y_test = np.asarray(y_test, dtype=float).ravel()
     if y_test.size == 0:
@@ -256,10 +258,8 @@ def compute_metrics(y_test, means, lowers, uppers, ybar=None) -> IntervalMetrics
         means = np.asarray(means, dtype=float).ravel()
         if means.size != y_test.size:
             raise DataError("metric inputs must have equal lengths")
-        if ybar is None:
-            ybar = float(np.mean(y_test))
         sse = float(np.sum((y_test - means) ** 2))
-        sst = float(np.sum((y_test - ybar) ** 2))
+        sst = float(np.sum((y_test - float(np.mean(y_test))) ** 2))
         q2 = 1.0 - sse / sst if sst > 0.0 else math.nan
     cp = float(np.mean((y_test >= lowers) & (y_test <= uppers)))
     widths = np.maximum(uppers - lowers, 0.0)
@@ -274,9 +274,19 @@ def compute_metrics(y_test, means, lowers, uppers, ybar=None) -> IntervalMetrics
 
 @dataclass(frozen=True)
 class ExperimentScale:
+    """n >= 3 points per seed (the 75/25 split keeps two to train and one
+    to test), d >= 1 inputs and seeds >= 1 seeds."""
+
     n: int = 200
     d: int = 10
     seeds: int = 5
+
+    def __post_init__(self):
+        for name, least in (("n", 3), ("d", 1), ("seeds", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < least:
+                raise InvalidParameterError(
+                    f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -327,8 +337,7 @@ class BenchRow:
 class BenchReport:
     rows: list
     summary: dict
-    traces: dict      # (seed, method, side) -> LambdaTrace
-    details: dict     # (seed, method) -> per-calibration summary floats
+    calibrations: dict   # (seed, method) -> CalibratedIntervalModel
 
 
 def _experiment_design(cfg: _ExperimentConfig, scale: ExperimentScale,
@@ -399,13 +408,12 @@ def experiment_holdout(name: str, scale: ExperimentScale, seed: int,
                               np.random.SeedSequence((seed, 7004)))
 
 
-def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
+def _run_seed(name, cfg, scale, methods, alpha, seed):
     train, X_test, y_test = experiment_split(name, scale, seed)
     trend = TrendSpec.from_string("ordinary")
 
     rows = []
-    traces = {}
-    details = {}
+    calibrations = {}
     for method in sorted(methods):
         if method == "bayes":
             t0 = time.perf_counter()
@@ -440,7 +448,7 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
 
         t0 = time.perf_counter()
         calibrated = calibrate(train, trend, cfg.family, cfg.nugget,
-                               reference, alpha, rpie_config)
+                               reference, alpha)
         cal_s = time.perf_counter() - t0
         lo_c, up_c, _ = predict_calibrated(calibrated, X_test)
         metrics_c = compute_metrics(y_test, None, lo_c, up_c)
@@ -450,23 +458,8 @@ def _run_seed(name, cfg, scale, seed, methods, alpha, rpie_config):
             cp=metrics_c.cp, mpiw=metrics_c.mpiw, sdpiw=metrics_c.sdpiw,
             fit_seconds=fit_s, calibrate_seconds=cal_s,
             converged=reference.converged, n_evals=reference.n_evals))
-        traces[(seed, method, "upper")] = calibrated.upper.trace
-        traces[(seed, method, "lower")] = calibrated.lower.trace
-        details[(seed, method)] = {
-            "n_train": train.n,
-            "psi_upper": calibrated.upper.psi_achieved,
-            "psi_lower": calibrated.lower.psi_achieved,
-            "psi_raw_upper": calibrated.upper.psi_raw,
-            "psi_raw_lower": calibrated.lower.psi_raw,
-            "loo_cp_raw": calibrated.loo_coverage(),
-            "loo_cp_smoothed": calibrated.loo_coverage_smoothed(),
-            "lambda_upper": calibrated.upper.lambda_star,
-            "lambda_lower": calibrated.lower.lambda_star,
-            # In memory only, for scoring the same models on other samples.
-            "reference_model": model,
-            "calibrated_model": calibrated,
-        }
-    return rows, traces, details
+        calibrations[(seed, method)] = calibrated
+    return rows, calibrations
 
 
 def _max_workers() -> int:
@@ -481,40 +474,22 @@ def _max_workers() -> int:
 
 
 def run_experiment(name: str, scale: ExperimentScale | None = None,
-                   methods=("mle",), alpha: float = 0.1,
-                   rpie_config: RpieConfig | None = None) -> BenchReport:
+                   methods=("mle",), alpha: float = 0.1) -> BenchReport:
     """Run one canned experiment across seeds and collect the report.
 
-    Seeds are independent jobs; with RPIE_THREADS > 1 they run on a thread
-    pool, and rows are always ordered by (seed, method) regardless of
-    completion order.  BLAS runs single-threaded throughout, pooled or
-    not, so both paths compute the same bits.
+    Seeds run on a pool of min(RPIE_THREADS, seeds) threads with BLAS on
+    one thread, so every thread count computes the same bits; rows are
+    ordered by (seed, method).  ``calibrations`` maps (seed, method) to the
+    CalibratedIntervalModel of each non-Bayesian reference fit.
     """
-    cfg = _config(name)
     scale = scale or ExperimentScale()
-    rpie_config = rpie_config or RpieConfig()
-    seeds = list(range(scale.seeds))
-
-    def job(seed):
-        return _run_seed(name, cfg, scale, seed, methods, alpha,
-                         rpie_config)
-
-    workers = min(_max_workers(), len(seeds))
-    with single_threaded_blas():
-        if workers > 1 and len(seeds) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, seeds))
-        else:
-            results = [job(s) for s in seeds]
-
-    rows = []
-    traces = {}
-    details = {}
-    for seed_rows, seed_traces, seed_details in results:
-        rows.extend(seed_rows)
-        traces.update(seed_traces)
-        details.update(seed_details)
-    rows.sort(key=lambda r: (r.seed, r.method))
+    job = partial(_run_seed, name, _config(name), scale, methods, alpha)
+    with single_threaded_blas(), ThreadPoolExecutor(
+            max_workers=min(_max_workers(), scale.seeds)) as pool:
+        results = list(pool.map(job, range(scale.seeds)))
+    rows = sorted((r for seed_rows, _ in results for r in seed_rows),
+                  key=lambda r: (r.seed, r.method))
+    calibrations = {k: c for _, cals in results for k, c in cals.items()}
 
     summary = {}
     for method in sorted({r.method for r in rows}):
@@ -527,8 +502,8 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
                 "mean": float(vals.mean()) if vals.size else None,
                 "sd": float(vals.std()) if vals.size else None,
             }
-    return BenchReport(rows=rows, summary=summary, traces=traces,
-                       details=details)
+    return BenchReport(rows=rows, summary=summary,
+                       calibrations=calibrations)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,9 @@ def _alpha_type(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError("alpha must lie in (0, 1)")
+    if 1.0 - v / 2.0 == 1.0:
+        raise argparse.ArgumentTypeError(
+            f"alpha {text} is too small: 1 - alpha/2 rounds to 1")
     return v
 
 
@@ -259,6 +262,8 @@ def _load_model_doc(path):
 
 
 def cmd_fit(args) -> int:
+    if args.method == "bayes" and args.nugget[0] == "joint":
+        raise UsageError("--method bayes needs a fixed --nugget")
     dataset = ingest_csv(args.data, args.target)
     transform = None
     work = dataset
@@ -277,8 +282,6 @@ def cmd_fit(args) -> int:
     family = KernelFamily.from_string(args.kernel)
 
     if args.method == "bayes":
-        if estimate_nugget:
-            raise DataError("bayes fitting requires a fixed nugget")
         config = McmcConfig(seed=args.seed)
         kernel, acc = posterior_mean_kernel(work, trend, family, nugget,
                                             config)
@@ -406,20 +409,22 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    for flag in ("n", "d", "seeds"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag} must be at least 1")
+    try:
+        scale = ExperimentScale(n=args.n, d=args.d, seeds=args.seeds)
+    except InvalidParameterError as exc:
+        raise UsageError(f"--{exc}")
     os.makedirs(args.out_dir, exist_ok=True)
-    scale = ExperimentScale(n=args.n, d=args.d, seeds=args.seeds)
     report = run_experiment(args.name, scale=scale,
                             methods=tuple(args.methods), alpha=args.alpha)
     report_path = os.path.join(args.out_dir, f"{args.name}_report.csv")
     write_report_csv(report.rows, report_path)
     write_summary_json(report, os.path.join(args.out_dir,
                                             f"{args.name}_summary.json"))
-    for (seed, method, side), trace in sorted(report.traces.items()):
-        name = f"{args.name}_seed{seed}_{method}_{side}_lambda_trace.csv"
-        write_lambda_trace_csv(trace, os.path.join(args.out_dir, name))
+    for (seed, method), cal in sorted(report.calibrations.items()):
+        for side, solution in (("upper", cal.upper), ("lower", cal.lower)):
+            name = f"{args.name}_seed{seed}_{method}_{side}_lambda_trace.csv"
+            write_lambda_trace_csv(solution.trace,
+                                   os.path.join(args.out_dir, name))
     _write_manifest(report_path, args, [])
     print(f"wrote {report_path}")
     return 0

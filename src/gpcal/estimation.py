@@ -146,10 +146,9 @@ def mle_objective(dataset: Dataset, trend: TrendSpec,
 
 
 def msecv_objective(dataset: Dataset, trend: TrendSpec,
-                    kernel: KernelSpec, sq_diffs=None) -> float:
+                    kernel: KernelSpec) -> float:
     """LOO-MSE quadratic form y' Kbar Diag(Kbar)^{-2} Kbar y (= n * loo_mse)."""
-    return dataset.n * loo_mse(fit_gp(dataset, kernel, trend,
-                                      sq_diffs=sq_diffs))
+    return dataset.n * loo_mse(fit_gp(dataset, kernel, trend))
 
 
 def _mle_with_dk(gls: GlsState) -> tuple:

@@ -714,24 +714,22 @@ class CalibratedIntervalModel:
 
 @single_threaded_blas()
 def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-              nugget: float | None, reference: EstimationResult,
+              nugget: float, reference: EstimationResult,
               alpha: float, config: RpieConfig | None = None
               ) -> CalibratedIntervalModel:
     """Calibrate both interval bounds at nominal level 1 - alpha.
 
-    The reference kernel (with this family and nugget) is fitted once, and
-    both sides share one calibration state built on that fit: the lambda
-    grid is walked once and each grid lambda's Gram matrix and per-lambda
-    state serve both, then each side is refined by golden section.  Each
-    side equals
-    ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.  BLAS runs on one
-    thread for the duration of the call.
+    The reference kernel, with this family and this fixed nugget in place
+    of its own, is fitted once, and both sides share one calibration state
+    built on that fit: the lambda grid is walked once and each grid
+    lambda's Gram matrix and per-lambda state serve both, then each side is
+    refined by golden section.  Each side equals ``calibrate_quantile`` at
+    1 - alpha/2 and alpha/2.  BLAS runs on one thread for the duration of
+    the call.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError("alpha must lie in (0, 1)")
     config = config or RpieConfig()
-    if nugget is None:
-        nugget = reference.kernel.nugget
     ref = fit_gp(dataset, reference.kernel.with_(family=family,
                                                  nugget=nugget), trend)
     found = _search(ref, (1.0 - alpha / 2.0, alpha / 2.0), config)

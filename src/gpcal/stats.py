@@ -27,7 +27,8 @@ def normal_quantile(a):
     """
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0.0) or np.any(a >= 1.0):
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
+        raise InvalidParameterError(
+            "quantile level must lie strictly inside (0, 1)")
     q = special.ndtri(a)
     return float(q) if q.ndim == 0 else q
 

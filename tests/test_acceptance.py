@@ -37,6 +37,7 @@ from gpcal.bench import (
     sample_gp_response,
     write_report_csv,
 )
+from gpcal.blas import single_threaded_blas
 from gpcal.estimation import McmcConfig, bayes_predictive, fit_mle
 from gpcal.gp import fit_gp, prediction_interval, projection_basis
 from gpcal.loo import loo_coverage, virtual_loo
@@ -78,15 +79,17 @@ def _holdout_scores(name, report):
     """seed -> (reference, calibrated) IntervalMetrics of the desk models
     on a HOLDOUT_N-point draw from the seed's own experiment law."""
     scores = {}
-    for (seed, _), det in sorted(report.details.items()):
+    for (seed, _), cal in sorted(report.calibrations.items()):
         X, y = experiment_holdout(name, DESK_SCALE, seed, HOLDOUT_N)
+        # The reference model run_experiment scored, refitted with BLAS on
+        # one thread as there, so its bits are the same.
+        with single_threaded_blas():
+            reference = fit_gp(cal.dataset, cal.reference.kernel, cal.trend)
         bounds = []
         for i in range(0, HOLDOUT_N, _HOLDOUT_CHUNK):
             chunk = X[i:i + _HOLDOUT_CHUNK]
-            lo, up = prediction_interval(det["reference_model"], chunk,
-                                         ALPHA)
-            lo_c, up_c, _ = predict_calibrated(det["calibrated_model"],
-                                               chunk)
+            lo, up = prediction_interval(reference, chunk, ALPHA)
+            lo_c, up_c, _ = predict_calibrated(cal, chunk)
             bounds.append((lo, up, lo_c, up_c))
         lo, up, lo_c, up_c = map(np.concatenate, zip(*bounds))
         scores[seed] = (compute_metrics(y, None, lo, up),
@@ -210,18 +213,21 @@ def test_criterion_4_rpie_training_coverage(desk_reports):
     raw_devs = []
     for name in EXPERIMENTS:
         report = desk_reports[name]
-        for (seed, method), det in sorted(report.details.items()):
-            n = det["n_train"]
+        for (seed, method), cal in sorted(report.calibrations.items()):
+            n = cal.dataset.n
             tol_psi = 1e-6
-            ok = (abs(det["psi_upper"] - (1 - ALPHA / 2)) <= tol_psi
-                  and abs(det["psi_lower"] - ALPHA / 2) <= tol_psi)
-            ok &= abs(det["loo_cp_smoothed"] - (1 - ALPHA)) \
+            ok = (abs(cal.upper.psi_achieved - (1 - ALPHA / 2)) <= tol_psi
+                  and abs(cal.lower.psi_achieved - ALPHA / 2) <= tol_psi)
+            ok &= abs(cal.loo_coverage_smoothed() - (1 - ALPHA)) \
                 <= 1.0 / n + 1e-6
-            raw_dev = abs(det["loo_cp_raw"] - (1 - ALPHA))
+            raw_dev = abs(cal.loo_coverage() - (1 - ALPHA))
             raw_devs.append(round(raw_dev * n, 2))
             ok &= raw_dev <= 2.0 / n + 1e-6
             if not ok:
-                failures.append((name, seed, det))
+                failures.append((name, seed, cal.upper.psi_achieved,
+                                 cal.lower.psi_achieved,
+                                 cal.loo_coverage_smoothed(),
+                                 cal.loo_coverage()))
     elapsed = _fixture_elapsed.get("desk", float("nan"))
     _report(4, not failures and elapsed < 600.0,
             f"20 calibrations: smoothed proportions hit targets, coverage "
@@ -302,10 +308,8 @@ def test_criterion_7_zhou_nugget_direction(desk_reports):
 def test_criterion_8_lambda_objective_interior_minimum(desk_reports):
     report = desk_reports["morokoff"]
     failures = []
-    for (seed, method, side), trace in sorted(report.traces.items()):
-        if side != "upper":
-            continue
-        objs = trace.objectives
+    for (seed, method), cal in sorted(report.calibrations.items()):
+        objs = cal.upper.trace.objectives
         if not np.all(np.isfinite(objs)):
             failures.append((seed, "absent values"))
             continue

@@ -13,6 +13,7 @@ from gpcal.bench import (
     DesignSpec,
     ExperimentScale,
     compute_metrics,
+    experiment_split,
     morokoff_caflisch,
     run_experiment,
     sample_design,
@@ -20,7 +21,8 @@ from gpcal.bench import (
     write_report_csv,
     zhou_log,
 )
-from gpcal.exceptions import DataError, DomainError, InvalidMatrixError
+from gpcal.exceptions import DataError, DomainError, InvalidMatrixError, \
+    InvalidParameterError
 
 
 class TestWingWeight:
@@ -207,6 +209,23 @@ class TestComputeMetrics:
         assert m.cp == 1.0
 
 
+class TestExperimentScale:
+    @pytest.mark.parametrize("fields", [
+        dict(n=1), dict(n=2), dict(d=0), dict(seeds=0), dict(n=-3),
+        dict(n=20.0), dict(seeds="2"),
+    ], ids=["n1", "n2", "d0", "seeds0", "n_negative", "n_float",
+            "seeds_str"])
+    def test_rejects_bad_fields(self, fields):
+        with pytest.raises(InvalidParameterError):
+            ExperimentScale(**fields)
+
+    def test_smallest_split_and_numpy_integers_accepted(self):
+        # n = 3 leaves two training points and one test point.
+        scale = ExperimentScale(n=np.int64(3), d=np.int32(1), seeds=1)
+        train, X_test, _ = experiment_split("morokoff", scale, 0)
+        assert (train.n, X_test.shape[0]) == (2, 1)
+
+
 class TestRunExperiment:
     def test_unknown_name_rejected(self):
         with pytest.raises(DataError, match="valid names"):
@@ -245,17 +264,32 @@ class TestRunExperiment:
             assert line["converged"] == str(row.converged)
             assert int(line["n_evals"]) == row.n_evals
 
-    def test_reruns_are_identical_outside_timings(self):
+    def test_reruns_are_identical_outside_timings(self, monkeypatch):
+        # One run on one seed thread, the other on two: the thread count
+        # must not reach any row or calibration.
         kwargs = dict(scale=ExperimentScale(n=30, d=2, seeds=2),
                       methods=("mle",), alpha=0.2)
+        monkeypatch.setenv("RPIE_THREADS", "1")
         r1 = run_experiment("zhou_nugget", **kwargs)
+        monkeypatch.setenv("RPIE_THREADS", "2")
         r2 = run_experiment("zhou_nugget", **kwargs)
+        assert len(r1.rows) == len(r2.rows) == 4
         for a, b in zip(r1.rows, r2.rows):
             for col in ("experiment", "seed", "method", "q2", "loo_cp",
                         "cp", "mpiw", "sdpiw"):
                 va, vb = getattr(a, col), getattr(b, col)
                 assert va == vb or (isinstance(va, float)
                                     and math.isnan(va) and math.isnan(vb))
+        assert list(r1.calibrations) == [(0, "mle"), (1, "mle")]
+        assert list(r2.calibrations) == list(r1.calibrations)
+        for key, c1 in r1.calibrations.items():
+            c2 = r2.calibrations[key]
+            for s1, s2 in ((c1.upper, c2.upper), (c1.lower, c2.lower)):
+                assert (s1.lambda_star, s1.sigma2_opt, s1.wasserstein2) == \
+                    (s2.lambda_star, s2.sigma2_opt, s2.wasserstein2)
+                for field in ("lambdas", "objectives", "sigma2_opts"):
+                    np.testing.assert_array_equal(getattr(s1.trace, field),
+                                                  getattr(s2.trace, field))
 
     @pytest.mark.slow
     def test_well_specified_pipeline_coverage(self):

@@ -256,8 +256,9 @@ class TestBenchmarkCommand:
         assert report.exists() and summary.exists()
         rows = list(csv.DictReader(open(report)))
         assert {r["method"] for r in rows} == {"mle", "mle_rpie"}
-        traces = list(out_dir.glob("*_lambda_trace.csv"))
-        assert len(traces) == 2   # upper and lower for the single seed
+        traces = sorted(p.name for p in out_dir.glob("*_lambda_trace.csv"))
+        assert traces == ["morokoff_seed0_mle_lower_lambda_trace.csv",
+                          "morokoff_seed0_mle_upper_lambda_trace.csv"]
         assert (out_dir / "morokoff_report.csv.manifest.json").exists()
 
     def test_bad_thread_count_is_usage_error(self, tmp_path, capsys,
@@ -278,30 +279,40 @@ class TestBenchmarkCommand:
 
 class TestBadFlags:
     """Out-of-range flag values are usage errors (exit 2), caught before
-    any work: --delta must lie in (0, q_{1 - alpha/2}) and --lambda-grid
-    must be finite, a fit needs a seed >= 0 and a finite nugget, and a
-    benchmark needs at least one seed, one point and one input
-    dimension."""
+    any work, whose message names the last flag given: --delta must lie
+    in (0, q_{1 - alpha/2}), --lambda-grid must be finite, --alpha must
+    leave 1 - alpha/2 below 1, a fit needs a seed >= 0 and a finite
+    nugget, bayes needs a fixed nugget, and a benchmark needs at least one
+    seed, three points and one input dimension."""
 
     @pytest.mark.parametrize("flags", [
         ["calibrate", "--delta", "-1"],
         ["calibrate", "--delta", "nan"],
         ["calibrate", "--delta", "5"],
         ["calibrate", "--lambda-grid", "0.1,inf,10"],
+        ["calibrate", "--alpha", "1e-300"],
+        ["predict", "--alpha", "1e-300"],
         ["fit", "--seed", "-1"],
         ["fit", "--nugget", "fixed:nan"],
         ["fit", "--nugget", "fixed:inf"],
+        ["fit", "--method", "bayes", "--nugget", "joint"],
         ["benchmark", "zhou_nugget", "--seeds", "0"],
         ["benchmark", "zhou_nugget", "--n", "0"],
         ["benchmark", "zhou_nugget", "--d", "0"],
         ["benchmark", "zhou_nugget", "--n", "-3"],
+        ["benchmark", "morokoff", "--n", "1"],
+        ["benchmark", "morokoff", "--n", "2"],
+        ["benchmark", "morokoff", "--n", "20", "--d", "2", "--seeds", "1",
+         "--alpha", "1e-300"],
     ], ids=["delta_negative", "delta_nan", "delta_above_quantile",
-            "lambda_grid_inf", "fit_seed_negative", "fit_nugget_nan",
-            "fit_nugget_inf", "zero_seeds", "zero_n", "zero_d",
-            "negative_n"])
-    def test_exits_with_usage_code(self, tmp_path, training_csv, flags):
+            "lambda_grid_inf", "calibrate_alpha_tiny", "predict_alpha_tiny",
+            "fit_seed_negative", "fit_nugget_nan", "fit_nugget_inf",
+            "fit_bayes_joint_nugget", "zero_seeds", "zero_n", "zero_d",
+            "negative_n", "one_n", "two_n", "benchmark_alpha_tiny"])
+    def test_exits_with_usage_code(self, tmp_path, training_csv, capsys,
+                                   flags):
         out = tmp_path / "out"
-        if flags[0] == "calibrate":
+        if flags[0] in ("calibrate", "predict"):
             rng = np.random.default_rng(5)
             X = rng.uniform(0, 1, (15, 2))
             ds = Dataset(X=X, y=np.sin(4 * X[:, 0]) + X[:, 1])
@@ -310,7 +321,14 @@ class TestBadFlags:
             model = tmp_path / "model.json"
             model.write_text(json.dumps(model_to_dict(
                 fit_gp(ds, kernel, TrendSpec.from_string("ordinary")))))
-            argv = flags + ["--reference", str(model), "--out", str(out)]
+            if flags[0] == "calibrate":
+                argv = flags + ["--reference", str(model)]
+            else:
+                features = tmp_path / "features.csv"
+                _write_csv(features, ["a", "b"], X[:3])
+                argv = flags + ["--model", str(model), "--data",
+                                str(features)]
+            argv += ["--out", str(out)]
         elif flags[0] == "fit":
             argv = flags + ["--data", str(training_csv[0]), "--target",
                             "resp", "--out", str(out)]
@@ -322,6 +340,8 @@ class TestBadFlags:
             code = exc.code
         assert code == 2
         assert not list(tmp_path.glob("out*"))
+        bad_flag = [f for f in flags if f.startswith("--")][-1]
+        assert bad_flag in capsys.readouterr().err
 
 
 class TestMalformedInputs:

@@ -7,6 +7,7 @@ import pytest
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.exceptions import (
+    GpcalError,
     HypothesisH1Error,
     HypothesisH2Error,
     IllConditionedError,
@@ -24,6 +25,7 @@ from gpcal.gp import (
     projection_basis,
     solve_gls,
 )
+from gpcal.loo import loo_coverage
 from gpcal.stats import normal_quantile
 
 from conftest import dense_kbar, dense_predict, random_dataset, random_kernel
@@ -212,6 +214,15 @@ class TestPredictionInterval:
             expected = 2.0 * normal_quantile(1 - alpha / 2) * np.sqrt(var)
             assert up - lo == pytest.approx(expected, rel=1e-9)
             assert up >= lo
+
+    def test_alpha_too_small_for_a_quantile_is_a_gpcal_error(self, rng):
+        # 1 - alpha/2 rounds to 1, whose normal quantile is infinite.
+        ds = random_dataset(rng, n=8, d=1)
+        model = fit_gp(ds, random_kernel(rng, 1), ORD)
+        with pytest.raises(GpcalError, match="quantile level"):
+            prediction_interval(model, np.array([0.2]), 1e-300)
+        with pytest.raises(GpcalError, match="quantile level"):
+            loo_coverage(model, 1e-300)
 
 
 class TestKbar:

@@ -172,6 +172,10 @@ def _write_manifest(out_path, args, input_paths):
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
 
+# Interval level of ``predict`` on a plain model.
+_PREDICT_ALPHA = 0.1
+
+
 def _alpha_type(text):
     try:
         v = float(text)
@@ -359,10 +363,15 @@ def _read_features(path, doc, d_model):
 
 def cmd_predict(args) -> int:
     doc, model, _ = _load_model_doc(args.model)
+    calibrated = isinstance(model, CalibratedIntervalModel)
+    if calibrated and args.alpha is not None:
+        raise UsageError(f"--alpha: a calibrated model has its own level "
+                         f"(alpha={model.alpha!r})")
+    if args.alpha is None and not calibrated:
+        args.alpha = _PREDICT_ALPHA
     transform = doc.get("standardization")
     X_raw = _read_features(args.data, doc, model.dataset.d)
     X = _apply_x_transform(X_raw, transform)
-    calibrated = isinstance(model, CalibratedIntervalModel)
     if calibrated:
         lower, upper, crossed = predict_calibrated(model, X)
         mean = 0.5 * (lower + upper)   # interval barycenter
@@ -477,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--model", required=True,
                        help="model JSON (plain or calibrated)")
     p_pre.add_argument("--data", required=True, help="feature CSV")
-    p_pre.add_argument("--alpha", type=_alpha_type, default=0.1)
+    p_pre.add_argument("--alpha", type=_alpha_type,
+                       help=f"plain models only (default {_PREDICT_ALPHA}); "
+                       "a calibrated model has its own")
     p_pre.add_argument("--out", default="predictions.csv")
     p_pre.set_defaults(func=cmd_predict)
 

@@ -33,15 +33,21 @@ positive nugget each lambda builds the eigenbasis of W' R W
 (``SigmaScanBasis``), from which a batch of amplitudes costs two matrix
 products, and the law reads its mean from that basis.
 
-The amplitude scan evaluates psi_delta over the ``_SIGMA_SCAN`` grid in
-batches of amplitudes and bisects the first crossing down to adjacent
-doubles.  It returns the crossing's left end: the smallest amplitude at
-which psi_delta - a is zero or has left the strict sign it has at the
-bottom of the grid.  When n * a is an integer, psi_delta equals a on a
+The amplitude root is the left end of the first crossing of psi_delta = a
+on the ``_SIGMA_SCAN`` range, to adjacent doubles: the smallest amplitude
+at which psi_delta - a is zero or has left the strict sign it has at the
+bottom of the range.  When n * a is an integer, psi_delta equals a on a
 whole interval of amplitudes, and the left end is its smallest point.
-The bisection is kept exact: stopping it at 1e-9 relative moves the W2
-objectives of the lambda grid by up to 4e-5, since W2 is a difference of
-traces that cancel.
+With zero nugget psi_delta is piecewise linear in 1 / sqrt(sigma2), with
+at most 2n breakpoints: one array evaluates it there, the linear piece of
+the crossing gives the root, and a short gallop snaps it to the
+transition double, which is unique since the predicate is monotone.  With
+a positive nugget the grid is scanned in batches of amplitudes for the
+first crossing, which Illinois regula falsi in log sigma2 solves inside
+its grid cell.  Either way a root costs a few scalar evaluations, not the
+~50 steps of a bisection.  The root is kept exact: stopping at 1e-9
+relative moves the W2 objectives of the lambda grid by up to 4e-5, since
+W2 is a difference of traces that cancel.
 
 Each side then refines its best grid lambda by golden section in log
 lambda, which stops once the bracket is 1e-6 wide.  lambda* carries no
@@ -52,6 +58,7 @@ stop moves W2 by well under 1e-6 relative.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -108,6 +115,15 @@ _LOG_LAMBDA_TOL = 1e-6
 # Amplitudes per batched residual evaluation: bounds the (rows x n) work
 # arrays, and the scan stops at the first batch holding a crossing.
 _SCAN_CHUNK = 64
+
+# Relative bracket width at which the positive-nugget regula falsi hands
+# over to the ulp gallop of ``_Side._snap``: near the root the excess is
+# round-off, which gives regula falsi no usable slope.
+_ROOT_RTOL = 1e-12
+
+# Excess within which a breakpoint of the zero-nugget root counts as zero
+# when the candidate is picked (see ``_Side._scale_free_root``).
+_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -299,6 +315,9 @@ class _Calibration:
     root = Tr (S0 K S0)^{1/2}:
 
         W2 = max(||m - m0||^2 + Tr K0 + sigma2 Tr R + n nugget - 2 root, 0)
+
+    S0 is formed on the first ``objective`` call, so an amplitude search
+    alone (``sigma_opt``) never builds the law.
     """
 
     def __init__(self, ref: FittedGp, config: RpieConfig):
@@ -311,16 +330,20 @@ class _Calibration:
         self.h0 = scaled_distances(X, X, ref.kernel.theta)
         v = float(np.var(y))
         grid = _SIGMA_SCAN.points(scale=v if v > 0.0 else 1.0)
-        parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
-            else [grid]
-        # The amplitude scan in ascending batches: the grid, then its
+        # Zero nugget: the root is solved exactly over the grid's range.
+        # A positive nugget scans in ascending batches: the grid, then its
         # extension past the top.
+        self.scan_range = (float(grid[0]), float(grid[-1]))
+        parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 else []
         self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
                         for i in range(0, part.size, _SCAN_CHUNK)]
         self._state = None
         self.m0 = self.F @ ref.beta_hat
-        self.S0 = sqrtm_psd(ref.K)
         self.tr_K0 = float(np.trace(ref.K))
+
+    @functools.cached_property
+    def S0(self) -> np.ndarray:
+        return sqrtm_psd(self.ref.K)
 
     def gram(self, lam: float) -> np.ndarray:
         """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
@@ -339,14 +362,15 @@ class _Calibration:
         dm = state.mean(sigma2) - self.m0
         val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
                     + self.ref.n * self.nugget
-                    - 2.0 * state.root(sigma2))
+                    - 2.0 * state.root(sigma2, self.S0))
         return max(val, 0.0)
 
 
 class _LambdaState:
-    """What the amplitude scan and the W2 law read at one lambda, in the
+    """What the amplitude search and the W2 law read at one lambda, in the
     form the nugget selects.  Both give the GLS mean ``mean(sigma2)`` and
-    ``root(sigma2)`` = Tr (S0 K S0)^{1/2} from A = S0 R S0, formed once.
+    ``root(sigma2, S0)`` = Tr (S0 K S0)^{1/2} from A = S0 R S0, formed on
+    the first ``root`` call.
 
     Scale-free form, with zero nugget: K = sigma2 R, so the standardized
     LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
@@ -358,9 +382,8 @@ class _LambdaState:
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
     (``SigmaScanBasis``), from which each batch of amplitudes costs two
     matrix products.  The mean is y - K Kbar y with Kbar y from the basis,
-    and root = Tr (sigma2 A + nugget K0)^{1/2}, since S0 S0 = K0.
-
-    Residuals on the amplitude grid are built one batch at a time as the
+    and root = Tr (sigma2 A + nugget K0)^{1/2}, since S0 S0 = K0.  Its
+    residuals on the amplitude scan are built one batch at a time as the
     sides ask for them.
     """
 
@@ -369,6 +392,7 @@ class _LambdaState:
         self.R = cal.gram(lam)
         self._batches = cal.batches
         self._residuals = {}
+        self._A = self._t1 = None
         self._y, self._nugget, self._K0 = cal.ref.dataset.y, cal.nugget, \
             cal.ref.K
         if cal.nugget > 0.0:
@@ -382,9 +406,6 @@ class _LambdaState:
             self.z1 = (kbar @ self._y) / np.sqrt(np.diag(kbar))
             self.m1 = cal.F @ gls.beta
         self.tr_R = float(np.trace(self.R))
-        self.A = (cal.S0 @ self.R) @ cal.S0
-        if self.basis is None:
-            self.t1 = _trace_root(self.A)
 
     def mean(self, sigma2: float) -> np.ndarray:
         """GLS mean F beta of the law at amplitude sigma2."""
@@ -393,11 +414,15 @@ class _LambdaState:
         ky = self.basis.kbar_y(sigma2)
         return self._y - (sigma2 * (self.R @ ky) + self._nugget * ky)
 
-    def root(self, sigma2: float) -> float:
+    def root(self, sigma2: float, S0: np.ndarray) -> float:
         """Tr (S0 K S0)^{1/2} at amplitude sigma2."""
+        if self._A is None:
+            self._A = (S0 @ self.R) @ S0
+            if self.basis is None:
+                self._t1 = _trace_root(self._A)
         if self.basis is None:
-            return math.sqrt(sigma2) * self.t1
-        return _trace_root(sigma2 * self.A + self._nugget * self._K0)
+            return math.sqrt(sigma2) * self._t1
+        return _trace_root(sigma2 * self._A + self._nugget * self._K0)
 
     def std_residuals(self, sigma2: float) -> np.ndarray:
         """Standardized residuals at amplitude sigma2."""
@@ -406,13 +431,10 @@ class _LambdaState:
         return self.basis.std_residuals(sigma2)
 
     def residuals(self, k: int) -> np.ndarray:
-        """Standardized residuals at the amplitudes of batch k, one row
-        per amplitude."""
+        """Eigenbasis form: standardized residuals at the amplitudes of
+        scan batch k, one row per amplitude."""
         if k not in self._residuals:
-            amps = self._batches[k]
-            self._residuals[k] = (
-                self.z1 / np.sqrt(amps)[:, None] if self.basis is None
-                else self.basis.std_residuals(amps))
+            self._residuals[k] = self.basis.std_residuals(self._batches[k])
         return self._residuals[k]
 
 
@@ -423,7 +445,10 @@ class _Side:
     A lower bound (a < 1/2) is evaluated in the upper orientation,
     psi_a(z) = 1 - psi_{1-a}(-z), so that negating y swaps the two sides
     bit for bit.  The level, the smoothing width and q are checked and
-    computed once here.
+    computed once here.  ``sigma_opt_at`` solves the equation exactly in
+    the scale-free form (``_scale_free_root``) and by regula falsi in the
+    eigenbasis form (``_scan_root``); both end in ``_snap``, which rounds
+    the root to adjacent doubles with the one predicate ``_hit``.
     """
 
     def __init__(self, cal: _Calibration, a: float):
@@ -446,11 +471,93 @@ class _Side:
 
     def sigma_opt_at(self, lam: float) -> float | None:
         """Left end of the first crossing of psi_delta = a on the scan
-        grid at lam; None when the grid has no crossing."""
+        range at lam; None when the range has no crossing."""
         state = self.cal.at(lam)
+        if state.basis is None:
+            return self._scale_free_root(state)
+        return self._scan_root(state)
+
+    def _hit(self, state: _LambdaState, negative: bool, s2: float) -> bool:
+        """Whether psi_delta - a is zero at s2 or has lost the strict sign
+        it has at the bottom of the scan (negative: below zero there)."""
+        g = self.excess(state.std_residuals(s2))
+        return g == 0.0 or (g < 0.0) != negative
+
+    def _scale_free_root(self, state: _LambdaState) -> float | None:
+        """The exact root with zero nugget.
+
+        With t = 1 / sqrt(sigma2) the residuals are z(1) t, and each ramp
+        term is linear in t between its breakpoints (q - delta) / u_i and
+        q / u_i, u_i = sign z(1)_i > 0 (a term with u_i <= 0 stays at 1,
+        since delta < q).  So psi_delta is non-decreasing in sigma2, and so
+        is its floating-point value, every step of which is correctly
+        rounded and monotone: the predicate has one transition double.
+        One (m, n) array evaluates the excess at the breakpoints inside
+        the scan range and at its two ends.  Its rows, z(1) / sqrt(sigma2)
+        as ``std_residuals`` forms them, equal the scalar evaluation bit
+        for bit, so the first row at or above zero and the row before
+        bracket the transition.  The linear piece between them gives the
+        candidate, which ``_snap`` turns into adjacent doubles.  A low
+        breakpoint within ``_ZERO_TOL`` of zero is itself the candidate:
+        at the left edge of a plateau psi_delta = a (n * a an integer) it
+        reads a few ulps below zero, and the linear solve across the
+        plateau would land at its far edge.
+        """
+        lo, hi = self.cal.scan_range
+        u = self.sign * state.z1
+        u = u[u > 0.0]
+        s2 = np.concatenate(((lo, hi), (u / self.q) ** 2,
+                             (u / (self.q - self.delta)) ** 2))
+        s2 = np.sort(s2[(s2 >= lo) & (s2 <= hi)])
+        g = self.excess(state.z1 / np.sqrt(s2)[:, None])
+        if g[0] >= 0.0:
+            return lo if g[0] == 0.0 else None
+        if g[-1] < 0.0:
+            return None
+        k = int(np.argmax(g >= 0.0))
+        lo, hi = float(s2[k - 1]), float(s2[k])
+        if g[k - 1] >= -_ZERO_TOL:
+            guess = lo
+        else:
+            t_lo, t_hi = 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
+            t = t_lo + (t_hi - t_lo) * (g[k - 1] / (g[k - 1] - g[k]))
+            guess = min(max(1.0 / (t * t), lo), hi)
+        return self._snap(state, True, guess, lo, hi)
+
+    def _snap(self, state: _LambdaState, negative: bool, guess: float,
+              lo: float, hi: float) -> float:
+        """Adjacent-double left end in (lo, hi], the predicate failing at
+        lo and holding at hi: gallop from guess by 1, 2, 4 ... ulps
+        towards the transition until it is bracketed, then bisect.  The
+        gallop never leaves (lo, hi), so it takes at most about twice the
+        log2 of that bracket's width in ulps."""
+        step = math.ulp(guess)
+        if guess == hi or (guess > lo and self._hit(state, negative, guess)):
+            hi = guess
+            while hi - step > lo:
+                if not self._hit(state, negative, hi - step):
+                    lo = hi - step
+                    break
+                hi -= step
+                step *= 2.0
+        else:
+            lo = guess
+            while lo + step < hi:
+                if self._hit(state, negative, lo + step):
+                    hi = lo + step
+                    break
+                lo += step
+                step *= 2.0
+        return self._left_end(state, negative, lo, hi)
+
+    def _scan_root(self, state: _LambdaState) -> float | None:
+        """The root with a positive nugget: scan the amplitude batches for
+        the first crossing, then solve it in its grid cell by Illinois
+        regula falsi (``_illinois``)."""
         negative = prev = None
         for k, amps in enumerate(self.cal.batches):
-            g = self.excess(state.residuals(k))
+            rows = state.residuals(k)
+            g = self.excess(rows)
             if negative is None:
                 if g[0] == 0.0:
                     return float(amps[0])
@@ -458,11 +565,66 @@ class _Side:
             hit = (g == 0.0) | ((g < 0.0) != negative)
             if hit.any():
                 j = int(np.argmax(hit))
-                lo = amps[j - 1] if j > 0 else prev
-                return self._left_end(state, negative, float(lo),
-                                      float(amps[j]))
-            prev = amps[-1]
+                lo, z_lo = (amps[j - 1], rows[j - 1]) if j > 0 else prev
+                return self._illinois(state, negative, float(lo), z_lo,
+                                      float(amps[j]), rows[j])
+            prev = amps[-1], rows[-1]
         return None
+
+    def _signed(self, z: np.ndarray, negative: bool) -> float:
+        """f = +-(psi_delta - a), oriented below zero at the bottom of the
+        scan, so that the predicate is f >= 0."""
+        g = float(self.excess(z))
+        return g if negative else -g
+
+    def _past_band(self, z: np.ndarray, z_lo: np.ndarray) -> float:
+        """On a plateau psi_delta = a, where f is zero: how far the ramp
+        terms that moved between z_lo and z are past the band's edges at
+        z, as a share of n.  Just below the plateau f is the term that
+        saturates last, so this continues f across the plateau's left end
+        and gives regula falsi a slope there; it is zero when f is zero
+        off a plateau, where the root is at hand."""
+        t_lo = (self.q - self.sign * z_lo) / self.delta
+        t = (self.q - self.sign * z) / self.delta
+        past = np.maximum(t - 1.0, 0.0) + np.maximum(-t, 0.0)
+        moved = np.clip(t_lo, 0.0, 1.0) != np.clip(t, 0.0, 1.0)
+        return float(past[moved].sum()) / z.size
+
+    def _illinois(self, state: _LambdaState, negative: bool, lo: float,
+                  z_lo: np.ndarray, hi: float, z_hi: np.ndarray) -> float:
+        """Illinois regula falsi in log sigma2 between lo and hi, with
+        residuals z_lo and z_hi there, f below zero at lo and at or above
+        it at hi.  Once the bracket is ``_ROOT_RTOL`` relative, or the next
+        estimate falls on an end, ``_snap`` finishes from that estimate.
+
+        When n * a is an integer, f is exactly zero on a plateau whose
+        left end is the root, which gives regula falsi no slope; there
+        ``_past_band`` stands in for f at the hit end.  When that is zero
+        too, the estimate falls on the hit end, and ``_snap`` gallops down
+        from it.
+        """
+        f_lo = self._signed(z_lo, negative)
+        f_hi = self._signed(z_hi, negative) or self._past_band(z_hi, z_lo)
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        kept = 0            # +1 after the low end moved, -1 the high end
+        while True:
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+            s2 = min(max(math.exp(x), lo), hi)
+            if hi - lo <= _ROOT_RTOL * hi or not lo < s2 < hi:
+                return self._snap(state, negative, s2, lo, hi)
+            z = state.std_residuals(s2)
+            f = self._signed(z, negative)
+            if f >= 0.0:
+                x_hi, hi = math.log(s2), s2
+                f_hi = f or self._past_band(z, z_lo)
+                if kept == -1:
+                    f_lo *= 0.5
+                kept = -1
+            else:
+                x_lo, lo, f_lo, z_lo = math.log(s2), s2, f, z
+                if kept == 1:
+                    f_hi *= 0.5
+                kept = 1
 
     def _left_end(self, state: _LambdaState, negative: bool, lo: float,
                   hi: float) -> float:
@@ -474,8 +636,7 @@ class _Side:
                 mid = lo + 0.5 * (hi - lo)
                 if not lo < mid < hi:
                     return hi
-            g = self.excess(state.std_residuals(mid))
-            if g == 0.0 or (g < 0.0) != negative:
+            if self._hit(state, negative, mid):
                 hi = mid
             else:
                 lo = mid
@@ -599,10 +760,11 @@ def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     """Smallest amplitude at which psi_delta(sigma2, theta) equals a.
 
     The search runs on a reference fit at theta and unit amplitude, whose
-    law it does not read.  The scan grid is searched in batches for the
-    first crossing, which is bisected down to adjacent doubles; the left
-    end of the crossing is returned, so a plateau psi_delta = a (n * a an
-    integer) yields its smallest point.  With a positive nugget the scan
+    law it never forms.  The left end of the first crossing on the scan
+    range is returned, to adjacent doubles, so a plateau psi_delta = a
+    (n * a an integer) yields its smallest point: exactly, from the
+    breakpoints of psi_delta, with zero nugget, and by regula falsi in the
+    grid cell of the crossing with a positive nugget, where the scan
     continues past the top of the grid when the grid itself has no
     crossing.  Absence (no crossing anywhere) is a value, not an error; it
     arises in the no-nugget case for extreme length-scales.

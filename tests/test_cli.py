@@ -343,6 +343,22 @@ class TestBadFlags:
         bad_flag = [f for f in flags if f.startswith("--")][-1]
         assert bad_flag in capsys.readouterr().err
 
+    def test_predict_alpha_with_calibrated_model(self, tmp_path, capsys):
+        # A calibrated model has its own level: --alpha is a usage error
+        # for it, and predict runs without the flag.
+        _, calibrated = TestMalformedInputs._docs()
+        model = tmp_path / "calibrated.json"
+        model.write_text(json.dumps(calibrated))
+        features = tmp_path / "features.csv"
+        _write_csv(features, ["a", "b"], calibrated["X"][:3])
+        argv = ["predict", "--model", str(model), "--data", str(features)]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--alpha", "0.2", "--out", str(out)]) == 2
+        assert not list(tmp_path.glob("out*"))
+        assert "--alpha" in capsys.readouterr().err
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestMalformedInputs:
     """Malformed model documents and non-finite CSV cells are data errors

@@ -27,6 +27,7 @@ from gpcal.rpie import (
     _Calibration,
     _LambdaState,
     _Side,
+    _search,
     _trace_root,
     CalibratedIntervalModel,
     GridSpec,
@@ -155,6 +156,21 @@ class TestSigmaOpt:
             np.testing.assert_allclose(row, z, rtol=1e-12,
                                        atol=1e-12 * np.abs(z).max())
 
+    @pytest.mark.parametrize("nugget", [0.0, 0.05])
+    def test_builds_no_law(self, monkeypatch, rng, nugget):
+        # The amplitude search reads no W2 law: S0 = K0^{1/2} and
+        # A = S0 R S0 are formed only when an objective is asked for.
+        import gpcal.rpie
+
+        def no_law(K):
+            raise AssertionError("sigma_opt formed the reference law")
+
+        monkeypatch.setattr(gpcal.rpie, "sqrtm_psd", no_law)
+        ds = random_dataset(rng, n=25, d=2)
+        assert sigma_opt(ds, ORD, KernelFamily.MATERN32,
+                         np.array([0.4, 0.4]), nugget, 0.95,
+                         RpieConfig()) is not None
+
     def test_minimality_on_grid(self, rng):
         # No scanned amplitude below the returned root achieves the target.
         config = RpieConfig()
@@ -171,6 +187,117 @@ class TestSigmaOpt:
         vals = np.array([psi_smoothed_from_residuals(
             basis.std_residuals(s), a, config.delta) for s in below])
         assert np.all(np.abs(vals - a) > 1e-6)
+
+
+def _bisection_oracle(hit, lo, hi):
+    """Plain bisection at the arithmetic midpoint down to adjacent doubles:
+    the smallest double in (lo, hi] at which the monotone predicate hit
+    holds, given it fails at lo and holds at hi."""
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if hit(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+class TestAmplitudeRoot:
+    """Every root is the adjacent-double left end of the crossing: the
+    predicate of the search (the excess is zero or has lost the strict
+    sign it has at the bottom of the scan) holds at the root and fails one
+    double below it.  With zero nugget the predicate is monotone in
+    sigma2, so the root is also the bisection oracle's, bit for bit.
+
+    n = 60, so alpha = 0.1 and 0.2 put n * a on an integer at both bounds
+    (psi_delta = a on whole plateaus of sigma2) and alpha = 0.05 does not.
+    """
+
+    THETA = np.array([0.5, 0.7])
+    LAMBDAS = np.logspace(-1, 1, 7)
+
+    def _roots(self, nugget, alpha):
+        """(root, side, state) for both bounds at every lambda, each root
+        from sigma_opt, each side and state built as sigma_opt builds
+        them."""
+        ds = _misspecified_dataset(11)
+        config = RpieConfig()
+        out = []
+        for a in (1.0 - alpha / 2.0, alpha / 2.0):
+            for lam in self.LAMBDAS:
+                theta = lam * self.THETA
+                s2 = sigma_opt(ds, ORD, KernelFamily.MATERN52, theta, nugget,
+                               a, config)
+                cal = _Calibration(fit_gp(ds, KernelSpec(
+                    KernelFamily.MATERN52, 1.0, theta, nugget), ORD), config)
+                out.append((s2, _Side(cal, a), cal.at(1.0)))
+        return out
+
+    @staticmethod
+    def _excess(side, state, s2):
+        return side.excess(state.std_residuals(s2))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("nugget", [0.0, 1e-3])
+    def test_left_end_of_crossing(self, nugget, alpha):
+        for s2, side, state in self._roots(nugget, alpha):
+            assert s2 is not None
+            lo = side.cal.scan_range[0]
+            g0 = self._excess(side, state, lo)
+            assert g0 != 0.0
+            negative = bool(g0 < 0.0)
+            g = self._excess(side, state, s2)
+            assert g == 0.0 or (g < 0.0) != negative
+            g = self._excess(side, state, math.nextafter(s2, 0.0))
+            assert g != 0.0 and (g < 0.0) == negative
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_zero_nugget_root_is_bisection_oracle(self, alpha):
+        plateaus = 0
+        for s2, side, state in self._roots(0.0, alpha):
+            lo, hi = side.cal.scan_range
+            want = _bisection_oracle(
+                lambda s: self._excess(side, state, s) >= 0.0, lo, hi)
+            assert s2 == want
+            plateaus += (self._excess(side, state, s2) == 0.0 and
+                         self._excess(side, state, 1.001 * s2) == 0.0)
+        # The integer cases do put roots on the left end of a plateau.
+        assert (plateaus > 0) == (alpha != 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("nugget, median, most",
+                             [(0.0, 8, 16), (1e-3, 30, 45)])
+    def test_evaluations_per_root(self, monkeypatch, nugget, median, most,
+                                  alpha):
+        # A root of a default search costs a few scalar residual
+        # evaluations, against about 50 for a bisection to adjacent
+        # doubles, on plateaus (alpha = 0.1) too: no root walks a plateau
+        # in ulp steps.
+        calls, per_root = [0], []
+        std_residuals = _LambdaState.std_residuals
+        sigma_opt_at = _Side.sigma_opt_at
+
+        def counting_std_residuals(state, s2):
+            calls[0] += 1
+            return std_residuals(state, s2)
+
+        def counting_sigma_opt_at(side, lam):
+            before = calls[0]
+            out = sigma_opt_at(side, lam)
+            per_root.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(_LambdaState, "std_residuals",
+                            counting_std_residuals)
+        monkeypatch.setattr(_Side, "sigma_opt_at", counting_sigma_opt_at)
+        ds = _misspecified_dataset(11)
+        ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, 0.05, self.THETA,
+                                    nugget), ORD)
+        _search(ref, (1.0 - alpha / 2.0, alpha / 2.0), RpieConfig())
+        assert len(per_root) >= 2 * RpieConfig().lambda_grid.count
+        assert np.median(per_root) <= median
+        assert max(per_root) <= most
 
 
 def _h_upper(x, delta):
@@ -700,10 +827,6 @@ class TestScaleFree:
                 np.testing.assert_allclose(state.std_residuals(s2), want,
                                            rtol=0.0,
                                            atol=1e-9 * np.abs(want).max())
-            amps = cal.batches[1]
-            want = basis.std_residuals(amps)
-            np.testing.assert_allclose(state.residuals(1), want, rtol=0.0,
-                                       atol=1e-9 * np.abs(want).max())
 
     def test_objective_matches_wasserstein(self):
         ds, cal = self._problem()

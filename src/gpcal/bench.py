@@ -33,12 +33,12 @@ from .blas import single_threaded_blas
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
     InvalidParameterError, UsageError
-from .gp import Dataset, TrendSpec, build_covariance, fit_gp, \
-    prediction_interval, predict
+from .gp import Dataset, TrendSpec, _interval, build_covariance, fit_gp, \
+    predict
 from .kernels import KernelFamily, KernelSpec
 from .loo import loo_coverage
 from .rpie import calibrate, predict_calibrated
-from .stats import normal_cdf
+from .stats import check_alpha, normal_cdf
 
 __all__ = [
     "WING_WEIGHT_BOUNDS",
@@ -436,8 +436,8 @@ def _run_seed(name, cfg, scale, methods, alpha, seed):
                            seed=seed)
         fit_s = time.perf_counter() - t0
         model = fit_gp(train, reference.kernel, trend)
-        means, _ = predict(model, X_test)
-        lo, up = prediction_interval(model, X_test, alpha)
+        means, var = predict(model, X_test)
+        lo, up = _interval(means, var, alpha)
         metrics = compute_metrics(y_test, means, lo, up)
         rows.append(BenchRow(
             experiment=name, seed=seed, method=method,
@@ -482,6 +482,7 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
     ordered by (seed, method).  ``calibrations`` maps (seed, method) to the
     CalibratedIntervalModel of each non-Bayesian reference fit.
     """
+    check_alpha(alpha)
     scale = scale or ExperimentScale()
     job = partial(_run_seed, name, _config(name), scale, methods, alpha)
     with single_threaded_blas(), ThreadPoolExecutor(

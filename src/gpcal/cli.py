@@ -36,12 +36,13 @@ from .estimation import EstimationResult, McmcConfig, fit_mle, fit_msecv, \
     mle_objective, posterior_mean_kernel
 from .exceptions import DataError, DomainError, GpcalError, \
     InvalidParameterError, UsageError
-from .gp import Dataset, TrendSpec, fit_gp, model_from_dict, \
-    model_to_dict, predict, prediction_interval
+from .gp import Dataset, TrendSpec, _interval, fit_gp, model_from_dict, \
+    model_to_dict, predict
 from .kernels import KernelFamily
 from .loo import SmoothingParams, virtual_loo
 from .rpie import CalibratedIntervalModel, GridSpec, RpieConfig, calibrate, \
     predict_calibrated
+from .stats import check_alpha
 
 __all__ = ["main", "ingest_csv"]
 
@@ -181,8 +182,10 @@ def _alpha_type(text):
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie in (0, 1)")
+    try:
+        check_alpha(v)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     if 1.0 - v / 2.0 == 1.0:
         raise argparse.ArgumentTypeError(
             f"alpha {text} is too small: 1 - alpha/2 rounds to 1")
@@ -376,8 +379,8 @@ def cmd_predict(args) -> int:
         lower, upper, crossed = predict_calibrated(model, X)
         mean = 0.5 * (lower + upper)   # interval barycenter
     else:
-        mean, _ = predict(model, X)
-        lower, upper = prediction_interval(model, X, args.alpha)
+        mean, var = predict(model, X)
+        lower, upper = _interval(mean, var, args.alpha)
         crossed = np.zeros(mean.shape, dtype=bool)
     mean = _y_back(mean, transform)
     lower = _y_back(lower, transform)

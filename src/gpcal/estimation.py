@@ -6,19 +6,21 @@ over log hyperparameters inside scale-aware boxes (length-scales relative
 to the per-column input range, amplitude relative to var(y)).  ``n_starts``
 is the most starts a fit runs: the starts run in index order, and from the
 third on the fit stops once two of them have reached the best value so
-far (``_multistart_minimize``).  Each
-evaluation builds the scaled distances h and correlations r(h) once,
-factors K and solves the GLS state once (``gp.solve_gls``).  The criterion
-reads that state and returns its value with S = d criterion / dK, and
-``kernels.covariance_gradient`` maps S, h and r(h) to the analytic
-gradient in the optimizer's log coordinates; ``n_evals`` counts
-value+gradient evaluations.  The Bayesian baseline runs a random-walk
-Metropolis chain over the same log coordinates and propagates the sampled
-hyperparameters into the predictive law.
+far (``_multistart_minimize``).  Each evaluation fits the kernel on the
+design prepared once (``_Design``): it builds the scaled distances h and
+correlations r(h) once, factors K and solves the GLS state once
+(``gp.solve_gls``).  The criterion reads that state and returns its value
+with S = d criterion / dK, and ``kernels.covariance_gradient`` maps S, h
+and r(h) to the analytic gradient in the optimizer's log coordinates;
+``n_evals`` counts value+gradient evaluations.  The Bayesian baseline runs
+a random-walk Metropolis chain over the same log coordinates and the same
+``_Design`` and propagates the sampled hyperparameters into the
+predictive law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,12 +34,14 @@ from .exceptions import (
     GpcalError,
     InvalidParameterError,
 )
-from .gp import Dataset, GlsState, TrendSpec, _has_duplicate_rows, \
+from .gp import Dataset, FittedGp, GlsState, TrendSpec, \
+    _check_distinct_rows, _check_kernel_dim, _has_duplicate_rows, \
     _inverse, _kbar, build_regression_matrix, compute_kbar, \
     factor_covariance, fit_gp, predict, solve_gls
 from .kernels import KernelFamily, KernelSpec, correlation, \
     covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
 from .loo import loo_mse
+from .stats import check_alpha
 
 __all__ = [
     "EstimationResult",
@@ -135,14 +139,50 @@ def _profile_nll(gls: GlsState) -> float:
     return gls.quad + 2.0 * float(np.sum(np.log(np.diag(gls.L))))
 
 
+class _Design:
+    """A design and trend prepared for many kernels: F, the squared
+    differences (the cache handed in, if any) and, on the first
+    zero-nugget fit, the duplicated-row verdict, each built once."""
+
+    def __init__(self, dataset: Dataset, trend: TrendSpec, sq_diffs=None):
+        self.dataset = dataset
+        self.trend = trend
+        self.F = build_regression_matrix(dataset.X, trend)
+        self.sq_diffs = pairwise_sq_diffs(dataset.X) if sq_diffs is None \
+            else sq_diffs
+
+    @functools.cached_property
+    def duplicates(self) -> bool:
+        return _has_duplicate_rows(self.dataset.X)
+
+    def fit(self, kernel: KernelSpec) -> tuple:
+        """(FittedGp, h, r): the model at kernel, with the scaled distances
+        and unit correlations its K was built from; raises what
+        ``fit_gp`` raises, by the same checks."""
+        _check_kernel_dim(self.dataset, kernel)
+        _check_distinct_rows(kernel, lambda: self.duplicates)
+        h = scaled_distance_matrix(self.sq_diffs, kernel.theta)
+        r = correlation(kernel.family, h)
+        K, L, jitter = factor_covariance(kernel.sigma2 * r, kernel.nugget,
+                                         kernel.sigma2)
+        model = FittedGp(dataset=self.dataset, kernel=kernel,
+                         trend=self.trend, F=self.F, K=K,
+                         gls=solve_gls(self.F, L, self.dataset.y),
+                         jitter_used=jitter)
+        return model, h, r
+
+
 def mle_objective(dataset: Dataset, trend: TrendSpec,
                   kernel: KernelSpec, sq_diffs=None) -> float:
     """Profile negative log-likelihood y' Kbar y + log det K.
 
     The regression coefficients are profiled out, so the quadratic form uses
-    the GLS residuals; log det K comes from the Cholesky diagonal.
+    the GLS residuals; log det K comes from the Cholesky diagonal.  Given
+    ``sq_diffs``, the design's cached squared differences build K.
     """
-    return _profile_nll(fit_gp(dataset, kernel, trend, sq_diffs=sq_diffs).gls)
+    if sq_diffs is None:
+        return _profile_nll(fit_gp(dataset, kernel, trend).gls)
+    return _profile_nll(_Design(dataset, trend, sq_diffs).fit(kernel)[0].gls)
 
 
 def msecv_objective(dataset: Dataset, trend: TrendSpec,
@@ -264,28 +304,19 @@ def _log_objective(criterion, dataset, trend, unpack):
 
     ``criterion(gls)`` returns the value and S = d criterion / dK of the
     solved state; the gradient keeps the first len(u) of the (log theta,
-    log sigma2, log nugget) partials.  The regression matrix, the squared
-    differences and the duplicated-row check are done once here, not once
-    per evaluation; each evaluation builds h and r(h) once for both K and
-    the gradient.
-    Returns None where the criterion cannot be evaluated, as for a zero
-    nugget on a design with duplicated rows.
+    log sigma2, log nugget) partials.  The fit's h and r(h) serve both K
+    and the gradient.  Returns None where the criterion cannot be
+    evaluated, as for a zero nugget on a design with duplicated rows.
     """
-    F = build_regression_matrix(dataset.X, trend)
-    sq_diffs = pairwise_sq_diffs(dataset.X)
-    duplicates = _has_duplicate_rows(dataset.X)
+    design = _Design(dataset, trend)
 
     def objective(u):
         try:
             kernel = unpack(u)
-            if kernel.nugget == 0.0 and duplicates:
-                return None
-            h = scaled_distance_matrix(sq_diffs, kernel.theta)
-            r = correlation(kernel.family, h)
-            _, L, _ = factor_covariance(kernel.sigma2 * r, kernel.nugget,
-                                        kernel.sigma2)
-            value, S = criterion(solve_gls(F, L, dataset.y))
-            grad = covariance_gradient(kernel, sq_diffs, h, r, S)[:u.size]
+            model, h, r = design.fit(kernel)
+            value, S = criterion(model.gls)
+            grad = covariance_gradient(kernel, design.sq_diffs, h, r,
+                                       S)[:u.size]
         except (GpcalError, linalg.LinAlgError, ValueError):
             return None
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
@@ -426,11 +457,11 @@ def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     coordinates, on the profile likelihood times the lognormal(0,1) prior.
 
     Returns (unpack: state -> kernel, the states after burn-in, the
-    acceptance rate, the cached squared differences).
+    acceptance rate, the ``_Design`` the log-target fitted on).
     """
     spans, v = _data_scales(dataset)
     d = dataset.d
-    sq_diffs = pairwise_sq_diffs(dataset.X)
+    design = _Design(dataset, trend)
 
     def unpack(u):
         return KernelSpec(family=family, sigma2=v * np.exp(u[d]),
@@ -438,7 +469,7 @@ def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
 
     def log_target(u):
         try:
-            nll = mle_objective(dataset, trend, unpack(u), sq_diffs)
+            nll = _profile_nll(design.fit(unpack(u))[0].gls)
         except (GpcalError, linalg.LinAlgError, ValueError):
             return -np.inf
         return -0.5 * nll - 0.5 * float(u @ u)
@@ -446,7 +477,7 @@ def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     chain, acc = random_walk_metropolis(
         log_target, np.zeros(d + 1), config.n_samples,
         config.proposal_scale, rng)
-    return unpack, chain[config.burn_in:], acc, sq_diffs
+    return unpack, chain[config.burn_in:], acc, design
 
 
 def posterior_mean_kernel(dataset: Dataset, trend: TrendSpec,
@@ -486,11 +517,10 @@ def bayes_predictive(dataset: Dataset, trend: TrendSpec,
     point; the interval is the empirical alpha/2 .. 1-alpha/2 band of those
     draws and the point prediction is their mean.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     rng = np.random.default_rng(config.seed)
-    unpack, retained, acc, sq_diffs = _chain(dataset, trend, family, nugget,
-                                             config, rng)
+    unpack, retained, acc, design = _chain(dataset, trend, family, nugget,
+                                           config, rng)
 
     x_arr = np.asarray(x_new, dtype=float)
     single = x_arr.ndim == 1
@@ -501,8 +531,7 @@ def bayes_predictive(dataset: Dataset, trend: TrendSpec,
     mean_var = None
     for i, u in enumerate(retained):
         if prev_u is None or not np.array_equal(u, prev_u):
-            model = fit_gp(dataset, unpack(u), trend, sq_diffs=sq_diffs)
-            mean_var = predict(model, X_new)
+            mean_var = predict(design.fit(unpack(u))[0], X_new)
             prev_u = u
         mu, var = mean_var
         draws[i] = mu + np.sqrt(var) * rng.standard_normal(m)

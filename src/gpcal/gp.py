@@ -32,7 +32,7 @@ from .exceptions import (
     ShapeError,
 )
 from .kernels import KernelSpec, cross_covariance, gram_matrix
-from .stats import check_level, normal_quantile
+from .stats import check_alpha, check_level, normal_quantile
 
 __all__ = [
     "TrendKind",
@@ -173,20 +173,34 @@ def _has_duplicate_rows(X: np.ndarray) -> bool:
     return uniq.shape[0] < view.shape[0]
 
 
-def build_covariance(X: np.ndarray, kernel: KernelSpec,
-                     sq_diffs: np.ndarray | None = None):
+def _check_kernel_dim(dataset: Dataset, kernel: KernelSpec) -> None:
+    """Reject a theta that does not match the design's columns."""
+    if kernel.dim != dataset.d:
+        raise ShapeError(
+            f"kernel theta has {kernel.dim} entries but design has "
+            f"{dataset.d} columns"
+        )
+
+
+def _check_distinct_rows(kernel: KernelSpec, duplicates) -> None:
+    """Reject a zero nugget on a design with duplicated rows; the rows are
+    compared, by calling ``duplicates()``, only when the nugget is zero."""
+    if kernel.nugget == 0.0 and duplicates():
+        raise IllConditionedError(
+            "duplicated design rows with zero nugget make K singular"
+        )
+
+
+def build_covariance(X: np.ndarray, kernel: KernelSpec):
     """Covariance matrix K = Gram(X) + nugget * I and its Cholesky factor.
 
     Returns (K, L, jitter_used) from ``factor_covariance``.  Duplicated
     design rows with a zero nugget raise IllConditionedError up front.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if kernel.nugget == 0.0 and _has_duplicate_rows(X):
-        raise IllConditionedError(
-            "duplicated design rows with zero nugget make K singular"
-        )
-    return factor_covariance(gram_matrix(X, kernel, sq_diffs=sq_diffs),
-                             kernel.nugget, kernel.sigma2)
+    _check_distinct_rows(kernel, lambda: _has_duplicate_rows(X))
+    return factor_covariance(gram_matrix(X, kernel), kernel.nugget,
+                             kernel.sigma2)
 
 
 def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
@@ -196,7 +210,7 @@ def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
     or a non-finite entry, raises IllConditionedError.
 
     Returns (K, L, jitter_used).  Callers that hold a design check it for
-    duplicated rows themselves (``build_covariance`` does so per call).
+    duplicated rows themselves (``_check_distinct_rows``).
     """
     K = gram
     n = K.shape[0]
@@ -301,16 +315,11 @@ class FittedGp:
         return self.gls.beta
 
 
-def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec,
-           sq_diffs: np.ndarray | None = None) -> FittedGp:
+def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec) -> FittedGp:
     """Assemble a FittedGp: F, K and its solved GLS state."""
-    if kernel.dim != dataset.d:
-        raise ShapeError(
-            f"kernel theta has {kernel.dim} entries but design has "
-            f"{dataset.d} columns"
-        )
+    _check_kernel_dim(dataset, kernel)
     F = build_regression_matrix(dataset.X, trend)
-    K, L, jitter = build_covariance(dataset.X, kernel, sq_diffs=sq_diffs)
+    K, L, jitter = build_covariance(dataset.X, kernel)
     return FittedGp(dataset=dataset, kernel=kernel, trend=trend, F=F, K=K,
                     gls=solve_gls(F, L, dataset.y), jitter_used=jitter)
 
@@ -353,9 +362,12 @@ def predict(model: FittedGp, x_new) -> tuple:
 
 def prediction_interval(model: FittedGp, x_new, alpha: float) -> tuple:
     """Central (1 - alpha) prediction interval from the Gaussian posterior."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1)")
-    mean, var = predict(model, x_new)
+    check_alpha(alpha)
+    return _interval(*predict(model, x_new), alpha)
+
+
+def _interval(mean, var, alpha: float) -> tuple:
+    """Central (1 - alpha) interval of a ``predict`` output."""
     q = normal_quantile(1.0 - alpha / 2.0)
     sd = np.sqrt(var)
     return mean - q * sd, mean + q * sd

@@ -235,8 +235,8 @@ def kernel_radial(spec: KernelSpec, x, x_prime) -> float:
 def pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
     """Per-dimension squared differences, shape (n, n, d).
 
-    Cached by the loops that repeat theta on one design (the fit objective
-    and the Metropolis chain): a new theta then costs one tensor
+    Cached by the loops that repeat theta on one design (``_Design`` of
+    the fits and the Metropolis chain): a new theta then costs one tensor
     contraction for h, and the gradient reads the same tensor.
     """
     X = np.asarray(X, dtype=float)
@@ -261,9 +261,9 @@ def scaled_distance_matrix(sq_diffs: np.ndarray, theta: np.ndarray) -> np.ndarra
     return h
 
 
-def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = None) -> np.ndarray:
+def gram_matrix(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """n x n kernel matrix on the design X, nugget *not* included; h from
-    the cached ``sq_diffs`` if given, else ``scaled_distances`` (O(n^2))."""
+    ``scaled_distances`` (O(n^2) memory)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError("X must be a 2-D design matrix")
@@ -271,10 +271,7 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec, sq_diffs: np.ndarray | None = N
         raise ShapeError(
             f"design has {X.shape[1]} columns but theta has {spec.dim}"
         )
-    if sq_diffs is None:
-        h = scaled_distances(X, X, spec.theta)
-    else:
-        h = scaled_distance_matrix(sq_diffs, spec.theta)
+    h = scaled_distances(X, X, spec.theta)
     return spec.sigma2 * correlation(spec.family, h)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .exceptions import InvalidParameterError
 from .gp import FittedGp, compute_kbar, projection_basis
 from .kernels import KernelSpec, gram_matrix
-from .stats import check_level, normal_quantile
+from .stats import check_alpha, check_level, normal_quantile
 
 __all__ = [
     "LooDiagnostics",
@@ -154,8 +154,7 @@ def loo_coverage(model: FittedGp, alpha: float) -> float:
     standardized LOO residuals inside (q_{alpha/2}, q_{1-alpha/2}], which
     equals psi_{1-alpha/2} - psi_{alpha/2}.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     z = virtual_loo(model).std_resid
     q_hi = normal_quantile(1.0 - alpha / 2.0)
     q_lo = normal_quantile(alpha / 2.0)

@@ -18,14 +18,15 @@ R(lambda) = r(h0 / lambda).  Each lambda builds R and one state from it
 (``_LambdaState``); the amplitude scan and the W2 law K = sigma2 R +
 nugget I of both sides read that state, and ``calibrate`` walks the lambda
 grid once for both sides.  Only the state of the latest lambda is kept.
-Each state supplies the law's GLS mean and trace root Tr (S0 K S0)^{1/2},
-S0 the reference covariance's square root, to one W2 formula that
-factors nothing.
+Each state supplies the law's GLS mean and trace root Tr (L0' K L0)^{1/2}
+to one W2 formula that factors nothing.  L0 is the reference fit's own
+Cholesky factor of K0 = L0 L0'; L0' K L0 has the eigenvalues of
+K0^{1/2} K K0^{1/2}, so K0 is factored once, by the reference fit.
 
 The nugget chooses the state's form.  With zero nugget sigma2 is a pure
 scale of K = sigma2 R: the standardized LOO residuals are
 z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the trace
-root is sqrt(sigma2) Tr (S0 R S0)^{1/2}, so one Cholesky factor serves
+root is sqrt(sigma2) Tr (L0' R L0)^{1/2}, so one Cholesky factor serves
 every amplitude and both sides (the scale-free form).  It factors the
 R + j I of ``gp.factor_covariance(R, 0, 1)``, whose jitter scales with
 sigma2: ``fit_gp`` builds sigma2 (R + j I) at every amplitude.  With a
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import single_threaded_blas
-from .estimation import EstimationResult
+from .estimation import EstimationResult, _data_scales
 from .exceptions import (
     CalibrationInfeasibleError,
     InvalidMatrixError,
@@ -87,7 +88,7 @@ from .gp import (
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
 from .loo import SigmaScanBasis, SmoothingParams, _ramp_mean, \
     psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
-from .stats import normal_quantile
+from .stats import check_alpha, normal_quantile
 
 __all__ = [
     "GridSpec",
@@ -310,14 +311,15 @@ class _Calibration:
     changes.  The reference fit ``ref`` supplies the design, the trend, F,
     the kernel family, the nugget and theta0, all its shape and design
     checks done by ``fit_gp``.  Its law is the reference law: K0 = ref.K
-    and m0 = F beta, with S0 = K0^{1/2} and Tr K0.  ``objective`` is one
-    formula for both state forms, each supplying the mean m and
-    root = Tr (S0 K S0)^{1/2}:
+    and m0 = F beta, with Tr K0 and the Cholesky factor L0 = ref.gls.L of
+    K0.  ``objective`` is one formula for both state forms, each supplying
+    the mean m and root = Tr (L0' K L0)^{1/2}:
 
         W2 = max(||m - m0||^2 + Tr K0 + sigma2 Tr R + n nugget - 2 root, 0)
 
-    S0 is formed on the first ``objective`` call, so an amplitude search
-    alone (``sigma_opt``) never builds the law.
+    The law is formed only for an ``objective`` call: L0' R L0 per lambda
+    and, with a nugget, L0' L0 once, so an amplitude search alone
+    (``sigma_opt``) never builds it.
     """
 
     def __init__(self, ref: FittedGp, config: RpieConfig):
@@ -326,10 +328,9 @@ class _Calibration:
         self.nugget = ref.kernel.nugget
         self.F = ref.F
         self.W = projection_basis(self.F)
-        X, y = ref.dataset.X, ref.dataset.y
+        X = ref.dataset.X
         self.h0 = scaled_distances(X, X, ref.kernel.theta)
-        v = float(np.var(y))
-        grid = _SIGMA_SCAN.points(scale=v if v > 0.0 else 1.0)
+        grid = _SIGMA_SCAN.points(scale=_data_scales(ref.dataset)[1])
         # Zero nugget: the root is solved exactly over the grid's range.
         # A positive nugget scans in ascending batches: the grid, then its
         # extension past the top.
@@ -342,8 +343,9 @@ class _Calibration:
         self.tr_K0 = float(np.trace(ref.K))
 
     @functools.cached_property
-    def S0(self) -> np.ndarray:
-        return sqrtm_psd(self.ref.K)
+    def L0tL0(self) -> np.ndarray:
+        """L0' L0, the nugget's term of L0' K L0."""
+        return self.ref.gls.L.T @ self.ref.gls.L
 
     def gram(self, lam: float) -> np.ndarray:
         """Unit-amplitude Gram matrix R(lam) = r(h0 / lam)."""
@@ -362,15 +364,15 @@ class _Calibration:
         dm = state.mean(sigma2) - self.m0
         val = float(dm @ dm + self.tr_K0 + sigma2 * state.tr_R
                     + self.ref.n * self.nugget
-                    - 2.0 * state.root(sigma2, self.S0))
+                    - 2.0 * state.root(sigma2, self))
         return max(val, 0.0)
 
 
 class _LambdaState:
     """What the amplitude search and the W2 law read at one lambda, in the
     form the nugget selects.  Both give the GLS mean ``mean(sigma2)`` and
-    ``root(sigma2, S0)`` = Tr (S0 K S0)^{1/2} from A = S0 R S0, formed on
-    the first ``root`` call.
+    ``root(sigma2, cal)`` = Tr (L0' K L0)^{1/2} from A = L0' R L0, L0 the
+    reference fit's Cholesky factor; A is formed on first use.
 
     Scale-free form, with zero nugget: K = sigma2 R, so the standardized
     LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
@@ -382,9 +384,9 @@ class _LambdaState:
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
     (``SigmaScanBasis``), from which each batch of amplitudes costs two
     matrix products.  The mean is y - K Kbar y with Kbar y from the basis,
-    and root = Tr (sigma2 A + nugget K0)^{1/2}, since S0 S0 = K0.  Its
-    residuals on the amplitude scan are built one batch at a time as the
-    sides ask for them.
+    and root = Tr (sigma2 A + nugget L0' L0)^{1/2}, with the calibration's
+    L0' L0.  Its residuals on the amplitude scan are built one batch at a
+    time as the sides ask for them.
     """
 
     def __init__(self, cal: _Calibration, lam: float):
@@ -392,9 +394,8 @@ class _LambdaState:
         self.R = cal.gram(lam)
         self._batches = cal.batches
         self._residuals = {}
-        self._A = self._t1 = None
-        self._y, self._nugget, self._K0 = cal.ref.dataset.y, cal.nugget, \
-            cal.ref.K
+        self._y, self._nugget, self._L0 = cal.ref.dataset.y, cal.nugget, \
+            cal.ref.gls.L
         if cal.nugget > 0.0:
             self.basis = SigmaScanBasis.from_gram(self.R, cal.W, self._y,
                                                   cal.nugget)
@@ -414,15 +415,21 @@ class _LambdaState:
         ky = self.basis.kbar_y(sigma2)
         return self._y - (sigma2 * (self.R @ ky) + self._nugget * ky)
 
-    def root(self, sigma2: float, S0: np.ndarray) -> float:
-        """Tr (S0 K S0)^{1/2} at amplitude sigma2."""
-        if self._A is None:
-            self._A = (S0 @ self.R) @ S0
-            if self.basis is None:
-                self._t1 = _trace_root(self._A)
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        """L0' R L0, formed on first use."""
+        return (self._L0.T @ self.R) @ self._L0
+
+    @functools.cached_property
+    def _t1(self) -> float:
+        """Scale-free form: Tr A^{1/2}, the root at unit amplitude."""
+        return _trace_root(self.A)
+
+    def root(self, sigma2: float, cal: _Calibration) -> float:
+        """Tr (L0' K L0)^{1/2} at amplitude sigma2."""
         if self.basis is None:
             return math.sqrt(sigma2) * self._t1
-        return _trace_root(sigma2 * self._A + self._nugget * self._K0)
+        return _trace_root(sigma2 * self.A + self._nugget * cal.L0tL0)
 
     def std_residuals(self, sigma2: float) -> np.ndarray:
         """Standardized residuals at amplitude sigma2."""
@@ -777,10 +784,10 @@ def relaxation_objective(dataset: Dataset, trend: TrendSpec,
                          family: KernelFamily, nugget: float,
                          theta0, sigma2_0: float, lam: float, a: float,
                          config: RpieConfig) -> float | None:
-    """Relaxed Wasserstein objective L(lambda); None when no amplitude
-    achieves the target proportion at this lambda."""
-    if lam <= 0.0:
-        raise InvalidParameterError("lambda must be positive")
+    """Relaxed Wasserstein objective L(lambda) at a finite lambda > 0; None
+    when no amplitude achieves the target proportion at this lambda."""
+    if not 0.0 < lam < math.inf:
+        raise InvalidParameterError("lambda must be finite and positive")
     ref = fit_gp(dataset, KernelSpec(family, sigma2_0, theta0, nugget), trend)
     obj, _ = _Side(_Calibration(ref, config), a).evaluate(lam)
     return obj
@@ -889,8 +896,7 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     1 - alpha/2 and alpha/2.  BLAS runs on one thread for the duration of
     the call.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     config = config or RpieConfig()
     ref = fit_gp(dataset, reference.kernel.with_(family=family,
                                                  nugget=nugget), trend)

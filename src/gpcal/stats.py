@@ -10,7 +10,14 @@ from scipy import special
 
 from .exceptions import InvalidParameterError
 
-__all__ = ["check_level", "normal_quantile", "normal_cdf"]
+__all__ = ["check_alpha", "check_level", "normal_quantile", "normal_cdf"]
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a miscoverage level alpha outside (0, 1), where no central
+    (1 - alpha) interval exists."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameterError("alpha must lie in (0, 1)")
 
 
 def check_level(a: float) -> None:

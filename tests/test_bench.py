@@ -232,6 +232,20 @@ class TestRunExperiment:
             run_experiment("nope", scale=ExperimentScale(n=20, d=2,
                                                          seeds=1))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_bad_alpha_rejected_before_any_seed(self, monkeypatch, alpha):
+        import gpcal.bench
+
+        def no_seed(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(gpcal.bench, "_run_seed", no_seed)
+        with pytest.raises(InvalidParameterError,
+                           match=r"alpha must lie in \(0, 1\)"):
+            run_experiment("morokoff", scale=ExperimentScale(n=20, d=2,
+                                                             seeds=1),
+                           alpha=alpha)
+
     def test_smoke_scale_runs_end_to_end(self, tmp_path):
         # n=40, d=2, 3 seeds: completes quickly and produces sane rows.
         report = run_experiment(

@@ -11,7 +11,7 @@ from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.cli import ingest_csv, main
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import DataError
-from gpcal.gp import fit_gp, model_to_dict
+from gpcal.gp import fit_gp, model_to_dict, predict
 from gpcal.rpie import GridSpec, RpieConfig, calibrate
 
 
@@ -166,6 +166,27 @@ class TestPredictAndDiagnose:
         main(["predict", "--model", str(model_path), "--data", str(feat),
               "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
+
+    def test_plain_interval_reads_one_prediction(self, fitted_model,
+                                                 tmp_path, monkeypatch):
+        # The mean and the interval of a plain model come from one
+        # posterior prediction of the query set.
+        import gpcal.cli
+        import gpcal.gp
+        calls = []
+
+        def counting(model, x_new):
+            calls.append(len(x_new))
+            return predict(model, x_new)
+
+        monkeypatch.setattr(gpcal.cli, "predict", counting)
+        monkeypatch.setattr(gpcal.gp, "predict", counting)
+        _, model_path, X, _ = fitted_model
+        feat = tmp_path / "f.csv"
+        _write_csv(feat, ["a", "b"], X[:5].tolist())
+        assert main(["predict", "--model", str(model_path), "--data",
+                     str(feat), "--out", str(tmp_path / "p.csv")]) == 0
+        assert calls == [5]
 
     def test_dimension_mismatch_is_data_error(self, fitted_model,
                                               tmp_path):

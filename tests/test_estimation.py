@@ -510,6 +510,34 @@ class TestBayesPredictive:
         with pytest.raises(InvalidParameterError):
             McmcConfig(n_samples=100, burn_in=-3)
 
+    def test_prepares_the_design_once(self, monkeypatch, rng):
+        # One call builds F, the squared differences and the duplicated-row
+        # verdict once, not once per chain step or predictive sample.
+        import gpcal.estimation
+        import gpcal.gp
+        import gpcal.kernels
+        counts = {}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        for home, name in [(gpcal.gp, "build_regression_matrix"),
+                           (gpcal.kernels, "pairwise_sq_diffs"),
+                           (gpcal.gp, "_has_duplicate_rows")]:
+            wrapped = counting(name, getattr(home, name))
+            for module in (home, gpcal.estimation):
+                monkeypatch.setattr(module, name, wrapped)
+        ds = random_dataset(rng, n=12, d=2)
+        config = McmcConfig(n_samples=40, burn_in=10, seed=0)
+        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.0, config,
+                               np.array([[0.5, 0.5], [0.2, 0.9]]), 0.1)
+        assert np.all(out.lower <= out.upper)
+        assert counts == {"build_regression_matrix": 1,
+                          "pairwise_sq_diffs": 1, "_has_duplicate_rows": 1}
+
     def test_single_retained_sample_degenerates(self, rng):
         ds = random_dataset(rng, n=10, d=1)
         config = McmcConfig(n_samples=6, burn_in=5, seed=0)

@@ -158,18 +158,21 @@ class TestSigmaOpt:
 
     @pytest.mark.parametrize("nugget", [0.0, 0.05])
     def test_builds_no_law(self, monkeypatch, rng, nugget):
-        # The amplitude search reads no W2 law: S0 = K0^{1/2} and
-        # A = S0 R S0 are formed only when an objective is asked for.
-        import gpcal.rpie
+        # The amplitude search reads no W2 law: A = L0' R L0 and L0' L0
+        # are formed only when an objective is asked for, and the hooks
+        # below are on that path, as the objective at the same lambda shows.
+        def no_law(self):
+            raise AssertionError("the W2 law was formed")
 
-        def no_law(K):
-            raise AssertionError("sigma_opt formed the reference law")
-
-        monkeypatch.setattr(gpcal.rpie, "sqrtm_psd", no_law)
+        monkeypatch.setattr(_LambdaState, "A", property(no_law))
+        monkeypatch.setattr(_Calibration, "L0tL0", property(no_law))
         ds = random_dataset(rng, n=25, d=2)
-        assert sigma_opt(ds, ORD, KernelFamily.MATERN32,
-                         np.array([0.4, 0.4]), nugget, 0.95,
-                         RpieConfig()) is not None
+        theta = np.array([0.4, 0.4])
+        assert sigma_opt(ds, ORD, KernelFamily.MATERN32, theta, nugget,
+                         0.95, RpieConfig()) is not None
+        with pytest.raises(AssertionError, match="W2 law was formed"):
+            relaxation_objective(ds, ORD, KernelFamily.MATERN32, nugget,
+                                 theta, 1.0, 1.0, 0.95, RpieConfig())
 
     def test_minimality_on_grid(self, rng):
         # No scanned amplitude below the returned root achieves the target.
@@ -398,6 +401,21 @@ class TestBadTheta:
         }
         with pytest.raises(ShapeError, match="3 entries"):
             calls[entry]()
+
+
+class TestBadLambda:
+    """A lambda that is not finite and positive is rejected up front, at
+    either nugget, before any amplitude search."""
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("nugget", [0.0, 1e-4])
+    def test_rejected(self, nugget, lam):
+        ds = _misspecified_dataset(5, n=20)
+        with pytest.raises(InvalidParameterError,
+                           match="finite and positive"):
+            relaxation_objective(ds, ORD, KernelFamily.MATERN52, nugget,
+                                 np.array([0.5, 0.5]), 0.05, lam, 0.95,
+                                 FAST)
 
 
 class TestGridSpec:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -480,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--alpha", type=_alpha_type, default=0.1)
     p_cal.add_argument("--delta", type=float, default=0.01)
     p_cal.add_argument("--lambda-grid", type=_lambda_grid_type,
-                       default=(1e-2, 1e2, 60), dest="lambda_grid",
+                       default=dataclasses.astuple(RpieConfig().lambda_grid),
+                       dest="lambda_grid",
                        help="'lo,hi,count' for the length-scale factor grid")
     p_cal.add_argument("--out", default="calibrated.json")
     p_cal.set_defaults(func=cmd_calibrate)

@@ -467,6 +467,9 @@ def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
         return KernelSpec(family=family, sigma2=v * np.exp(u[d]),
                           theta=spans * np.exp(u[:d]), nugget=nugget)
 
+    # Every state shares the nugget, so a singular design fails them all.
+    _check_distinct_rows(unpack(np.zeros(d + 1)), lambda: design.duplicates)
+
     def log_target(u):
         try:
             nll = _profile_nll(design.fit(unpack(u))[0].gls)

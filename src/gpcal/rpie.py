@@ -54,7 +54,9 @@ Each side then refines its best grid lambda by golden section in log
 lambda, which stops once the bracket is 1e-6 wide.  lambda* carries no
 more precision than that: a last-bit change in the training responses
 moves it by about 1e-7 relative, and W2 is flat near its minimum, so the
-stop moves W2 by well under 1e-6 relative.
+stop moves W2 by well under 1e-6 relative.  From a two-cell bracket of
+the default 30-point grid the section takes 30 evaluations, so a default
+calibration builds 30 + 2 * 30 = 90 per-lambda states.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ class RpieConfig:
 
     delta: SmoothingParams = field(default_factory=SmoothingParams)
     lambda_grid: GridSpec = field(
-        default_factory=lambda: GridSpec(1e-2, 1e2, 60))
+        default_factory=lambda: GridSpec(1e-2, 1e2, 30))
 
 
 @dataclass(frozen=True)
@@ -666,9 +668,10 @@ class _Side:
         golden section in log lambda over its two neighbouring cells.
 
         The section stops once the bracket is ``_LOG_LAMBDA_TOL`` = 1e-6
-        wide in log lambda (29 evaluations from a two-cell bracket of the
-        default grid): lambda* already moves by about 1e-7 with the last
-        bits of the data, so finer steps resolve nothing.
+        wide in log lambda (30 evaluations from a two-cell bracket of the
+        default grid, so a default calibration builds 30 + 2 * 30 = 90
+        per-lambda states): lambda* already moves by about 1e-7 with the
+        last bits of the data, so finer steps resolve nothing.
         """
         lambdas, objs = self.lambdas, self.objs
         if not np.any(np.isfinite(objs)):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
-from gpcal.cli import ingest_csv, main
+from gpcal.cli import build_parser, ingest_csv, main
 from gpcal.estimation import EstimationResult
 from gpcal.exceptions import DataError
 from gpcal.gp import fit_gp, model_to_dict, predict
@@ -121,6 +121,20 @@ class TestFitCommand:
                      "--target", "y", "--out", str(tmp_path / "m.json")])
         assert code == 3
 
+    def test_bayes_on_duplicated_rows_without_nugget(self, tmp_path):
+        # The chain's zero nugget cannot fit a design with a repeated row:
+        # a numerical failure (exit 4), raised before the chain runs.
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (11, 2))
+        X[7] = X[2]
+        path = tmp_path / "dup.csv"
+        _write_csv(path, ["a", "b", "resp"],
+                   [[X[i, 0], X[i, 1], float(i)] for i in range(11)])
+        code = main(["fit", "--data", str(path), "--target", "resp",
+                     "--method", "bayes", "--nugget", "fixed:0",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 4
+
     def test_bad_nugget_flag_is_usage_error(self, training_csv, tmp_path):
         path, _, _ = training_csv
         with pytest.raises(SystemExit) as exc:
@@ -213,6 +227,10 @@ class TestPredictAndDiagnose:
 
 
 class TestCalibrateCommand:
+    def test_lambda_grid_default_is_the_library_default(self):
+        args = build_parser().parse_args(["calibrate", "--reference", "m"])
+        assert GridSpec(*args.lambda_grid) == RpieConfig().lambda_grid
+
     def test_calibrate_then_predict(self, training_csv, tmp_path, capsys):
         path, X, y = training_csv
         model_out = tmp_path / "model.json"

@@ -11,6 +11,7 @@ from gpcal.bench import ExperimentScale, experiment_split, \
     sample_gp_response
 from gpcal.estimation import (
     McmcConfig,
+    _Design,
     _log_objective,
     _mle_with_dk,
     _msecv_with_dk,
@@ -20,9 +21,11 @@ from gpcal.estimation import (
     fit_msecv,
     mle_objective,
     msecv_objective,
+    posterior_mean_kernel,
     random_walk_metropolis,
 )
-from gpcal.exceptions import EstimationFailureError, InvalidParameterError
+from gpcal.exceptions import EstimationFailureError, IllConditionedError, \
+    InvalidParameterError
 from gpcal.gp import fit_gp
 from gpcal.loo import loo_mse, virtual_loo
 
@@ -537,6 +540,34 @@ class TestBayesPredictive:
         assert np.all(out.lower <= out.upper)
         assert counts == {"build_regression_matrix": 1,
                           "pairwise_sq_diffs": 1, "_has_duplicate_rows": 1}
+
+    @pytest.mark.parametrize("call", ["posterior_mean_kernel",
+                                      "bayes_predictive"])
+    def test_duplicate_rows_without_nugget_rejected_up_front(
+            self, monkeypatch, rng, call):
+        # Every chain state shares the zero nugget, so a design with a
+        # repeated row fails before the first Metropolis step, not after
+        # a chain whose every state failed.
+        fits = []
+        fit = _Design.fit
+
+        def counting_fit(design, kernel):
+            fits.append(1)
+            return fit(design, kernel)
+
+        monkeypatch.setattr(_Design, "fit", counting_fit)
+        X = rng.uniform(0, 1, (11, 2))
+        X[7] = X[2]
+        ds = Dataset(X=X, y=rng.standard_normal(11))
+        config = McmcConfig(n_samples=40, burn_in=10, seed=0)
+        with pytest.raises(IllConditionedError):
+            if call == "posterior_mean_kernel":
+                posterior_mean_kernel(ds, ORD, KernelFamily.MATERN52, 0.0,
+                                      config)
+            else:
+                bayes_predictive(ds, ORD, KernelFamily.MATERN52, 0.0,
+                                 config, np.array([[0.5, 0.5]]), 0.1)
+        assert not fits
 
     def test_single_retained_sample_degenerates(self, rng):
         ds = random_dataset(rng, n=10, d=1)

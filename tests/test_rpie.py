@@ -49,6 +49,15 @@ ORD = TrendSpec.from_string("ordinary")
 FAST = RpieConfig(lambda_grid=GridSpec(1e-1, 1e1, 25))
 
 
+def _golden_steps(grid):
+    """Objective evaluations of ``_Side.refine``'s golden section over a
+    two-cell bracket of grid: its two interior points, then one per
+    shrink by _GOLDEN until the bracket is within _LOG_LAMBDA_TOL."""
+    width = 2.0 * math.log(grid.hi / grid.lo) / (grid.count - 1)
+    return 2 + math.ceil(math.log(_LOG_LAMBDA_TOL / width)
+                         / math.log(_GOLDEN))
+
+
 def _reference(kernel):
     return EstimationResult(kernel=kernel, objective_value=0.0, n_evals=1,
                             method="MLE", converged=True)
@@ -692,17 +701,24 @@ class TestCalibrate:
                                           alone.trace.sigma2_opts)
 
     def test_search_cost_and_golden_stop(self, monkeypatch):
-        # A default two-sided calibration builds one per-lambda state per
-        # grid lambda and per golden-section step, and each side's section
-        # stops at the first bracket no wider than _LOG_LAMBDA_TOL.
-        built = []
+        # A default two-sided calibration builds one per-lambda state, and
+        # with a nugget one eigenbasis, per grid lambda and per
+        # golden-section step: 30 + 2 * 30 when both sides' best grid
+        # lambda is interior.  Each side's section stops at the first
+        # bracket no wider than _LOG_LAMBDA_TOL.
+        built, states = [], []
         evaluated = {}
         from_gram = SigmaScanBasis.from_gram.__func__
+        init = _LambdaState.__init__
         evaluate = _Side.evaluate
 
         def counting_from_gram(cls, *args, **kwargs):
             built.append(1)
             return from_gram(cls, *args, **kwargs)
+
+        def counting_init(state, *args):
+            states.append(1)
+            init(state, *args)
 
         def recording_evaluate(side, lam):
             evaluated.setdefault(side.a, []).append(lam)
@@ -710,23 +726,52 @@ class TestCalibrate:
 
         monkeypatch.setattr(SigmaScanBasis, "from_gram",
                             classmethod(counting_from_gram))
+        monkeypatch.setattr(_LambdaState, "__init__", counting_init)
         monkeypatch.setattr(_Side, "evaluate", recording_evaluate)
         ds = _misspecified_dataset(13)
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
                                     np.array([0.6, 0.7]), nugget=1e-4))
         config = RpieConfig()
-        calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.1, config)
-        count = config.lambda_grid.count
-        assert len(built) <= count + 2 * 29
+        cal = calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.1,
+                        config)
+        grid = config.lambda_grid
+        assert _golden_steps(grid) == 30
         assert len(evaluated) == 2
+        for side in (cal.lower, cal.upper):
+            objs = side.trace.objectives
+            i_best = int(np.nanargmin(objs))
+            assert 0 < i_best < grid.count - 1
         for lams in evaluated.values():
-            steps = np.log(lams[count:])
-            assert 2 <= steps.size <= 29
+            steps = np.log(lams[grid.count:])
+            assert steps.size == _golden_steps(grid)
             # The first two points sit at golden ratios of the bracket.
             width = abs(steps[1] - steps[0]) / (2.0 * _GOLDEN - 1.0)
             final = width * _GOLDEN ** (steps.size - 2)
             assert final <= _LOG_LAMBDA_TOL * (1.0 + 1e-9)
             assert final / _GOLDEN > _LOG_LAMBDA_TOL
+        assert len(built) == len(states) == 30 + 2 * 30
+
+    def test_default_grid_loses_no_w2(self):
+        # On a misspecified problem per nugget form, no side of the
+        # default 30-point calibration lands above the W2 of a 60-point
+        # grid by more than the golden section's own resolution.  This is
+        # not a guarantee: with zero nugget W2 can have kink minima closer
+        # than one grid cell, and either grid's section may settle in the
+        # higher of them.
+        ds = _misspecified_dataset(21)
+        fine = RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, 60))
+        for nugget in (1e-4, 0.0):
+            ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
+                                        np.array([0.6, 0.7]),
+                                        nugget=nugget))
+            coarse = calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref,
+                               0.1)
+            dense = calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref,
+                              0.1, fine)
+            for got, want in ((coarse.lower, dense.lower),
+                              (coarse.upper, dense.upper)):
+                assert got.trace.lambdas.size == 30
+                assert got.wasserstein2 <= want.wasserstein2 * (1.0 + 1e-6)
 
     def test_duplicate_rows_without_nugget_rejected(self, rng):
         X = rng.uniform(0, 1, (20, 2))
@@ -889,7 +934,8 @@ class TestScaleFree:
                                     self.THETA0, nugget=0.0))
         cal = calibrate(ds, ORD, KernelFamily.MATERN52, 0.0, ref, 0.1)
         assert not bases
-        assert len(states) <= RpieConfig().lambda_grid.count + 2 * 29
+        grid = RpieConfig().lambda_grid
+        assert len(states) == grid.count + 2 * _golden_steps(grid)
         assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)
 
     # Squared-exponential case in which the 7 largest of the 25 FAST grid

@@ -26,7 +26,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .blas import single_threaded_blas
 from .exceptions import (
@@ -36,7 +36,7 @@ from .exceptions import (
 )
 from .gp import Dataset, FittedGp, GlsState, TrendSpec, \
     _check_distinct_rows, _check_kernel_dim, _has_duplicate_rows, \
-    _inverse, _kbar, build_regression_matrix, compute_kbar, \
+    _inverse, _kbar, _kbar_y_diag, build_regression_matrix, \
     factor_covariance, fit_gp, predict, solve_gls
 from .kernels import KernelFamily, KernelSpec, correlation, \
     covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
@@ -253,6 +253,10 @@ def _multistart_minimize(objective, x0_list, bounds):
         worst = max(worst, out[0])
         return out
 
+    # Imported here, its only use, so that a process that never fits does
+    # not load scipy.optimize.
+    from scipy import optimize
+
     best = None
     values = []
     total_evals = 0
@@ -411,9 +415,8 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
             dataset, trend, family, 0.0, False, _msecv_with_dk, n_starts,
             seed, sigma2=1.0)
         # Closed-form amplitude at the fitted length-scales.
-        rbar = compute_kbar(fit_gp(dataset, unit, trend))
-        ry = rbar @ dataset.y
-        kernel = unit.with_(sigma2=float(np.mean(ry * ry / np.diag(rbar))))
+        ry, rdiag = _kbar_y_diag(fit_gp(dataset, unit, trend).gls)
+        kernel = unit.with_(sigma2=float(np.mean(ry * ry / rdiag)))
     else:
         kernel, value, n_evals, converged = _fit_kernel(
             dataset, trend, family, nugget, estimate_nugget,

@@ -10,10 +10,13 @@ whitened residual w = L^{-1} (y - F beta).  The matrix
 
     Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}
 
-is built from that state in one place (``_kbar``).  It drives both the
-leave-one-out formulas and the coverage calibration; its kernel equals the
-column space of F, and its diagonal is strictly positive whenever no
-canonical basis vector lies in that column space.
+is built from that state in one place (``_kbar``), for the callers that
+read all of it (``compute_kbar`` and the LOO-MSE gradient).  Its kernel
+equals the column space of F, and its diagonal is strictly positive
+whenever no canonical basis vector lies in that column space.  The
+leave-one-out formulas and the coverage calibration read only Kbar y and
+diag Kbar, which ``_kbar_y_diag`` gives from the same state without
+forming the n x n matrix.
 """
 
 from __future__ import annotations
@@ -260,14 +263,16 @@ def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
 
     The only place F' K^{-1} F is factored: a singular one raises
     HypothesisH1Error.  quad is accumulated as |L^{-1} y|^2 - c' beta with
-    c = B' L^{-1} y.
+    c = B' L^{-1} y.  L comes from ``factor_covariance``, which checked
+    its K for finite entries, and F and y from a checked design, so the
+    solves with L skip scipy's finiteness scan.
     """
-    a = linalg.solve_triangular(L, y, lower=True)
+    a = linalg.solve_triangular(L, y, lower=True, check_finite=False)
     quad = float(a @ a)
     if F.shape[1] == 0:
         return GlsState(L=L, B=F, chol_G=None, beta=np.zeros(0), w=a,
                         quad=quad)
-    B = linalg.solve_triangular(L, F, lower=True)
+    B = linalg.solve_triangular(L, F, lower=True, check_finite=False)
     c = B.T @ a
     try:
         chol_G = linalg.cholesky(B.T @ B, lower=True)
@@ -286,7 +291,7 @@ class FittedGp:
     ``fit_gp`` factors K and solves the GLS problem once (``gls``: L,
     L^{-1} F, the factor of F' K^{-1} F, beta, L^{-1} (y - F beta));
     ``predict``, ``compute_kbar`` and the LOO formulas read that state.
-    Only the lazy Kbar cache is ever mutated; concurrent reads are safe.
+    Only the lazy Kbar caches are ever mutated; concurrent reads are safe.
     """
 
     dataset: Dataset
@@ -297,6 +302,7 @@ class FittedGp:
     gls: GlsState
     jitter_used: float = 0.0
     _kbar_cache: np.ndarray | None = field(default=None, repr=False)
+    _kbar_y_diag_cache: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -387,9 +393,25 @@ def _inverse(L: np.ndarray) -> np.ndarray:
     return full
 
 
+def _trend_factor(gls: GlsState) -> np.ndarray:
+    """C = L^{-T} B chol_G^{-T}, so that C C' = K^{-1} F (F' K^{-1} F)^{-1}
+    F' K^{-1}; the state must have a trend (p > 0)."""
+    C = linalg.solve_triangular(gls.chol_G, gls.B.T, lower=True)
+    return linalg.solve_triangular(gls.L, C.T, lower=True, trans="T")
+
+
+def _check_h2(diag: np.ndarray) -> None:
+    """Raise HypothesisH2Error when diag Kbar has a (relatively)
+    non-positive entry: some unit vector then lies in Im F."""
+    if diag.min() <= 1e-12 * max(diag.max(), 0.0):
+        raise HypothesisH2Error(
+            "Kbar has a vanishing diagonal entry; some unit vector lies "
+            "in the trend span"
+        )
+
+
 def _kbar(gls: GlsState) -> np.ndarray:
-    """Kbar = K^{-1} - C C' from a solved state, C = L^{-T} B chol_G^{-T}
-    (so C C' = K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}).
+    """Kbar = K^{-1} - C C' from a solved state (``_trend_factor``).
 
     Symmetric PSD with a strictly positive diagonal when no e_i lies in
     Im F; a (relatively) non-positive diagonal entry raises
@@ -397,16 +419,33 @@ def _kbar(gls: GlsState) -> np.ndarray:
     """
     kbar = _inverse(gls.L)
     if gls.chol_G is not None:
-        C = linalg.solve_triangular(gls.chol_G, gls.B.T, lower=True)
-        C = linalg.solve_triangular(gls.L, C.T, lower=True, trans="T")
+        C = _trend_factor(gls)
         kbar -= C @ C.T
-    diag = np.diag(kbar)
-    if diag.min() <= 1e-12 * max(diag.max(), 0.0):
-        raise HypothesisH2Error(
-            "Kbar has a vanishing diagonal entry; some unit vector lies "
-            "in the trend span"
-        )
+    _check_h2(np.diag(kbar))
     return kbar
+
+
+def _kbar_y_diag(gls: GlsState) -> tuple:
+    """(Kbar y, diag Kbar) of a solved state, without forming Kbar: all
+    that the LOO residuals read.
+
+    Kbar y = L^{-T} w.  With M = L^{-1} (``dtrtri``), K^{-1} = M' M, so
+    diag K^{-1} holds the squared column norms of M, less the squared row
+    norms of C (``_trend_factor``) for diag C C'.  dtrtri keeps L's strict
+    upper triangle, which np.linalg.cholesky leaves zero.  Raises
+    HypothesisH2Error where ``_kbar`` does, by the same check.
+    """
+    M, info = linalg.lapack.dtrtri(gls.L, lower=1)
+    if info != 0:
+        raise IllConditionedError("covariance inverse failed")
+    diag = np.einsum("ij,ij->j", M, M)
+    if gls.chol_G is not None:
+        C = _trend_factor(gls)
+        diag -= np.einsum("ij,ij->i", C, C)
+    _check_h2(diag)
+    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T",
+                                 check_finite=False)
+    return ky, diag
 
 
 def compute_kbar(model: FittedGp) -> np.ndarray:
@@ -415,6 +454,15 @@ def compute_kbar(model: FittedGp) -> np.ndarray:
     if model._kbar_cache is None:
         model._kbar_cache = _kbar(model.gls)
     return model._kbar_cache
+
+
+def _cached_kbar_y_diag(model: FittedGp) -> tuple:
+    """(Kbar y, diag Kbar) of the model (``_kbar_y_diag``), built on first
+    use and cached, so that repeated LOO reads of one model pay the
+    O(n^3) pass once.  Callers must not write to the arrays."""
+    if model._kbar_y_diag_cache is None:
+        model._kbar_y_diag_cache = _kbar_y_diag(model.gls)
+    return model._kbar_y_diag_cache
 
 
 def projection_basis(F: np.ndarray) -> np.ndarray:

@@ -69,19 +69,43 @@ class KernelFamily(enum.Enum):
 
 def correlation(family: KernelFamily, u: np.ndarray) -> np.ndarray:
     """Unit-amplitude, unit-length-scale correlation profile r(u), u >= 0;
-    an overflowed u yields 0 or NaN silently (rejected downstream)."""
+    an overflowed u yields 0 or NaN silently (rejected downstream).
+
+    r(u) is built in its output array by in-place ufuncs (the Matern forms
+    add one or two temporaries), in the operation order of the closed
+    forms, so it equals them bit for bit:
+
+        exp(-u),  (1 + s) exp(-s),  (1 + s + s^2 / 3) exp(-s),
+        exp(-u^2 / 2)
+
+    with s = sqrt(3) u and sqrt(5) u.  A 0-d u gives a 0-d array.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         if family is KernelFamily.EXPONENTIAL:
-            return np.exp(-u)
-        if family is KernelFamily.MATERN32:
-            s = _SQRT3 * u
-            return (1.0 + s) * np.exp(-s)
-        if family is KernelFamily.MATERN52:
-            s = _SQRT5 * u
-            return (1.0 + s + s * s / 3.0) * np.exp(-s)
+            np.negative(u, out=out)
+            return np.exp(out, out=out)
         if family is KernelFamily.SQUARED_EXPONENTIAL:
-            return np.exp(-0.5 * u * u)
-    raise InvalidParameterError(f"unhandled kernel family: {family}")
+            np.multiply(u, -0.5, out=out)
+            out *= u
+            return np.exp(out, out=out)
+        if family is KernelFamily.MATERN32:
+            np.multiply(u, _SQRT3, out=out)
+            tail = None
+        elif family is KernelFamily.MATERN52:
+            np.multiply(u, _SQRT5, out=out)
+            tail = np.multiply(out, out)
+            tail /= 3.0
+        else:
+            raise InvalidParameterError(f"unhandled kernel family: {family}")
+        decay = np.negative(out, out=np.empty(u.shape))
+        np.exp(decay, out=decay)
+        out += 1.0
+        if tail is not None:
+            out += tail
+        out *= decay
+    return out
 
 
 def covariance_gradient(spec: KernelSpec, sq_diffs: np.ndarray,
@@ -271,8 +295,9 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ShapeError(
             f"design has {X.shape[1]} columns but theta has {spec.dim}"
         )
-    h = scaled_distances(X, X, spec.theta)
-    return spec.sigma2 * correlation(spec.family, h)
+    K = correlation(spec.family, scaled_distances(X, X, spec.theta))
+    K *= spec.sigma2
+    return K
 
 
 def scaled_distances(X: np.ndarray, X_new: np.ndarray,
@@ -301,5 +326,6 @@ def cross_covariance(X: np.ndarray, X_new: np.ndarray, spec: KernelSpec) -> np.n
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     if X.shape[1] != spec.dim or X_new.shape[1] != spec.dim:
         raise ShapeError("design/new-point dimension mismatch with theta")
-    h = scaled_distances(X, X_new, spec.theta)
-    return spec.sigma2 * correlation(spec.family, h)
+    K = correlation(spec.family, scaled_distances(X, X_new, spec.theta))
+    K *= spec.sigma2
+    return K

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidParameterError
-from .gp import FittedGp, compute_kbar, projection_basis
+from .gp import FittedGp, _cached_kbar_y_diag, projection_basis
 from .kernels import KernelSpec, gram_matrix
 from .stats import check_alpha, check_level, normal_quantile
 
@@ -79,29 +79,25 @@ class SmoothingParams:
 
 
 def virtual_loo(model: FittedGp) -> LooDiagnostics:
-    """All n leave-one-out means/variances from a single Kbar assembly."""
-    kbar = compute_kbar(model)
-    diag = np.diag(kbar).copy()
-    ky = kbar @ model.dataset.y
+    """All n leave-one-out means/variances from Kbar y and diag Kbar
+    (``gp._kbar_y_diag``, cached on the model), without forming Kbar."""
+    ky, diag = _cached_kbar_y_diag(model)
     resid = ky / diag
     loo_mean = model.dataset.y - resid
     loo_var = 1.0 / diag
     std_resid = ky / np.sqrt(diag)
     return LooDiagnostics(loo_mean=loo_mean, loo_var=loo_var,
-                          std_resid=std_resid, kbar_diag=diag)
+                          std_resid=std_resid, kbar_diag=diag.copy())
 
 
 def loo_mse(model: FittedGp) -> float:
     """Mean squared virtual-LOO prediction error.
 
-    Evaluated as the explicit quadratic form
-    (1/n) y' Kbar Diag(Kbar)^{-2} Kbar y, which equals the mean of the
-    squared virtual residuals.
+    Evaluated as the quadratic form (1/n) y' Kbar Diag(Kbar)^{-2} Kbar y,
+    which equals the mean of the squared virtual residuals, from Kbar y
+    and diag Kbar (``gp._kbar_y_diag``, cached on the model).
     """
-    kbar = compute_kbar(model)
-    y = model.dataset.y
-    ky = kbar @ y
-    diag = np.diag(kbar)
+    ky, diag = _cached_kbar_y_diag(model)
     return float(np.mean((ky / diag) ** 2))
 
 

@@ -55,8 +55,15 @@ lambda, which stops once the bracket is 1e-6 wide.  lambda* carries no
 more precision than that: a last-bit change in the training responses
 moves it by about 1e-7 relative, and W2 is flat near its minimum, so the
 stop moves W2 by well under 1e-6 relative.  From a two-cell bracket of
-the default 30-point grid the section takes 30 evaluations, so a default
-calibration builds 30 + 2 * 30 = 90 per-lambda states.
+the default 30-point grid the section takes 30 evaluations.  The two
+sides' sections run in lock-step, one evaluation of each in turn, and
+while they share a bracket they ask for the same lambdas in the same
+round, which the one kept state serves for both.  So a calibration builds
+one per-lambda state per distinct lambda it evaluates, at most
+30 + 2 * 30 = 90 with the default grid and fewer whenever the sides share
+a bracket.  Two sections can also cross, each asking next for the lambda
+the other has just evaluated; the later of the two is then built a second
+time.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from .gp import (
     Dataset,
     FittedGp,
     TrendSpec,
-    _kbar,
+    _kbar_y_diag,
     check_hypotheses,
     factor_covariance,
     fit_gp,
@@ -195,8 +202,8 @@ class RpieSolution:
     count, which sits within about half an in-band residual of the target.
     Both are recomputed from the final model (``fit_gp``, then
     ``virtual_loo``), independently of the state the root was found on.
-    With zero nugget that is the Cholesky and Kbar route of the
-    scale-free search state itself; with a positive nugget the root was
+    With zero nugget that is the Cholesky and ``gp._kbar_y_diag`` route
+    of the scale-free search state itself; with a positive nugget the root was
     found in the eigenbasis of W' R W, and the recomputation is an
     independent check of it (perfbench's coverage check relies on it).
     wasserstein2 is the search state's objective, not recomputed.
@@ -381,7 +388,7 @@ class _LambdaState:
     not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  R is the
     R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
     jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
-    ``gp._kbar``, the route ``virtual_loo`` takes) and m1.
+    ``gp._kbar_y_diag``, the route ``virtual_loo`` takes) and m1.
 
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
     (``SigmaScanBasis``), from which each batch of amplitudes costs two
@@ -405,8 +412,8 @@ class _LambdaState:
             self.basis = None
             self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
             gls = solve_gls(cal.F, L, self._y)
-            kbar = _kbar(gls)
-            self.z1 = (kbar @ self._y) / np.sqrt(np.diag(kbar))
+            ky, diag = _kbar_y_diag(gls)
+            self.z1 = ky / np.sqrt(diag)
             self.m1 = cal.F @ gls.beta
         self.tr_R = float(np.trace(self.R))
 
@@ -663,15 +670,23 @@ class _Side:
             self.objs[i] = obj
             self.s2s[i] = s2
 
-    def refine(self) -> tuple:
-        """(lambda*, sigma2_opt, W2) at the best grid lambda, refined by
-        golden section in log lambda over its two neighbouring cells.
+    def refine(self):
+        """Generator of (lambda*, sigma2_opt, W2): the best grid lambda,
+        refined by golden section in log lambda over its two neighbouring
+        cells.  It yields each lambda the section evaluates and is sent
+        ``evaluate`` there, so that ``_lockstep`` can interleave the sides;
+        the result is its return value.  Raises
+        CalibrationInfeasibleError when no grid lambda is admissible.
 
         The section stops once the bracket is ``_LOG_LAMBDA_TOL`` = 1e-6
-        wide in log lambda (30 evaluations from a two-cell bracket of the
-        default grid, so a default calibration builds 30 + 2 * 30 = 90
-        per-lambda states): lambda* already moves by about 1e-7 with the
-        last bits of the data, so finer steps resolve nothing.
+        wide in log lambda, 30 evaluations from a two-cell bracket of the
+        default grid: lambda* already moves by about 1e-7 with the last
+        bits of the data, so finer steps resolve nothing.  lambda* is a
+        local minimum of W2 inside that bracket.  With zero nugget W2 can
+        have two local minima closer together than one grid cell, at kinks
+        of sigma2_opt(lambda) where a residual enters or leaves the
+        smoothing ramp; the bracket the grid hands the section then decides
+        which one it finds, so lambda* can depend on the grid.
         """
         lambdas, objs = self.lambdas, self.objs
         if not np.any(np.isfinite(objs)):
@@ -697,22 +712,23 @@ class _Side:
 
             def f(t):
                 if t not in cache:
-                    obj, s2 = self.evaluate(float(np.exp(t)))
+                    obj, s2 = yield float(np.exp(t))
                     cache[t] = (np.inf, None) if obj is None else (obj, s2)
                 return cache[t][0]
 
             x1 = b_log - _GOLDEN * (b_log - a_log)
             x2 = a_log + _GOLDEN * (b_log - a_log)
-            f1, f2 = f(x1), f(x2)
+            f1 = yield from f(x1)
+            f2 = yield from f(x2)
             while b_log - a_log > _LOG_LAMBDA_TOL:
                 if f1 <= f2:
                     b_log, x2, f2 = x2, x1, f1
                     x1 = b_log - _GOLDEN * (b_log - a_log)
-                    f1 = f(x1)
+                    f1 = yield from f(x1)
                 else:
                     a_log, x1, f1 = x1, x2, f2
                     x2 = a_log + _GOLDEN * (b_log - a_log)
-                    f2 = f(x2)
+                    f2 = yield from f(x2)
             t_best = x1 if f1 <= f2 else x2
             if min(f1, f2) < best[2]:
                 obj, s2 = cache[t_best]
@@ -747,21 +763,44 @@ def _solution(ref: FittedGp, delta: SmoothingParams, a: float, best: tuple,
     ), model
 
 
+def _lockstep(sides: list) -> list:
+    """Each side's (lambda*, sigma2_opt, W2) from its ``refine``, the
+    golden sections run in lock-step: one evaluation of each side in
+    turn.  Sections that share a bracket ask for the same lambda in the
+    same round, and the calibration's one kept state serves both."""
+    runs = [side.refine() for side in sides]
+    results = [None] * len(sides)
+    sent = dict.fromkeys(range(len(sides)))     # side -> value to send
+    while sent:
+        for i, value in list(sent.items()):
+            try:
+                lam = runs[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del sent[i]
+            else:
+                sent[i] = sides[i].evaluate(lam)
+    return results
+
+
 def _search(ref: FittedGp, levels: tuple, config: RpieConfig) -> list:
     """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a,
     calibrated on the reference fit ref.
 
     One calibration state serves every level: the lambda grid is walked
     once, each grid lambda's Gram matrix and per-lambda state serving all
-    levels, then each level is refined by golden section.  The state is
-    released on return, before any final fit; ref itself is the caller's.
+    levels, then the levels' golden sections run in lock-step
+    (``_lockstep``), so that the calibration's one kept state serves every
+    level that evaluates its lambda.  The state is released on return,
+    before any final fit; ref itself is the caller's.
     """
     cal = _Calibration(ref, config)
     sides = [_Side(cal, a) for a in levels]
     for i in range(config.lambda_grid.count):
         for side in sides:
             side.record(i)
-    return [(side.a, side.refine(), side.trace()) for side in sides]
+    return [(side.a, best, side.trace())
+            for side, best in zip(sides, _lockstep(sides))]
 
 
 def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,

@@ -1,6 +1,10 @@
 """MLE and MSE-CV objectives/fits, and the Metropolis baseline."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,31 @@ class TestAnalyticGradient:
             fd[j] = (objective(u + e)[0] - objective(u - e)[0]) / (2 * step)
         rel_err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel_err <= 1e-5
+
+
+def test_optimizer_loads_with_the_first_fit(tmp_path):
+    # Importing the package or its CLI leaves scipy.optimize unloaded, so a
+    # process that never fits does not pay for it; the first fit loads it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gpcal, gpcal.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "from gpcal import Dataset, KernelFamily, TrendSpec, fit_mle\n"
+        "X = np.linspace(0.0, 1.0, 12)[:, None]\n"
+        "res = fit_mle(Dataset(X=X, y=np.sin(6.0 * X[:, 0])),\n"
+        "              TrendSpec.from_string('ordinary'),\n"
+        "              KernelFamily.MATERN52, n_starts=2)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "assert res.n_evals > 0 and np.isfinite(res.objective_value)\n")
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 class TestFitMle:

@@ -13,6 +13,8 @@ from gpcal.exceptions import (
     IllConditionedError,
 )
 from gpcal.gp import (
+    _kbar,
+    _kbar_y_diag,
     build_covariance,
     build_regression_matrix,
     check_hypotheses,
@@ -270,6 +272,67 @@ class TestKbar:
             model = fit_gp(ds, random_kernel(local, 2), ORD)
             kbar = compute_kbar(model)
             assert np.diag(kbar).min() > 0.0
+
+
+class TestKbarYDiag:
+    """(Kbar y, diag Kbar) without forming Kbar, against ``compute_kbar``
+    for every trend and every kind of covariance the calibration meets."""
+
+    @staticmethod
+    def _model(case, trend):
+        local = np.random.default_rng(3)
+        X = local.uniform(0.0, 1.0, (40, 2))
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 \
+            + 0.05 * local.standard_normal(40)
+        family, theta, nugget = {
+            "zero_nugget": (KernelFamily.MATERN52, 0.3, 0.0),
+            # R only factors with jitter here (cond(R + j I) ~ 1e10).
+            "zero_nugget_jitter": (KernelFamily.SQUARED_EXPONENTIAL, 1.6,
+                                   0.0),
+            "nugget": (KernelFamily.MATERN52, 0.3, 1e-3),
+        }[case]
+        model = fit_gp(Dataset(X=X, y=y),
+                       KernelSpec(family, 1.0, np.full(2, theta), nugget),
+                       trend)
+        assert (model.jitter_used > 0.0) == (case == "zero_nugget_jitter")
+        return model
+
+    @pytest.mark.parametrize("trend", [SIM, ORD, UNI])
+    @pytest.mark.parametrize("case", ["zero_nugget", "zero_nugget_jitter",
+                                      "nugget"])
+    def test_matches_compute_kbar(self, trend, case):
+        model = self._model(case, trend)
+        kbar = compute_kbar(model)
+        ky, diag = _kbar_y_diag(model.gls)
+        want_ky, want_diag = kbar @ model.dataset.y, np.diag(kbar)
+        assert np.abs(ky - want_ky).max() <= \
+            1e-12 * np.abs(want_ky).max()
+        assert np.abs(diag - want_diag).max() <= 1e-12 * want_diag.max()
+
+    @staticmethod
+    def _unit_vector_in_trend_span():
+        # Universal trend: the first input column is e_1, so e_1 lies in
+        # Im F and Kbar_11 = 0.
+        X = np.column_stack([np.eye(8)[0], np.linspace(0.0, 1.0, 8)])
+        return Dataset(X=X, y=np.cos(np.arange(8.0)))
+
+    @staticmethod
+    def _no_residual_space():
+        # Universal trend with p = n = 3: Kbar = 0.
+        return Dataset(X=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                       y=np.array([1.0, 2.0, 0.5]))
+
+    @pytest.mark.parametrize("nugget", [0.0, 1e-2])
+    @pytest.mark.parametrize("dataset", ["unit_vector", "no_residual"])
+    def test_raises_h2_where_kbar_does(self, dataset, nugget):
+        ds = self._unit_vector_in_trend_span() if dataset == "unit_vector" \
+            else self._no_residual_space()
+        model = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, 1.0,
+                                      np.full(2, 0.5), nugget), UNI)
+        with pytest.raises(HypothesisH2Error):
+            _kbar(model.gls)
+        with pytest.raises(HypothesisH2Error):
+            _kbar_y_diag(model.gls)
 
 
 class TestProjectionBasis:

@@ -201,6 +201,45 @@ class TestGramMatrix:
         assert peak < n * n * d * 8
 
 
+def _closed_form(family, u):
+    """r(u) written as the closed forms, one temporary per operation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family is KernelFamily.EXPONENTIAL:
+            return np.exp(-u)
+        if family is KernelFamily.MATERN32:
+            s = math.sqrt(3.0) * u
+            return (1.0 + s) * np.exp(-s)
+        if family is KernelFamily.MATERN52:
+            s = math.sqrt(5.0) * u
+            return (1.0 + s + s * s / 3.0) * np.exp(-s)
+        return np.exp(-0.5 * u * u)
+
+
+class TestCorrelation:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_bit_identical_to_closed_form(self, family):
+        # Zero, tiny, ordinary and overflowing distances (u * u and
+        # sqrt(5) u overflow; the Matern forms give inf * 0 = NaN there).
+        u = np.concatenate([
+            [0.0, 5e-324, 1e-14, 1e154, 1e200, 1e300, np.inf],
+            np.random.default_rng(5).exponential(3.0, 993)]).reshape(40, 25)
+        got = correlation(family, u)
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got, _closed_form(family, u))
+        assert not np.shares_memory(got, u)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_zero_dimensional_input(self, family):
+        for u in (0.7, np.float64(0.7), np.array(0.7)):
+            got = correlation(family, u)
+            assert got.ndim == 0
+            assert float(got) == float(_closed_form(family, np.float64(0.7)))
+        assert kernel_1d(family, 2.0, 0.5, 0.35) == \
+            2.0 * float(_closed_form(family, np.float64(0.35) / 0.5))
+        spec = KernelSpec(family, 2.0, np.array([0.5, 1.0]))
+        assert kernel_radial(spec, [0.1, 0.2], [0.1, 0.2]) == 2.0
+
+
 class TestKernelSpec:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

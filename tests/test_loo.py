@@ -87,6 +87,36 @@ class TestVirtualLoo:
         with pytest.raises(HypothesisH2Error):
             virtual_loo(model)
 
+    def test_one_pass_per_model(self, rng, monkeypatch):
+        # Repeated LOO reads of one model (virtual_loo, loo_mse and the
+        # proportions built on them) pay the O(n^3) pass once, and a
+        # caller writing to the returned diagonal leaves the cache as it
+        # was.
+        import gpcal.gp
+        calls = []
+        kbar_y_diag = gpcal.gp._kbar_y_diag
+
+        def counting(gls):
+            calls.append(1)
+            return kbar_y_diag(gls)
+
+        monkeypatch.setattr(gpcal.gp, "_kbar_y_diag", counting)
+        model = fit_gp(random_dataset(rng, n=12, d=2), random_kernel(rng, 2),
+                       ORD)
+        first = virtual_loo(model)
+        kbar_diag = first.kbar_diag.copy()
+        first.kbar_diag[:] = -1.0
+        mse = loo_mse(model)
+        quasi_gaussian(model, 0.9)
+        loo_coverage(model, 0.1)
+        again = virtual_loo(model)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again.loo_var, first.loo_var)
+        np.testing.assert_array_equal(again.kbar_diag, kbar_diag)
+        assert mse == pytest.approx(np.mean((model.dataset.y
+                                             - again.loo_mean) ** 2),
+                                    rel=1e-12)
+
 
 class TestLooMse:
     def test_zero_for_trend_responses(self, rng):

@@ -70,6 +70,58 @@ def _misspecified_dataset(seed, n=60, d=2):
     return Dataset(X=X, y=y)
 
 
+def _record_search(monkeypatch):
+    """Record, in call order, the lambda of every ``_LambdaState``, every
+    ``SigmaScanBasis.from_gram`` call, every evaluation as (lambda,
+    whether an objective came out) (``order``), and each side's
+    evaluations the same way, keyed by its level."""
+    log = {"states": [], "bases": [], "order": [], "evaluated": {}}
+    from_gram = SigmaScanBasis.from_gram.__func__
+    init = _LambdaState.__init__
+    evaluate = _Side.evaluate
+
+    def counting_from_gram(cls, *args, **kwargs):
+        log["bases"].append(1)
+        return from_gram(cls, *args, **kwargs)
+
+    def counting_init(state, cal, lam):
+        log["states"].append(lam)
+        init(state, cal, lam)
+
+    def recording_evaluate(side, lam):
+        out = evaluate(side, lam)
+        log["order"].append((lam, out[0] is not None))
+        log["evaluated"].setdefault(side.a, []).append(log["order"][-1])
+        return out
+
+    monkeypatch.setattr(SigmaScanBasis, "from_gram",
+                        classmethod(counting_from_gram))
+    monkeypatch.setattr(_LambdaState, "__init__", counting_init)
+    monkeypatch.setattr(_Side, "evaluate", recording_evaluate)
+    return log
+
+
+def _distinct_lambdas(log) -> set:
+    return {lam for calls in log["evaluated"].values() for lam, _ in calls}
+
+
+def _slot_runs(log) -> list:
+    """The recorded evaluations as runs of equal consecutive lambdas, each
+    (lambda, whether any of its evaluations had an objective): a one-state
+    slot builds one state per run."""
+    runs = []
+    for lam, has_objective in log["order"]:
+        if runs and runs[-1][0] == lam:
+            runs[-1][1] |= has_objective
+        else:
+            runs.append([lam, has_objective])
+    return runs
+
+
+def _slot_builds(log) -> int:
+    return len(_slot_runs(log))
+
+
 class TestSigmaOpt:
     def test_exists_with_nugget_for_any_theta(self):
         # Existence when the nugget is positive, over 30 random datasets.
@@ -700,34 +752,58 @@ class TestCalibrate:
             np.testing.assert_array_equal(side.trace.sigma2_opts,
                                           alone.trace.sigma2_opts)
 
+    # Problems whose two sides share a golden-section bracket: (data seed,
+    # nugget, alpha, config, states built twice).  On the zero-nugget one
+    # the two sections also cross once: each asks next for the lambda the
+    # other has just evaluated, and the later of the two is built again.
+    SHARED = [(7, 1e-4, 0.2, FAST, 0), (12, 0.0, 0.1, FAST, 1)]
+
+    @pytest.mark.parametrize("seed,nugget,alpha,config,rebuilt", SHARED)
+    def test_shared_bracket_shares_states(self, monkeypatch, seed, nugget,
+                                          alpha, config, rebuilt):
+        # Both sides' golden sections evaluate some lambdas in common, the
+        # calibration builds one state per distinct lambda (plus one per
+        # crossing), and each side still equals its one-sided calibration
+        # bit for bit.
+        ds = _misspecified_dataset(seed)
+        theta0 = np.array([0.6, 0.7])
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05, theta0,
+                                    nugget=nugget))
+        log = _record_search(monkeypatch)
+        cal = calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref, alpha,
+                        config)
+        count = config.lambda_grid.count
+        golden = [{lam for lam, _ in log["evaluated"][a][count:]}
+                  for a in (1.0 - alpha / 2.0, alpha / 2.0)]
+        shared = golden[0] & golden[1]
+        assert shared
+        states = log["states"]
+        assert set(states) == _distinct_lambdas(log)
+        assert len(states) == _slot_builds(log) \
+            == len(_distinct_lambdas(log)) + rebuilt
+        twice = [lam for lam in set(states) if states.count(lam) > 1]
+        assert len(twice) == rebuilt and set(twice) <= shared
+        assert len(log["bases"]) == (len(log["states"]) if nugget else 0)
+        monkeypatch.undo()
+        for side, a in ((cal.upper, 1.0 - alpha / 2.0),
+                        (cal.lower, alpha / 2.0)):
+            alone = calibrate_quantile(ds, ORD, KernelFamily.MATERN52,
+                                       nugget, theta0, 0.05, a, config)
+            for name in ("lambda_star", "sigma2_opt", "wasserstein2",
+                         "psi_achieved", "psi_raw"):
+                assert getattr(side, name) == getattr(alone, name)
+            np.testing.assert_array_equal(side.beta_opt, alone.beta_opt)
+            np.testing.assert_array_equal(side.trace.objectives,
+                                          alone.trace.objectives)
+
     def test_search_cost_and_golden_stop(self, monkeypatch):
         # A default two-sided calibration builds one per-lambda state, and
-        # with a nugget one eigenbasis, per grid lambda and per
-        # golden-section step: 30 + 2 * 30 when both sides' best grid
-        # lambda is interior.  Each side's section stops at the first
-        # bracket no wider than _LOG_LAMBDA_TOL.
-        built, states = [], []
-        evaluated = {}
-        from_gram = SigmaScanBasis.from_gram.__func__
-        init = _LambdaState.__init__
-        evaluate = _Side.evaluate
-
-        def counting_from_gram(cls, *args, **kwargs):
-            built.append(1)
-            return from_gram(cls, *args, **kwargs)
-
-        def counting_init(state, *args):
-            states.append(1)
-            init(state, *args)
-
-        def recording_evaluate(side, lam):
-            evaluated.setdefault(side.a, []).append(lam)
-            return evaluate(side, lam)
-
-        monkeypatch.setattr(SigmaScanBasis, "from_gram",
-                            classmethod(counting_from_gram))
-        monkeypatch.setattr(_LambdaState, "__init__", counting_init)
-        monkeypatch.setattr(_Side, "evaluate", recording_evaluate)
+        # with a nugget one eigenbasis, per distinct lambda evaluated over
+        # the grid and both golden sections.  The sides' best grid lambdas
+        # are interior and their brackets apart here, so that is
+        # 30 + 2 * 30.  Each side's section stops at the first bracket no
+        # wider than _LOG_LAMBDA_TOL.
+        log = _record_search(monkeypatch)
         ds = _misspecified_dataset(13)
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
                                     np.array([0.6, 0.7]), nugget=1e-4))
@@ -736,20 +812,69 @@ class TestCalibrate:
                         config)
         grid = config.lambda_grid
         assert _golden_steps(grid) == 30
-        assert len(evaluated) == 2
+        assert len(log["evaluated"]) == 2
         for side in (cal.lower, cal.upper):
             objs = side.trace.objectives
             i_best = int(np.nanargmin(objs))
             assert 0 < i_best < grid.count - 1
-        for lams in evaluated.values():
-            steps = np.log(lams[grid.count:])
+        for calls in log["evaluated"].values():
+            steps = np.log([lam for lam, _ in calls[grid.count:]])
             assert steps.size == _golden_steps(grid)
             # The first two points sit at golden ratios of the bracket.
             width = abs(steps[1] - steps[0]) / (2.0 * _GOLDEN - 1.0)
             final = width * _GOLDEN ** (steps.size - 2)
             assert final <= _LOG_LAMBDA_TOL * (1.0 + 1e-9)
             assert final / _GOLDEN > _LOG_LAMBDA_TOL
-        assert len(built) == len(states) == 30 + 2 * 30
+        distinct = _distinct_lambdas(log)
+        assert len(distinct) == grid.count + 2 * _golden_steps(grid)
+        assert len(log["bases"]) == len(log["states"]) \
+            == len(set(log["states"])) == len(distinct) == _slot_builds(log)
+
+    @pytest.mark.parametrize("nugget,rebuilt", [(1e-4, 0), (0.0, 1)])
+    def test_cost_model(self, monkeypatch, nugget, rebuilt):
+        # One default two-sided calibration at n = 60: with a nugget, one
+        # eigh per state and one eigvalsh per (state, side) objective;
+        # without, one eigvalsh per state that has an objective.  No
+        # n x n Kbar or K^{-1} is formed (gp._kbar, gp._inverse).  The
+        # zero-nugget sections cross once here, so one lambda is built
+        # twice (rebuilt); with a nugget each distinct lambda is built
+        # once.
+        import gpcal.estimation
+        import gpcal.gp
+        calls = {"eigh": 0, "eigvalsh": 0, "_kbar": 0, "_inverse": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        for module in (gpcal.gp, gpcal.estimation):
+            for name in ("_kbar", "_inverse"):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+        log = _record_search(monkeypatch)
+        ds = _misspecified_dataset(14)
+        ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
+                                    np.array([0.6, 0.7]), nugget=nugget))
+        calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref, 0.1)
+        states = log["states"]
+        assert set(states) == _distinct_lambdas(log)
+        assert len(states) == _slot_builds(log) \
+            == len(set(states)) + rebuilt
+        objectives = [lam for lam, has_objective in log["order"]
+                      if has_objective]
+        if nugget > 0.0:
+            assert calls["eigh"] == len(states)
+            assert calls["eigvalsh"] == len(objectives)
+        else:
+            assert calls["eigh"] == 0
+            assert calls["eigvalsh"] == sum(
+                has_objective for _, has_objective in _slot_runs(log))
+        assert calls["_kbar"] == calls["_inverse"] == 0
 
     def test_default_grid_loses_no_w2(self):
         # On a misspecified problem per nugget form, no side of the
@@ -912,30 +1037,20 @@ class TestScaleFree:
 
     def test_one_factorization_per_lambda(self, monkeypatch):
         # A default two-sided zero-nugget calibration never builds an
-        # eigenbasis and builds one state per grid lambda and per
-        # golden-section step.
-        from_gram = SigmaScanBasis.from_gram.__func__
-        init = _LambdaState.__init__
-        bases, states = [], []
-
-        def counting_from_gram(cls, *args, **kwargs):
-            bases.append(1)
-            return from_gram(cls, *args, **kwargs)
-
-        def counting_init(state, *args):
-            states.append(1)
-            init(state, *args)
-
-        monkeypatch.setattr(SigmaScanBasis, "from_gram",
-                            classmethod(counting_from_gram))
-        monkeypatch.setattr(_LambdaState, "__init__", counting_init)
+        # eigenbasis and builds one state per distinct lambda evaluated
+        # over the grid and both golden sections; the two sides share
+        # some golden-section lambdas here.
+        log = _record_search(monkeypatch)
         ds, _ = self._problem()
         ref = _reference(KernelSpec(KernelFamily.MATERN52, self.SIGMA2_0,
                                     self.THETA0, nugget=0.0))
         cal = calibrate(ds, ORD, KernelFamily.MATERN52, 0.0, ref, 0.1)
-        assert not bases
+        assert not log["bases"]
         grid = RpieConfig().lambda_grid
-        assert len(states) == grid.count + 2 * _golden_steps(grid)
+        distinct = _distinct_lambdas(log)
+        assert len(distinct) < grid.count + 2 * _golden_steps(grid)
+        assert len(log["states"]) == len(set(log["states"])) \
+            == len(distinct) == _slot_builds(log)
         assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)
 
     # Squared-exponential case in which the 7 largest of the 25 FAST grid

@@ -228,10 +228,10 @@ def _lambda_grid_type(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad lambda grid: {text!r}")
-    if not (0.0 < lo < hi < math.inf) or count < 2:
-        raise argparse.ArgumentTypeError(
-            "lambda grid needs 0 < lo < hi < inf and count >= 2")
-    return (lo, hi, count)
+    try:
+        return dataclasses.astuple(GridSpec(lo, hi, count))
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,7 @@ def cmd_calibrate(args) -> int:
     if isinstance(model, CalibratedIntervalModel):
         raise DataError(f"{args.reference}: calibrate expects a fitted "
                         "model, not a calibrated interval model")
-    lo, hi, count = args.lambda_grid
-    config = RpieConfig(delta=delta, lambda_grid=GridSpec(lo, hi, count))
+    config = RpieConfig(delta=delta, lambda_grid=GridSpec(*args.lambda_grid))
     calibrated = calibrate(model.dataset, model.trend, model.kernel.family,
                            model.kernel.nugget, reference, args.alpha,
                            config)

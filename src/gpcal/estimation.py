@@ -36,8 +36,8 @@ from .exceptions import (
 )
 from .gp import Dataset, FittedGp, GlsState, TrendSpec, \
     _check_distinct_rows, _check_kernel_dim, _has_duplicate_rows, \
-    _inverse, _kbar, _kbar_y_diag, build_regression_matrix, \
-    factor_covariance, fit_gp, predict, solve_gls
+    _inverse, build_regression_matrix, factor_covariance, fit_gp, \
+    predict, solve_gls
 from .kernels import KernelFamily, KernelSpec, correlation, \
     covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
 from .loo import loo_mse
@@ -193,9 +193,8 @@ def msecv_objective(dataset: Dataset, trend: TrendSpec,
 
 def _mle_with_dk(gls: GlsState) -> tuple:
     """Profile NLL and S = dNLL/dK = K^{-1} - (Kbar y)(Kbar y)'."""
-    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T")
     S = _inverse(gls.L)
-    S -= np.outer(ky, ky)
+    S -= np.outer(gls.kbar_y, gls.kbar_y)
     return _profile_nll(gls), S
 
 
@@ -205,9 +204,8 @@ def _msecv_with_dk(gls: GlsState) -> tuple:
     With kb = diag Kbar, e = Kbar y / kb and c = e / kb, dKbar = -Kbar dK
     Kbar gives S = -2 sym(Kbar y (Kbar c)' - Kbar Diag(e^2 / kb) Kbar).
     """
-    kbar = _kbar(gls)
+    kbar, ky = gls.kbar, gls.kbar_y
     kb = np.diag(kbar)
-    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T")
     e = ky / kb
     kc = kbar @ (e / kb)
     S = 2.0 * (kbar * (e * e / kb)) @ kbar
@@ -415,7 +413,7 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
             dataset, trend, family, 0.0, False, _msecv_with_dk, n_starts,
             seed, sigma2=1.0)
         # Closed-form amplitude at the fitted length-scales.
-        ry, rdiag = _kbar_y_diag(fit_gp(dataset, unit, trend).gls)
+        ry, rdiag = fit_gp(dataset, unit, trend).gls.kbar_y_diag
         kernel = unit.with_(sigma2=float(np.mean(ry * ry / rdiag)))
     else:
         kernel, value, n_evals, converged = _fit_kernel(

@@ -5,24 +5,26 @@ Each (design, kernel, trend) is solved once.  ``factor_covariance`` gives
 the Cholesky factor L of K, and ``solve_gls`` derives from (F, L, y)
 everything the fit, the likelihood, prediction and the LOO formulas read:
 B = L^{-1} F, the Cholesky factor of G = B'B = F' K^{-1} F (the only place
-G is factored), the GLS coefficients beta = G^{-1} B' L^{-1} y and the
-whitened residual w = L^{-1} (y - F beta).  The matrix
+G is factored), the GLS coefficients beta = G^{-1} B' L^{-1} y, the
+whitened residual w = L^{-1} (y - F beta) and Kbar y = L^{-T} w, where
 
-    Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}
+    Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1}.
 
-is built from that state in one place (``_kbar``), for the callers that
-read all of it (``compute_kbar`` and the LOO-MSE gradient).  Its kernel
-equals the column space of F, and its diagonal is strictly positive
-whenever no canonical basis vector lies in that column space.  The
-leave-one-out formulas and the coverage calibration read only Kbar y and
-diag Kbar, which ``_kbar_y_diag`` gives from the same state without
-forming the n x n matrix.
+The state (``GlsState``) is the one owner of what derives from it: it
+builds Kbar itself (``kbar``), for the callers that read all of it
+(``compute_kbar`` and the LOO-MSE gradient), and (Kbar y, diag Kbar)
+without forming the n x n matrix (``kbar_y_diag``), which is all that the
+leave-one-out formulas and the coverage calibration read.  Each is built
+on first read and kept, and both share one trend factor.  The kernel of
+Kbar equals the column space of F, and its diagonal is strictly positive
+whenever no canonical basis vector lies in that column space.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -247,7 +249,9 @@ class GlsState:
 
     B = L^{-1} F; chol_G is the lower Cholesky factor of G = B'B =
     F' K^{-1} F (None when p = 0); beta = G^{-1} B' L^{-1} y; w =
-    L^{-1} (y - F beta), so that Kbar y = L^{-T} w; quad = y' Kbar y.
+    L^{-1} (y - F beta); kbar_y = Kbar y = L^{-T} w; quad = y' Kbar y.
+    ``kbar`` and ``kbar_y_diag`` are built from these on first read and
+    kept with the state; callers must not write to what they return.
     """
 
     L: np.ndarray
@@ -255,7 +259,51 @@ class GlsState:
     chol_G: np.ndarray | None
     beta: np.ndarray
     w: np.ndarray
+    kbar_y: np.ndarray
     quad: float
+
+    @functools.cached_property
+    def _trend_factor(self) -> np.ndarray:
+        """C = L^{-T} B chol_G^{-T}, so that C C' = K^{-1} F (F' K^{-1}
+        F)^{-1} F' K^{-1}; the state must have a trend (p > 0)."""
+        C = linalg.solve_triangular(self.chol_G, self.B.T, lower=True)
+        return linalg.solve_triangular(self.L, C.T, lower=True, trans="T")
+
+    @functools.cached_property
+    def kbar(self) -> np.ndarray:
+        """Kbar = K^{-1} - C C' (``_trend_factor``).
+
+        Symmetric PSD with a strictly positive diagonal when no e_i lies
+        in Im F; a (relatively) non-positive diagonal entry raises
+        HypothesisH2Error.
+        """
+        kbar = _inverse(self.L)
+        if self.chol_G is not None:
+            C = self._trend_factor
+            kbar -= C @ C.T
+        _check_h2(np.diag(kbar))
+        return kbar
+
+    @functools.cached_property
+    def kbar_y_diag(self) -> tuple:
+        """(Kbar y, diag Kbar), without forming Kbar: all that the LOO
+        residuals read.
+
+        With M = L^{-1} (``dtrtri``), K^{-1} = M' M, so diag K^{-1} holds
+        the squared column norms of M, less the squared row norms of C
+        (``_trend_factor``) for diag C C'.  dtrtri keeps L's strict upper
+        triangle, which np.linalg.cholesky leaves zero.  Raises
+        HypothesisH2Error where ``kbar`` does, by the same check.
+        """
+        M, info = linalg.lapack.dtrtri(self.L, lower=1)
+        if info != 0:
+            raise IllConditionedError("covariance inverse failed")
+        diag = np.einsum("ij,ij->j", M, M)
+        if self.chol_G is not None:
+            C = self._trend_factor
+            diag -= np.einsum("ij,ij->i", C, C)
+        _check_h2(diag)
+        return self.kbar_y, diag
 
 
 def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
@@ -270,28 +318,31 @@ def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
     a = linalg.solve_triangular(L, y, lower=True, check_finite=False)
     quad = float(a @ a)
     if F.shape[1] == 0:
-        return GlsState(L=L, B=F, chol_G=None, beta=np.zeros(0), w=a,
-                        quad=quad)
-    B = linalg.solve_triangular(L, F, lower=True, check_finite=False)
-    c = B.T @ a
-    try:
-        chol_G = linalg.cholesky(B.T @ B, lower=True)
-    except linalg.LinAlgError:
-        raise HypothesisH1Error("F' K^{-1} F is singular")
-    beta = linalg.cho_solve((chol_G, True), c)
-    quad -= float(c @ beta)
-    return GlsState(L=L, B=B, chol_G=chol_G, beta=beta, w=a - B @ beta,
+        B, chol_G, beta, w = F, None, np.zeros(0), a
+    else:
+        B = linalg.solve_triangular(L, F, lower=True, check_finite=False)
+        c = B.T @ a
+        try:
+            chol_G = linalg.cholesky(B.T @ B, lower=True)
+        except linalg.LinAlgError:
+            raise HypothesisH1Error("F' K^{-1} F is singular")
+        beta = linalg.cho_solve((chol_G, True), c)
+        quad -= float(c @ beta)
+        w = a - B @ beta
+    kbar_y = linalg.solve_triangular(L, w, lower=True, trans="T",
+                                     check_finite=False)
+    return GlsState(L=L, B=B, chol_G=chol_G, beta=beta, w=w, kbar_y=kbar_y,
                     quad=quad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedGp:
     """A kriging model and its solved state.
 
     ``fit_gp`` factors K and solves the GLS problem once (``gls``: L,
-    L^{-1} F, the factor of F' K^{-1} F, beta, L^{-1} (y - F beta));
-    ``predict``, ``compute_kbar`` and the LOO formulas read that state.
-    Only the lazy Kbar caches are ever mutated; concurrent reads are safe.
+    L^{-1} F, the factor of F' K^{-1} F, beta, L^{-1} (y - F beta) and
+    Kbar y); ``predict``, ``compute_kbar`` and the LOO formulas read that
+    state, which keeps Kbar and (Kbar y, diag Kbar) once built.
     """
 
     dataset: Dataset
@@ -301,8 +352,6 @@ class FittedGp:
     K: np.ndarray
     gls: GlsState
     jitter_used: float = 0.0
-    _kbar_cache: np.ndarray | None = field(default=None, repr=False)
-    _kbar_y_diag_cache: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -393,13 +442,6 @@ def _inverse(L: np.ndarray) -> np.ndarray:
     return full
 
 
-def _trend_factor(gls: GlsState) -> np.ndarray:
-    """C = L^{-T} B chol_G^{-T}, so that C C' = K^{-1} F (F' K^{-1} F)^{-1}
-    F' K^{-1}; the state must have a trend (p > 0)."""
-    C = linalg.solve_triangular(gls.chol_G, gls.B.T, lower=True)
-    return linalg.solve_triangular(gls.L, C.T, lower=True, trans="T")
-
-
 def _check_h2(diag: np.ndarray) -> None:
     """Raise HypothesisH2Error when diag Kbar has a (relatively)
     non-positive entry: some unit vector then lies in Im F."""
@@ -410,59 +452,11 @@ def _check_h2(diag: np.ndarray) -> None:
         )
 
 
-def _kbar(gls: GlsState) -> np.ndarray:
-    """Kbar = K^{-1} - C C' from a solved state (``_trend_factor``).
-
-    Symmetric PSD with a strictly positive diagonal when no e_i lies in
-    Im F; a (relatively) non-positive diagonal entry raises
-    HypothesisH2Error.
-    """
-    kbar = _inverse(gls.L)
-    if gls.chol_G is not None:
-        C = _trend_factor(gls)
-        kbar -= C @ C.T
-    _check_h2(np.diag(kbar))
-    return kbar
-
-
-def _kbar_y_diag(gls: GlsState) -> tuple:
-    """(Kbar y, diag Kbar) of a solved state, without forming Kbar: all
-    that the LOO residuals read.
-
-    Kbar y = L^{-T} w.  With M = L^{-1} (``dtrtri``), K^{-1} = M' M, so
-    diag K^{-1} holds the squared column norms of M, less the squared row
-    norms of C (``_trend_factor``) for diag C C'.  dtrtri keeps L's strict
-    upper triangle, which np.linalg.cholesky leaves zero.  Raises
-    HypothesisH2Error where ``_kbar`` does, by the same check.
-    """
-    M, info = linalg.lapack.dtrtri(gls.L, lower=1)
-    if info != 0:
-        raise IllConditionedError("covariance inverse failed")
-    diag = np.einsum("ij,ij->j", M, M)
-    if gls.chol_G is not None:
-        C = _trend_factor(gls)
-        diag -= np.einsum("ij,ij->i", C, C)
-    _check_h2(diag)
-    ky = linalg.solve_triangular(gls.L, gls.w, lower=True, trans="T",
-                                 check_finite=False)
-    return ky, diag
-
-
 def compute_kbar(model: FittedGp) -> np.ndarray:
     """Explicit Kbar = K^{-1} - K^{-1} F (F' K^{-1} F)^{-1} F' K^{-1} of
-    the model (``_kbar``), built on first use and cached."""
-    if model._kbar_cache is None:
-        model._kbar_cache = _kbar(model.gls)
-    return model._kbar_cache
-
-
-def _cached_kbar_y_diag(model: FittedGp) -> tuple:
-    """(Kbar y, diag Kbar) of the model (``_kbar_y_diag``), built on first
-    use and cached, so that repeated LOO reads of one model pay the
-    O(n^3) pass once.  Callers must not write to the arrays."""
-    if model._kbar_y_diag_cache is None:
-        model._kbar_y_diag_cache = _kbar_y_diag(model.gls)
-    return model._kbar_y_diag_cache
+    the model, built by its solved state on first read and kept there
+    (``GlsState.kbar``)."""
+    return model.gls.kbar
 
 
 def projection_basis(F: np.ndarray) -> np.ndarray:

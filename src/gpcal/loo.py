@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidParameterError
-from .gp import FittedGp, _cached_kbar_y_diag, projection_basis
+from .gp import FittedGp, projection_basis
 from .kernels import KernelSpec, gram_matrix
 from .stats import check_alpha, check_level, normal_quantile
 
@@ -80,8 +80,9 @@ class SmoothingParams:
 
 def virtual_loo(model: FittedGp) -> LooDiagnostics:
     """All n leave-one-out means/variances from Kbar y and diag Kbar
-    (``gp._kbar_y_diag``, cached on the model), without forming Kbar."""
-    ky, diag = _cached_kbar_y_diag(model)
+    (``GlsState.kbar_y_diag``, kept by the model's solved state), without
+    forming Kbar."""
+    ky, diag = model.gls.kbar_y_diag
     resid = ky / diag
     loo_mean = model.dataset.y - resid
     loo_var = 1.0 / diag
@@ -95,9 +96,10 @@ def loo_mse(model: FittedGp) -> float:
 
     Evaluated as the quadratic form (1/n) y' Kbar Diag(Kbar)^{-2} Kbar y,
     which equals the mean of the squared virtual residuals, from Kbar y
-    and diag Kbar (``gp._kbar_y_diag``, cached on the model).
+    and diag Kbar (``GlsState.kbar_y_diag``, kept by the model's solved
+    state).
     """
-    ky, diag = _cached_kbar_y_diag(model)
+    ky, diag = model.gls.kbar_y_diag
     return float(np.mean((ky / diag) ** 2))
 
 

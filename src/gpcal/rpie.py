@@ -86,7 +86,6 @@ from .gp import (
     Dataset,
     FittedGp,
     TrendSpec,
-    _kbar_y_diag,
     check_hypotheses,
     factor_covariance,
     fit_gp,
@@ -202,10 +201,11 @@ class RpieSolution:
     count, which sits within about half an in-band residual of the target.
     Both are recomputed from the final model (``fit_gp``, then
     ``virtual_loo``), independently of the state the root was found on.
-    With zero nugget that is the Cholesky and ``gp._kbar_y_diag`` route
-    of the scale-free search state itself; with a positive nugget the root was
-    found in the eigenbasis of W' R W, and the recomputation is an
-    independent check of it (perfbench's coverage check relies on it).
+    With zero nugget that is the Cholesky and ``GlsState.kbar_y_diag``
+    route of the scale-free search state itself; with a positive nugget
+    the root was found in the eigenbasis of W' R W, and the recomputation
+    is an independent check of it (perfbench's coverage check relies on
+    it).
     wasserstein2 is the search state's objective, not recomputed.
     """
 
@@ -388,7 +388,8 @@ class _LambdaState:
     not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  R is the
     R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
     jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
-    ``gp._kbar_y_diag``, the route ``virtual_loo`` takes) and m1.
+    ``GlsState.kbar_y_diag``, the route ``virtual_loo`` takes) and m1.
+    The solved state itself is dropped once z(1) and m1 are read.
 
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
     (``SigmaScanBasis``), from which each batch of amplitudes costs two
@@ -412,7 +413,7 @@ class _LambdaState:
             self.basis = None
             self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
             gls = solve_gls(cal.F, L, self._y)
-            ky, diag = _kbar_y_diag(gls)
+            ky, diag = gls.kbar_y_diag
             self.z1 = ky / np.sqrt(diag)
             self.m1 = cal.F @ gls.beta
         self.tr_R = float(np.trace(self.R))
@@ -464,7 +465,8 @@ class _Side:
     computed once here.  ``sigma_opt_at`` solves the equation exactly in
     the scale-free form (``_scale_free_root``) and by regula falsi in the
     eigenbasis form (``_scan_root``); both end in ``_snap``, which rounds
-    the root to adjacent doubles with the one predicate ``_hit``.
+    the root to adjacent doubles.  The root predicate is written once, as
+    f >= 0 with f = +-(psi_delta - a) (``_signed``).
     """
 
     def __init__(self, cal: _Calibration, a: float):
@@ -496,8 +498,7 @@ class _Side:
     def _hit(self, state: _LambdaState, negative: bool, s2: float) -> bool:
         """Whether psi_delta - a is zero at s2 or has lost the strict sign
         it has at the bottom of the scan (negative: below zero there)."""
-        g = self.excess(state.std_residuals(s2))
-        return g == 0.0 or (g < 0.0) != negative
+        return self._signed(state.std_residuals(s2), negative) >= 0.0
 
     def _scale_free_root(self, state: _LambdaState) -> float | None:
         """The exact root with zero nugget.
@@ -570,15 +571,14 @@ class _Side:
         """The root with a positive nugget: scan the amplitude batches for
         the first crossing, then solve it in its grid cell by Illinois
         regula falsi (``_illinois``)."""
-        negative = prev = None
+        g = self.excess(state.residuals(0)[0])
+        if g == 0.0:
+            return float(self.cal.batches[0][0])
+        negative = bool(g < 0.0)
+        prev = None
         for k, amps in enumerate(self.cal.batches):
             rows = state.residuals(k)
-            g = self.excess(rows)
-            if negative is None:
-                if g[0] == 0.0:
-                    return float(amps[0])
-                negative = bool(g[0] < 0.0)
-            hit = (g == 0.0) | ((g < 0.0) != negative)
+            hit = self._signed(rows, negative) >= 0.0
             if hit.any():
                 j = int(np.argmax(hit))
                 lo, z_lo = (amps[j - 1], rows[j - 1]) if j > 0 else prev
@@ -587,10 +587,11 @@ class _Side:
             prev = amps[-1], rows[-1]
         return None
 
-    def _signed(self, z: np.ndarray, negative: bool) -> float:
-        """f = +-(psi_delta - a), oriented below zero at the bottom of the
-        scan, so that the predicate is f >= 0."""
-        g = float(self.excess(z))
+    def _signed(self, z: np.ndarray, negative: bool):
+        """f = +-(psi_delta - a) along the last axis of z, oriented below
+        zero at the bottom of the scan (negative: psi_delta - a is below
+        zero there), so that the root predicate is f >= 0."""
+        g = self.excess(z)
         return g if negative else -g
 
     def _past_band(self, z: np.ndarray, z_lo: np.ndarray) -> float:
@@ -664,18 +665,13 @@ class _Side:
             return None, None
         return self.cal.objective(lam, s2), s2
 
-    def record(self, i: int) -> None:
-        obj, s2 = self.evaluate(float(self.lambdas[i]))
-        if obj is not None:
-            self.objs[i] = obj
-            self.s2s[i] = s2
-
     def refine(self):
-        """Generator of (lambda*, sigma2_opt, W2): the best grid lambda,
-        refined by golden section in log lambda over its two neighbouring
-        cells.  It yields each lambda the section evaluates and is sent
-        ``evaluate`` there, so that ``_lockstep`` can interleave the sides;
-        the result is its return value.  Raises
+        """Generator of (lambda*, sigma2_opt, W2): it walks the lambda
+        grid, recording each answer in the trace, then refines the best
+        grid lambda by golden section in log lambda over its two
+        neighbouring cells.  It yields each lambda it evaluates and is
+        sent ``evaluate`` there, so that ``_lockstep`` can interleave the
+        sides; the result is its return value.  Raises
         CalibrationInfeasibleError when no grid lambda is admissible.
 
         The section stops once the bracket is ``_LOG_LAMBDA_TOL`` = 1e-6
@@ -689,6 +685,10 @@ class _Side:
         which one it finds, so lambda* can depend on the grid.
         """
         lambdas, objs = self.lambdas, self.objs
+        for i, lam in enumerate(lambdas):
+            obj, s2 = yield float(lam)
+            if obj is not None:
+                objs[i], self.s2s[i] = obj, s2
         if not np.any(np.isfinite(objs)):
             ref = self.cal.ref
             report = check_hypotheses(ref.dataset, ref.trend, ref.kernel,
@@ -765,9 +765,10 @@ def _solution(ref: FittedGp, delta: SmoothingParams, a: float, best: tuple,
 
 def _lockstep(sides: list) -> list:
     """Each side's (lambda*, sigma2_opt, W2) from its ``refine``, the
-    golden sections run in lock-step: one evaluation of each side in
-    turn.  Sections that share a bracket ask for the same lambda in the
-    same round, and the calibration's one kept state serves both."""
+    searches run in lock-step: one evaluation of each side in turn.  So
+    each grid lambda is evaluated by every side in turn, and sections that
+    share a bracket ask for the same lambda in the same round; the
+    calibration's one kept state serves them all."""
     runs = [side.refine() for side in sides]
     results = [None] * len(sides)
     sent = dict.fromkeys(range(len(sides)))     # side -> value to send
@@ -787,18 +788,15 @@ def _search(ref: FittedGp, levels: tuple, config: RpieConfig) -> list:
     """(a, (lambda*, sigma2_opt, W2), trace) for each quantile level a,
     calibrated on the reference fit ref.
 
-    One calibration state serves every level: the lambda grid is walked
-    once, each grid lambda's Gram matrix and per-lambda state serving all
-    levels, then the levels' golden sections run in lock-step
-    (``_lockstep``), so that the calibration's one kept state serves every
-    level that evaluates its lambda.  The state is released on return,
+    One calibration state serves every level: the levels' searches run
+    in lock-step (``_lockstep``), so the lambda grid is walked once, each
+    grid lambda's Gram matrix and per-lambda state serving all levels, and
+    the calibration's one kept state serves every level of a golden
+    section that evaluates its lambda.  The state is released on return,
     before any final fit; ref itself is the caller's.
     """
     cal = _Calibration(ref, config)
     sides = [_Side(cal, a) for a in levels]
-    for i in range(config.lambda_grid.count):
-        for side in sides:
-            side.record(i)
     return [(side.a, best, side.trace())
             for side, best in zip(sides, _lockstep(sides))]
 

@@ -11,7 +11,10 @@ two criteria score the fixture's own fitted models on a HOLDOUT_N-point
 draw per seed from the experiment's design law and response
 (``experiment_holdout``) and print the split values alongside.  No desk
 morokoff reference over-covers on its draw, so criterion 6 has no
-qualifying seed at this scale and reports itself as VACUOUS.
+qualifying seed at this scale and reports itself as VACUOUS.  The width
+claim it is meant to test is checked at its own thresholds where the
+regime exists: on known-kernel draws, with given references that
+over-cover (``test_criterion_6_width_claim_on_over_covering_references``).
 
 Known quantization fact used by criterion 4: the step-count LOO coverage
 of a calibrated pair is a multiple of 1/n while the smoothed proportions
@@ -38,10 +41,12 @@ from gpcal.bench import (
     write_report_csv,
 )
 from gpcal.blas import single_threaded_blas
-from gpcal.estimation import McmcConfig, bayes_predictive, fit_mle
+from gpcal.estimation import EstimationResult, McmcConfig, \
+    bayes_predictive, fit_mle
 from gpcal.gp import fit_gp, prediction_interval, projection_basis
 from gpcal.loo import loo_coverage, virtual_loo
-from gpcal.rpie import predict_calibrated, wasserstein2_gaussians
+from gpcal.rpie import calibrate, predict_calibrated, \
+    wasserstein2_gaussians
 
 from conftest import ALL_FAMILIES, brute_force_loo
 
@@ -283,6 +288,67 @@ def test_criterion_6_misspecification_width_reduction(desk_reports):
             f"{reduced}/{len(qualifying)} qualifying seeds reduced width; "
             f"mean calibrated CP {mean_cp:.3f} on {HOLDOUT_N}-point "
             f"held-out draws")
+
+
+# Known-kernel draws for the width claim next to criterion 6: the calib
+# benchmark's truth, 150 training points and WIDTH_HOLDOUT_N held-out
+# points drawn jointly per seed.
+WIDTH_TRUTH = KernelSpec(KernelFamily.MATERN52, 1.0, np.full(10, 0.8),
+                         nugget=1e-2)
+WIDTH_TRAIN_N = 150
+WIDTH_HOLDOUT_N = 1_000
+
+
+def test_criterion_6_width_claim_on_over_covering_references():
+    # The paper's "small widths" claim where its regime exists, which the
+    # desk fixture does not produce (criterion 6 is VACUOUS there): given,
+    # not fitted, references that over-cover, sigma2 x 4 and theta x 0.5
+    # of the truth.  Criterion 6's own thresholds, per reference: among
+    # the seeds whose reference held-out coverage exceeds 0.90 (at least
+    # one), the calibrated width is reduced on >= 80 % and the mean
+    # calibrated held-out coverage lies in [0.86, 0.94].
+    t0 = time.perf_counter()
+    references = {"sigma2 x 4": WIDTH_TRUTH.with_(sigma2=4.0),
+                  "theta x 0.5": WIDTH_TRUTH.with_(theta=0.5
+                                                   * WIDTH_TRUTH.theta)}
+    held = {name: {} for name in references}
+    for seed in range(5):
+        rng = np.random.default_rng(60_000 + seed)
+        X = rng.uniform(0, 1, (WIDTH_TRAIN_N + WIDTH_HOLDOUT_N, 10))
+        y = sample_gp_response(X, WIDTH_TRUTH, rng)
+        train = Dataset(X=X[:WIDTH_TRAIN_N], y=y[:WIDTH_TRAIN_N])
+        X_test, y_test = X[WIDTH_TRAIN_N:], y[WIDTH_TRAIN_N:]
+        for name, kernel in references.items():
+            lo, up = prediction_interval(fit_gp(train, kernel, ORD), X_test,
+                                         ALPHA)
+            reference = EstimationResult(kernel=kernel,
+                                         objective_value=math.nan,
+                                         n_evals=0, method="KNOWN",
+                                         converged=True)
+            cal = calibrate(train, ORD, kernel.family, kernel.nugget,
+                            reference, ALPHA)
+            lo_c, up_c, _ = predict_calibrated(cal, X_test)
+            held[name][seed] = (compute_metrics(y_test, None, lo, up),
+                                compute_metrics(y_test, None, lo_c, up_c))
+    ok, detail = True, []
+    for name, scores in held.items():
+        qualifying = [s for s in scores if scores[s][0].cp > 0.90]
+        reduced = sum(scores[s][1].mpiw <= scores[s][0].mpiw
+                      for s in qualifying)
+        mean_cp = float(np.mean([scores[s][1].cp for s in qualifying])) \
+            if qualifying else math.nan
+        ok &= bool(qualifying) and reduced >= 0.8 * len(qualifying) \
+            and 0.86 <= mean_cp <= 0.94
+        cp_width = [(round(ref.cp, 3), round(ref.mpiw, 2), round(c.cp, 3),
+                     round(c.mpiw, 2)) for ref, c in scores.values()]
+        detail.append(f"{name}: {reduced}/{len(qualifying)} qualifying "
+                      f"seeds reduced width, mean calibrated CP "
+                      f"{mean_cp:.3f}; (reference CP, width, calibrated "
+                      f"CP, width) per seed {cp_width}")
+    elapsed = time.perf_counter() - t0
+    _report(6, ok, f"width claim on known-kernel draws "
+            f"({WIDTH_HOLDOUT_N}-point held-out): " + "; ".join(detail)
+            + f" ({elapsed:.0f}s)")
 
 
 def test_criterion_7_zhou_nugget_direction(desk_reports):

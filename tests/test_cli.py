@@ -268,6 +268,28 @@ class TestCalibrateCommand:
         covered = float(np.mean((y >= lowers) & (y <= uppers)))
         assert abs(covered - 0.8) <= 0.15
 
+    def test_single_point_lambda_grid(self, training_csv, tmp_path,
+                                      capsys):
+        # --lambda-grid accepts every grid GridSpec accepts: a single
+        # point lo == hi keeps lambda there, an amplitude-only
+        # calibration, and the manifest records the grid as [lo, hi,
+        # count].
+        path, _, _ = training_csv
+        model_out = tmp_path / "model.json"
+        assert main(["fit", "--data", str(path), "--target", "resp",
+                     "--nugget", "fixed:0.01", "--out",
+                     str(model_out)]) == 0
+        cal_out = tmp_path / "cal.json"
+        assert main(["calibrate", "--reference", str(model_out),
+                     "--lambda-grid", "1,1,1", "--out", str(cal_out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(cal_out.read_text())
+        assert doc["upper"]["lambda_star"] == doc["lower"]["lambda_star"] \
+            == 1.0
+        manifest = json.loads((tmp_path / "cal.json.manifest.json")
+                              .read_text())
+        assert manifest["flags"]["lambda_grid"] == [1.0, 1.0, 1]
+
     def test_degenerate_targets_fail_numerically(self, tmp_path):
         # constant responses leave nothing to calibrate: exit code 4
         path = tmp_path / "const.csv"
@@ -319,16 +341,17 @@ class TestBenchmarkCommand:
 class TestBadFlags:
     """Out-of-range flag values are usage errors (exit 2), caught before
     any work, whose message names the last flag given: --delta must lie
-    in (0, q_{1 - alpha/2}), --lambda-grid must be finite, --alpha must
-    leave 1 - alpha/2 below 1, a fit needs a seed >= 0 and a finite
-    nugget, bayes needs a fixed nugget, and a benchmark needs at least one
-    seed, three points and one input dimension."""
+    in (0, q_{1 - alpha/2}), --lambda-grid must be a grid ``GridSpec``
+    accepts, --alpha must leave 1 - alpha/2 below 1, a fit needs a seed
+    >= 0 and a finite nugget, bayes needs a fixed nugget, and a benchmark
+    needs at least one seed, three points and one input dimension."""
 
     @pytest.mark.parametrize("flags", [
         ["calibrate", "--delta", "-1"],
         ["calibrate", "--delta", "nan"],
         ["calibrate", "--delta", "5"],
         ["calibrate", "--lambda-grid", "0.1,inf,10"],
+        ["calibrate", "--lambda-grid", "0.1,10,1"],
         ["calibrate", "--alpha", "1e-300"],
         ["predict", "--alpha", "1e-300"],
         ["fit", "--seed", "-1"],
@@ -344,7 +367,8 @@ class TestBadFlags:
         ["benchmark", "morokoff", "--n", "20", "--d", "2", "--seeds", "1",
          "--alpha", "1e-300"],
     ], ids=["delta_negative", "delta_nan", "delta_above_quantile",
-            "lambda_grid_inf", "calibrate_alpha_tiny", "predict_alpha_tiny",
+            "lambda_grid_inf", "lambda_grid_one_point_range",
+            "calibrate_alpha_tiny", "predict_alpha_tiny",
             "fit_seed_negative", "fit_nugget_nan", "fit_nugget_inf",
             "fit_bayes_joint_nugget", "zero_seeds", "zero_n", "zero_d",
             "negative_n", "one_n", "two_n", "benchmark_alpha_tiny"])

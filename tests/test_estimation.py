@@ -299,6 +299,27 @@ class TestAnalyticGradient:
         rel_err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel_err <= 1e-5
 
+    @pytest.mark.parametrize("fit", [fit_mle, fit_msecv],
+                             ids=["mle", "msecv"])
+    def test_one_kbar_y_solve_per_evaluation(self, monkeypatch, fit):
+        # Kbar y = L^{-T} w is solved once per fit evaluation, by the
+        # solved state (gp.solve_gls), and each criterion reads it there.
+        import scipy.linalg
+        solves = []
+        solve_triangular = scipy.linalg.solve_triangular
+
+        def counting(a, b, *args, **kwargs):
+            if kwargs.get("trans") == "T" and np.ndim(b) == 1:
+                solves.append(1)
+            return solve_triangular(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
+        ds = random_dataset(np.random.default_rng(32), n=15, d=2)
+        result = fit(ds, TrendSpec.from_string("ordinary"),
+                     KernelFamily.MATERN52, nugget=1e-3, n_starts=1)
+        assert result.n_evals > 0
+        assert len(solves) == result.n_evals
+
 
 def test_optimizer_loads_with_the_first_fit(tmp_path):
     # Importing the package or its CLI leaves scipy.optimize unloaded, so a

@@ -1,5 +1,6 @@
 """Trend bases, covariance assembly, GLS, prediction, Kbar, projections."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,8 +14,6 @@ from gpcal.exceptions import (
     IllConditionedError,
 )
 from gpcal.gp import (
-    _kbar,
-    _kbar_y_diag,
     build_covariance,
     build_regression_matrix,
     check_hypotheses,
@@ -135,6 +134,16 @@ class TestFitBeta:
         lhs = model.F.T @ Kinv_F @ model.beta_hat
         rhs = model.F.T @ np.linalg.solve(model.K, ds.y)
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_fitted_model_is_immutable(self, rng):
+        # What derives from the solved state is kept by the state itself,
+        # so nothing writes to a model once it is built.
+        model = fit_gp(random_dataset(rng, n=10, d=2), random_kernel(rng, 2),
+                       ORD)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.kernel = random_kernel(rng, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.gls = None
 
 
 class TestPredict:
@@ -275,8 +284,9 @@ class TestKbar:
 
 
 class TestKbarYDiag:
-    """(Kbar y, diag Kbar) without forming Kbar, against ``compute_kbar``
-    for every trend and every kind of covariance the calibration meets."""
+    """(Kbar y, diag Kbar) without forming Kbar (``GlsState.kbar_y_diag``),
+    against ``compute_kbar`` for every trend and every kind of covariance
+    the calibration meets."""
 
     @staticmethod
     def _model(case, trend):
@@ -303,7 +313,7 @@ class TestKbarYDiag:
     def test_matches_compute_kbar(self, trend, case):
         model = self._model(case, trend)
         kbar = compute_kbar(model)
-        ky, diag = _kbar_y_diag(model.gls)
+        ky, diag = model.gls.kbar_y_diag
         want_ky, want_diag = kbar @ model.dataset.y, np.diag(kbar)
         assert np.abs(ky - want_ky).max() <= \
             1e-12 * np.abs(want_ky).max()
@@ -330,9 +340,9 @@ class TestKbarYDiag:
         model = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, 1.0,
                                       np.full(2, 0.5), nugget), UNI)
         with pytest.raises(HypothesisH2Error):
-            _kbar(model.gls)
+            model.gls.kbar
         with pytest.raises(HypothesisH2Error):
-            _kbar_y_diag(model.gls)
+            model.gls.kbar_y_diag
 
 
 class TestProjectionBasis:

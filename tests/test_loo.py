@@ -91,16 +91,17 @@ class TestVirtualLoo:
         # Repeated LOO reads of one model (virtual_loo, loo_mse and the
         # proportions built on them) pay the O(n^3) pass once, and a
         # caller writing to the returned diagonal leaves the cache as it
-        # was.
-        import gpcal.gp
+        # was.  The pass is the one LAPACK dtrtri (L^{-1}) of the solved
+        # state's (Kbar y, diag Kbar).
+        import scipy.linalg.lapack
         calls = []
-        kbar_y_diag = gpcal.gp._kbar_y_diag
+        dtrtri = scipy.linalg.lapack.dtrtri
 
-        def counting(gls):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return kbar_y_diag(gls)
+            return dtrtri(*args, **kwargs)
 
-        monkeypatch.setattr(gpcal.gp, "_kbar_y_diag", counting)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", counting)
         model = fit_gp(random_dataset(rng, n=12, d=2), random_kernel(rng, 2),
                        ORD)
         first = virtual_loo(model)

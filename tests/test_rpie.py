@@ -835,13 +835,14 @@ class TestCalibrate:
         # One default two-sided calibration at n = 60: with a nugget, one
         # eigh per state and one eigvalsh per (state, side) objective;
         # without, one eigvalsh per state that has an objective.  No
-        # n x n Kbar or K^{-1} is formed (gp._kbar, gp._inverse).  The
+        # n x n Kbar or K^{-1} is formed: gp._inverse, the only route to
+        # either, is never called.  The
         # zero-nugget sections cross once here, so one lambda is built
         # twice (rebuilt); with a nugget each distinct lambda is built
         # once.
         import gpcal.estimation
         import gpcal.gp
-        calls = {"eigh": 0, "eigvalsh": 0, "_kbar": 0, "_inverse": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "_inverse": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -853,9 +854,8 @@ class TestCalibrate:
             monkeypatch.setattr(np.linalg, name,
                                 counting(name, getattr(np.linalg, name)))
         for module in (gpcal.gp, gpcal.estimation):
-            for name in ("_kbar", "_inverse"):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
+            monkeypatch.setattr(module, "_inverse",
+                                counting("_inverse", module._inverse))
         log = _record_search(monkeypatch)
         ds = _misspecified_dataset(14)
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
@@ -874,7 +874,7 @@ class TestCalibrate:
             assert calls["eigh"] == 0
             assert calls["eigvalsh"] == sum(
                 has_objective for _, has_objective in _slot_runs(log))
-        assert calls["_kbar"] == calls["_inverse"] == 0
+        assert calls["_inverse"] == 0
 
     def test_default_grid_loses_no_w2(self):
         # On a misspecified problem per nugget form, no side of the

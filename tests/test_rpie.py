@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gpcal.gp import build_regression_matrix, factor_covariance, fit_gp, \
 from gpcal.loo import SigmaScanBasis, SmoothingParams, \
     psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
 from gpcal.rpie import (
+    _BRENT_BRACKET,
     _GOLDEN,
     _LOG_LAMBDA_TOL,
     _SIGMA_SCAN,
@@ -47,15 +49,6 @@ from conftest import random_dataset
 ORD = TrendSpec.from_string("ordinary")
 
 FAST = RpieConfig(lambda_grid=GridSpec(1e-1, 1e1, 25))
-
-
-def _golden_steps(grid):
-    """Objective evaluations of ``_Side.refine``'s golden section over a
-    two-cell bracket of grid: its two interior points, then one per
-    shrink by _GOLDEN until the bracket is within _LOG_LAMBDA_TOL."""
-    width = 2.0 * math.log(grid.hi / grid.lo) / (grid.count - 1)
-    return 2 + math.ceil(math.log(_LOG_LAMBDA_TOL / width)
-                         / math.log(_GOLDEN))
 
 
 def _reference(kernel):
@@ -673,6 +666,100 @@ class TestCalibrateQuantile:
         assert 1.0 / cell <= second.lambda_star <= cell
 
 
+def _phase_recorders(monkeypatch) -> tuple:
+    """Wrap ``rpie._golden`` and ``rpie._parabola``: each golden section's
+    result (the bracket and points it hands to Brent's steps) and its
+    number of evaluations, and the points of every parabola fitted."""
+    import gpcal.rpie
+    golden, parabola = gpcal.rpie._golden, gpcal.rpie._parabola
+    handed, fitted = [], []
+
+    def recording_golden(f, a, b):
+        asked = []
+
+        def counted(t):
+            asked.append(t)
+            return (yield from f(t))
+
+        out = yield from golden(counted, a, b)
+        handed.append((out, len(asked)))
+        return out
+
+    def recording_parabola(*points):
+        fitted.append(points)
+        return parabola(*points)
+
+    monkeypatch.setattr(gpcal.rpie, "_golden", recording_golden)
+    monkeypatch.setattr(gpcal.rpie, "_parabola", recording_parabola)
+    return handed, fitted
+
+
+class TestRefine:
+    """``_Side.refine`` driven through the generator protocol ``_lockstep``
+    uses, on synthetic W2 curves of t = log lambda and with no GP: the
+    default 30-point grid, golden section from the best grid lambda's two
+    cells down to the first bracket no wider than _BRENT_BRACKET, then
+    Brent's steps.  The objective is sent back with lambda itself in place
+    of sigma2_opt, so the result shows which evaluation it was read from."""
+
+    # Golden-section evaluations from a two-cell bracket of the default grid
+    # (log width 0.635) down to 1e-2: its two interior points and 9 shrinks.
+    GOLDEN_STEPS = 11
+
+    # (W2 of t, or None where absent; local minima in t; evaluations in
+    # all; absent evaluations among Brent's steps).  The two kink minima
+    # lie 0.003 apart in one grid cell, 3e-5 apart in W2, as on a
+    # zero-nugget calibration.  The absent stretch starts 5e-4 above the
+    # minimum, so golden section hands Brent an absent point and one of
+    # Brent's steps lands in it.
+    CASES = {
+        "parabola": (lambda t: 1.0 + (t - 0.3) ** 2, (0.3,), 44, 0),
+        "kink": (lambda t: 1.0 + abs(t - 0.3), (0.3,), 52, 0),
+        "two_kinks": (lambda t: 1.0 + min(abs(t - 0.063),
+                                          abs(t - 0.066) + 3e-5),
+                      (0.063, 0.066), 55, 0),
+        "absent_stretch": (lambda t: None if 0.3055 < t < 0.505
+                           else 1.0 + (t - 0.305) ** 2, (0.305,), 46, 1),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_search(self, monkeypatch, case):
+        objective, minima, evaluations, absent = self.CASES[case]
+        handed, fitted = _phase_recorders(monkeypatch)
+        grid = RpieConfig().lambda_grid
+        run = _Side(SimpleNamespace(config=RpieConfig()), 0.9).refine()
+        calls, sent = [], None
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                lam = run.send(sent)
+                w2 = objective(math.log(lam))
+                calls.append((lam, math.inf if w2 is None else w2))
+                sent = (None, None) if w2 is None else (w2, lam)
+        lam_star, tag, w2_star = stop.value.value
+        assert len(calls) == evaluations
+        # lambda* is the lowest W2 evaluated, and a local minimum to
+        # within the search's resolution.
+        assert w2_star == min(w2 for _, w2 in calls)
+        assert (lam_star, w2_star) in calls
+        assert tag == lam_star
+        assert min(abs(math.log(lam_star) - m) for m in minima) \
+            <= _LOG_LAMBDA_TOL
+        # The golden section stops at its first bracket no wider than
+        # _BRENT_BRACKET.
+        ((a, b, *points), steps), = handed
+        assert steps == self.GOLDEN_STEPS
+        assert b - a <= _BRENT_BRACKET < (b - a) / _GOLDEN
+        assert a < points[0] < b
+        # Only finite values reach a parabola, also where Brent's steps
+        # start from or land on an absent lambda.
+        assert fitted
+        assert all(math.isfinite(value) for fit in fitted for value in fit)
+        brent = [w2 for _, w2 in calls[grid.count + steps:]]
+        assert sum(w2 == math.inf for w2 in brent) == absent
+        if absent:
+            assert math.inf in points[1::2]
+
+
 class TestCalibrate:
     def test_two_sided_coverage(self):
         ds = _misspecified_dataset(7)
@@ -754,8 +841,8 @@ class TestCalibrate:
 
     # Problems whose two sides share a golden-section bracket: (data seed,
     # nugget, alpha, config, states built twice).  On the zero-nugget one
-    # the two sections also cross once: each asks next for the lambda the
-    # other has just evaluated, and the later of the two is built again.
+    # the lower side's golden section asks for a lambda the upper side
+    # evaluated three evaluations before, and it is built again.
     SHARED = [(7, 1e-4, 0.2, FAST, 0), (12, 0.0, 0.1, FAST, 1)]
 
     @pytest.mark.parametrize("seed,nugget,alpha,config,rebuilt", SHARED)
@@ -763,8 +850,8 @@ class TestCalibrate:
                                           alpha, config, rebuilt):
         # Both sides' golden sections evaluate some lambdas in common, the
         # calibration builds one state per distinct lambda (plus one per
-        # crossing), and each side still equals its one-sided calibration
-        # bit for bit.
+        # lambda asked for again after the kept state moved on), and each
+        # side still equals its one-sided calibration bit for bit.
         ds = _misspecified_dataset(seed)
         theta0 = np.array([0.6, 0.7])
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05, theta0,
@@ -796,13 +883,18 @@ class TestCalibrate:
             np.testing.assert_array_equal(side.trace.objectives,
                                           alone.trace.objectives)
 
-    def test_search_cost_and_golden_stop(self, monkeypatch):
+    def test_search_cost_and_phase_stops(self, monkeypatch):
         # A default two-sided calibration builds one per-lambda state, and
         # with a nugget one eigenbasis, per distinct lambda evaluated over
-        # the grid and both golden sections.  The sides' best grid lambdas
-        # are interior and their brackets apart here, so that is
-        # 30 + 2 * 30.  Each side's section stops at the first bracket no
-        # wider than _LOG_LAMBDA_TOL.
+        # the grid and both searches.  The sides' best grid lambdas are
+        # interior and their brackets apart here, so that is 30 grid
+        # lambdas and, per side, 11 golden-section steps and Brent's
+        # steps: 59 in all, against 30 + 2 * 30 = 90 for golden section
+        # alone.  Each side's golden section stops at the first bracket no
+        # wider than _BRENT_BRACKET.  Brent's steps stop with evaluated
+        # lambdas within 2/3 _LOG_LAMBDA_TOL of lambda* in log lambda on
+        # either side of it, the ends of the final bracket.
+        handed, _ = _phase_recorders(monkeypatch)
         log = _record_search(monkeypatch)
         ds = _misspecified_dataset(13)
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
@@ -811,22 +903,26 @@ class TestCalibrate:
         cal = calibrate(ds, ORD, KernelFamily.MATERN52, 1e-4, ref, 0.1,
                         config)
         grid = config.lambda_grid
-        assert _golden_steps(grid) == 30
         assert len(log["evaluated"]) == 2
+        cell = math.log(grid.hi / grid.lo) / (grid.count - 1)
+        assert len(handed) == 2
+        for (a, b, *_), steps in handed:
+            assert steps == TestRefine.GOLDEN_STEPS
+            assert b - a <= _BRENT_BRACKET < (b - a) / _GOLDEN
+            assert (b - a) / _GOLDEN ** (steps - 2) \
+                == pytest.approx(2.0 * cell, rel=1e-9)
+        reach = 2.0 / 3.0 * _LOG_LAMBDA_TOL * (1.0 + 1e-9)
         for side in (cal.lower, cal.upper):
             objs = side.trace.objectives
             i_best = int(np.nanargmin(objs))
             assert 0 < i_best < grid.count - 1
-        for calls in log["evaluated"].values():
-            steps = np.log([lam for lam, _ in calls[grid.count:]])
-            assert steps.size == _golden_steps(grid)
-            # The first two points sit at golden ratios of the bracket.
-            width = abs(steps[1] - steps[0]) / (2.0 * _GOLDEN - 1.0)
-            final = width * _GOLDEN ** (steps.size - 2)
-            assert final <= _LOG_LAMBDA_TOL * (1.0 + 1e-9)
-            assert final / _GOLDEN > _LOG_LAMBDA_TOL
+            calls = log["evaluated"][side.a][grid.count:]
+            gaps = [math.log(lam / side.lambda_star) for lam, _ in calls
+                    if lam != side.lambda_star]
+            assert any(-reach <= gap < 0.0 for gap in gaps)
+            assert any(0.0 < gap <= reach for gap in gaps)
         distinct = _distinct_lambdas(log)
-        assert len(distinct) == grid.count + 2 * _golden_steps(grid)
+        assert len(distinct) == 59
         assert len(log["bases"]) == len(log["states"]) \
             == len(set(log["states"])) == len(distinct) == _slot_builds(log)
 
@@ -836,10 +932,9 @@ class TestCalibrate:
         # eigh per state and one eigvalsh per (state, side) objective;
         # without, one eigvalsh per state that has an objective.  No
         # n x n Kbar or K^{-1} is formed: gp._inverse, the only route to
-        # either, is never called.  The
-        # zero-nugget sections cross once here, so one lambda is built
-        # twice (rebuilt); with a nugget each distinct lambda is built
-        # once.
+        # either, is never called.  The zero-nugget searches cross once
+        # here, so one lambda is built twice (rebuilt); with a nugget each
+        # distinct lambda is built once.
         import gpcal.estimation
         import gpcal.gp
         calls = {"eigh": 0, "eigvalsh": 0, "_inverse": 0}
@@ -879,9 +974,9 @@ class TestCalibrate:
     def test_default_grid_loses_no_w2(self):
         # On a misspecified problem per nugget form, no side of the
         # default 30-point calibration lands above the W2 of a 60-point
-        # grid by more than the golden section's own resolution.  This is
+        # grid by more than the lambda search's own resolution.  This is
         # not a guarantee: with zero nugget W2 can have kink minima closer
-        # than one grid cell, and either grid's section may settle in the
+        # than one grid cell, and either grid's search may settle in the
         # higher of them.
         ds = _misspecified_dataset(21)
         fine = RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, 60))
@@ -1038,17 +1133,21 @@ class TestScaleFree:
     def test_one_factorization_per_lambda(self, monkeypatch):
         # A default two-sided zero-nugget calibration never builds an
         # eigenbasis and builds one state per distinct lambda evaluated
-        # over the grid and both golden sections; the two sides share
-        # some golden-section lambdas here.
+        # over the grid and both searches: 71, against 30 + 2 * 30 = 90
+        # for golden section alone; the two sides' searches share some
+        # golden-section lambdas here.
         log = _record_search(monkeypatch)
         ds, _ = self._problem()
         ref = _reference(KernelSpec(KernelFamily.MATERN52, self.SIGMA2_0,
                                     self.THETA0, nugget=0.0))
         cal = calibrate(ds, ORD, KernelFamily.MATERN52, 0.0, ref, 0.1)
         assert not log["bases"]
-        grid = RpieConfig().lambda_grid
+        count = RpieConfig().lambda_grid.count
+        searched = [{lam for lam, _ in calls[count:]}
+                    for calls in log["evaluated"].values()]
+        assert len(searched) == 2 and searched[0] & searched[1]
         distinct = _distinct_lambdas(log)
-        assert len(distinct) < grid.count + 2 * _golden_steps(grid)
+        assert len(distinct) == 71
         assert len(log["states"]) == len(set(log["states"])) \
             == len(distinct) == _slot_builds(log)
         assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)

@@ -479,10 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fitted model JSON")
     p_cal.add_argument("--alpha", type=_alpha_type, default=0.1)
     p_cal.add_argument("--delta", type=float, default=0.01)
+    grid = RpieConfig().lambda_grid
     p_cal.add_argument("--lambda-grid", type=_lambda_grid_type,
-                       default=dataclasses.astuple(RpieConfig().lambda_grid),
+                       default=dataclasses.astuple(grid),
                        dest="lambda_grid",
-                       help="'lo,hi,count' for the length-scale factor grid")
+                       help="'lo,hi,count' for the length-scale factor grid "
+                            f"(default {grid.lo:g},{grid.hi:g},{grid.count})")
     p_cal.add_argument("--out", default="calibrated.json")
     p_cal.set_defaults(func=cmd_calibrate)
 

@@ -56,21 +56,21 @@ from the two grid cells around it down to the first bracket no wider than
 1e-6.  lambda* carries no more precision than that: a last-bit change in
 the training responses moves it by about 1e-7 relative, and W2 is flat
 near its minimum, so the stop moves W2 by well under 1e-6 relative.  From
-a two-cell bracket of the default 30-point grid golden section takes 11
-evaluations and Brent's steps 4 or 5 more on most sides, against 30 for
+a two-cell bracket of the default 15-point grid golden section takes 13
+evaluations and Brent's steps 4 or 5 more on most sides, against 32 for
 golden section alone.  Parabolic steps from the start converge as
 fast but can settle in a higher local minimum of W2 than golden section
 does; started on its 1e-2 bracket they stay inside it.  The two sides'
 searches run in lock-step, one evaluation of each in turn, and while they
 share a bracket they ask for the same lambdas in the same round, which
 the one kept state serves for both.  So a calibration builds one
-per-lambda state per distinct lambda it evaluates, about 58 with the
-default grid against 90 for golden section alone.  Two searches can also
+per-lambda state per distinct lambda it evaluates, about 45 with the
+default grid, of which the grid is a third.  Two searches can also
 cross, each asking next for the lambda the other has just evaluated; the
 later of the two is then built a second time.  That is rare: on
 perfbench's calib inputs a calibration builds 0.3 states more than the
-distinct lambdas it evaluates, and keeping a second state would save 0.1
-of those.
+distinct lambdas it evaluates, and on a 30-point grid keeping a second
+state saved 0.1 of those.
 """
 
 from __future__ import annotations
@@ -130,11 +130,12 @@ _LOG_LAMBDA_TOL = 1e-6
 
 # Width in log lambda at which the golden section hands its bracket to
 # Brent's parabolic steps.  On perfbench's calib inputs (seeds 141-170,
-# 360 sides) parabolic steps from the grid's two-cell bracket on settle in
-# a higher local minimum of W2 than golden section alone on 4 sides (up to
-# +3.0 %), and from a 3e-2 bracket on 3 (up to +0.8 %).  From 1e-2 no W2
-# rises by more than 6.1e-7 relative, while 1e-3 builds 65 per-lambda
-# states per calibration against 58 and lets one W2 rise by 1.3e-6.
+# 360 sides, a 30-point grid) parabolic steps from the grid's two-cell
+# bracket on settle in a higher local minimum of W2 than golden section
+# alone on 4 sides (up to +3.0 %), and from a 3e-2 bracket on 3 (up to
+# +0.8 %).  From 1e-2 no W2 rises by more than 6.1e-7 relative, while 1e-3
+# builds 65 per-lambda states per calibration against 58 and lets one W2
+# rise by 1.3e-6.
 _BRENT_BRACKET = 1e-2
 
 # Amplitudes per batched residual evaluation: bounds the (rows x n) work
@@ -189,12 +190,21 @@ _SIGMA_SCAN = GridSpec(1e-8, 1e8, 200)
 class RpieConfig:
     """Calibration controls.
 
-    lambda_grid spans the common length-scale factor.
+    lambda_grid spans the common length-scale factor.  It only has to hand
+    each side's search a bracket around a low local minimum of W2, so the
+    default is 15 log-spaced points on [1e-2, 1e2].  On perfbench's calib
+    inputs (seeds 141-200, 720 sides) it lands more than 1e-6 relative
+    above the best W2 that any of the 15-, 30- and 60-point grids finds on
+    2 sides, 1.9 % above in sum, against 2 sides and 6.7 % for 30 points
+    and 7 sides and 5.9 % for 60: which of two nearby minima a search
+    finds is the grid's luck.  Coarser grids lose sides against 30 points:
+    12 points one of 240 calib sides (seeds 151-170) by 1.7e-6, 10 points
+    one of 120 (seeds 141-150) by 0.92 %.
     """
 
     delta: SmoothingParams = field(default_factory=SmoothingParams)
     lambda_grid: GridSpec = field(
-        default_factory=lambda: GridSpec(1e-2, 1e2, 30))
+        default_factory=lambda: GridSpec(1e-2, 1e2, 15))
 
 
 @dataclass(frozen=True)
@@ -695,10 +705,10 @@ class _Side:
         The search stops once lambda* is resolved to ``_LOG_LAMBDA_TOL`` =
         1e-6 in log lambda: lambda* already moves by about 1e-7 with the
         last bits of the data, so finer steps resolve nothing.  From a
-        two-cell bracket of the default grid the golden section takes 11
+        two-cell bracket of the default grid the golden section takes 13
         evaluations and Brent's steps 4 or 5 more on most sides, up to
         about 20 where W2 has a kink at its minimum and no parabola fits,
-        against 30 for golden section alone.  lambda* is the lowest W2
+        against 32 for golden section alone.  lambda* is the lowest W2
         evaluated and a local minimum of W2 inside the final bracket.
         With zero nugget W2 can have two local minima closer together than
         one grid cell, at kinks of sigma2_opt(lambda) where a residual

@@ -227,9 +227,39 @@ class TestPredictAndDiagnose:
 
 
 class TestCalibrateCommand:
-    def test_lambda_grid_default_is_the_library_default(self):
+    def test_lambda_grid_default_is_the_library_default(self, capsys):
         args = build_parser().parse_args(["calibrate", "--reference", "m"])
-        assert GridSpec(*args.lambda_grid) == RpieConfig().lambda_grid
+        grid = RpieConfig().lambda_grid
+        assert GridSpec(*args.lambda_grid) == grid
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["calibrate", "--help"])
+        assert f"(default {grid.lo:g},{grid.hi:g},{grid.count})" \
+            in " ".join(capsys.readouterr().out.split())
+
+    def test_default_lambda_grid_traces(self, training_csv, tmp_path,
+                                        capsys):
+        # Without --lambda-grid both trace CSVs hold one row per point of
+        # the library's default grid, and the manifest records that grid.
+        path, _, _ = training_csv
+        model_out = tmp_path / "model.json"
+        assert main(["fit", "--data", str(path), "--target", "resp",
+                     "--nugget", "fixed:0.01", "--out",
+                     str(model_out)]) == 0
+        cal_out = tmp_path / "cal.json"
+        assert main(["calibrate", "--reference", str(model_out),
+                     "--out", str(cal_out)]) == 0
+        capsys.readouterr()
+        grid = RpieConfig().lambda_grid
+        for side in ("upper", "lower"):
+            with open(tmp_path / f"cal_lambda_trace_{side}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == grid.count
+            np.testing.assert_array_equal([float(r["lambda"]) for r in rows],
+                                          grid.points())
+        manifest = json.loads((tmp_path / "cal.json.manifest.json")
+                              .read_text())
+        assert manifest["flags"]["lambda_grid"] == [grid.lo, grid.hi,
+                                                    grid.count]
 
     def test_calibrate_then_predict(self, training_csv, tmp_path, capsys):
         path, X, y = training_csv

@@ -3,7 +3,9 @@
 import functools
 import gc
 import math
+import re
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,6 +490,18 @@ class TestGridSpec:
         np.testing.assert_array_equal(grid.points(),
                                       GridSpec(1e-2, 1e2, 7).points())
 
+    def test_readme_states_the_default(self):
+        # README states the default lambda grid once, as "N log-spaced
+        # points on [lo, hi]"; it must be RpieConfig's.
+        text = " ".join((Path(__file__).resolve().parent.parent
+                         / "README.md").read_text().split())
+        stated = re.findall(r"(\d+) log-spaced points on \[([^,\]]+), "
+                            r"([^\]]+)\]", text)
+        assert len(stated) == 1
+        count, lo, hi = stated[0]
+        assert GridSpec(float(lo), float(hi), int(count)) \
+            == RpieConfig().lambda_grid
+
 
 class TestWasserstein:
     def test_identity_of_indiscernibles(self, rng):
@@ -697,29 +711,31 @@ def _phase_recorders(monkeypatch) -> tuple:
 class TestRefine:
     """``_Side.refine`` driven through the generator protocol ``_lockstep``
     uses, on synthetic W2 curves of t = log lambda and with no GP: the
-    default 30-point grid, golden section from the best grid lambda's two
+    default 15-point grid, golden section from the best grid lambda's two
     cells down to the first bracket no wider than _BRENT_BRACKET, then
     Brent's steps.  The objective is sent back with lambda itself in place
     of sigma2_opt, so the result shows which evaluation it was read from."""
 
     # Golden-section evaluations from a two-cell bracket of the default grid
-    # (log width 0.635) down to 1e-2: its two interior points and 9 shrinks.
-    GOLDEN_STEPS = 11
+    # (log width 2 ln(1e4) / 14 = 1.316) down to 1e-2: its two interior
+    # points and 11 shrinks.
+    GOLDEN_STEPS = 13
 
     # (W2 of t, or None where absent; local minima in t; evaluations in
     # all; absent evaluations among Brent's steps).  The two kink minima
     # lie 0.003 apart in one grid cell, 3e-5 apart in W2, as on a
     # zero-nugget calibration.  The absent stretch starts 5e-4 above the
     # minimum, so golden section hands Brent an absent point and one of
-    # Brent's steps lands in it.
+    # Brent's steps lands in it.  From the default grid's bracket that
+    # holds for a minimum anywhere in [0.3040, 0.3044], hence 0.3042.
     CASES = {
-        "parabola": (lambda t: 1.0 + (t - 0.3) ** 2, (0.3,), 44, 0),
-        "kink": (lambda t: 1.0 + abs(t - 0.3), (0.3,), 52, 0),
+        "parabola": (lambda t: 1.0 + (t - 0.3) ** 2, (0.3,), 31, 0),
+        "kink": (lambda t: 1.0 + abs(t - 0.3), (0.3,), 40, 0),
         "two_kinks": (lambda t: 1.0 + min(abs(t - 0.063),
                                           abs(t - 0.066) + 3e-5),
-                      (0.063, 0.066), 55, 0),
-        "absent_stretch": (lambda t: None if 0.3055 < t < 0.505
-                           else 1.0 + (t - 0.305) ** 2, (0.305,), 46, 1),
+                      (0.063, 0.066), 40, 0),
+        "absent_stretch": (lambda t: None if 0.3047 < t < 0.505
+                           else 1.0 + (t - 0.3042) ** 2, (0.3042,), 34, 1),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -887,13 +903,12 @@ class TestCalibrate:
         # A default two-sided calibration builds one per-lambda state, and
         # with a nugget one eigenbasis, per distinct lambda evaluated over
         # the grid and both searches.  The sides' best grid lambdas are
-        # interior and their brackets apart here, so that is 30 grid
-        # lambdas and, per side, 11 golden-section steps and Brent's
-        # steps: 59 in all, against 30 + 2 * 30 = 90 for golden section
-        # alone.  Each side's golden section stops at the first bracket no
-        # wider than _BRENT_BRACKET.  Brent's steps stop with evaluated
-        # lambdas within 2/3 _LOG_LAMBDA_TOL of lambda* in log lambda on
-        # either side of it, the ends of the final bracket.
+        # interior and their brackets apart here, so that is 15 grid
+        # lambdas and, per side, 13 golden-section steps and 4 of Brent's
+        # steps: 49 in all.  Each side's golden section stops at the first
+        # bracket no wider than _BRENT_BRACKET.  Brent's steps stop with
+        # evaluated lambdas within 2/3 _LOG_LAMBDA_TOL of lambda* in log
+        # lambda on either side of it, the ends of the final bracket.
         handed, _ = _phase_recorders(monkeypatch)
         log = _record_search(monkeypatch)
         ds = _misspecified_dataset(13)
@@ -922,18 +937,20 @@ class TestCalibrate:
             assert any(-reach <= gap < 0.0 for gap in gaps)
             assert any(0.0 < gap <= reach for gap in gaps)
         distinct = _distinct_lambdas(log)
-        assert len(distinct) == 59
+        assert len(distinct) == 49
         assert len(log["bases"]) == len(log["states"]) \
             == len(set(log["states"])) == len(distinct) == _slot_builds(log)
 
-    @pytest.mark.parametrize("nugget,rebuilt", [(1e-4, 0), (0.0, 1)])
-    def test_cost_model(self, monkeypatch, nugget, rebuilt):
-        # One default two-sided calibration at n = 60: with a nugget, one
-        # eigh per state and one eigvalsh per (state, side) objective;
-        # without, one eigvalsh per state that has an objective.  No
-        # n x n Kbar or K^{-1} is formed: gp._inverse, the only route to
-        # either, is never called.  The zero-nugget searches cross once
-        # here, so one lambda is built twice (rebuilt); with a nugget each
+    @pytest.mark.parametrize("nugget,count,rebuilt",
+                             [(1e-4, 15, 0), (0.0, 30, 1)])
+    def test_cost_model(self, monkeypatch, nugget, count, rebuilt):
+        # One two-sided calibration at n = 60 on a count-point grid: with a
+        # nugget, one eigh per state and one eigvalsh per (state, side)
+        # objective; without, one eigvalsh per state build that has an
+        # objective.  No n x n Kbar or K^{-1} is formed: gp._inverse, the
+        # only route to either, is never called.  The zero-nugget searches
+        # cross once on the 30-point grid (they do not on the 15-point
+        # one), so one lambda is built twice (rebuilt); with a nugget each
         # distinct lambda is built once.
         import gpcal.estimation
         import gpcal.gp
@@ -955,7 +972,8 @@ class TestCalibrate:
         ds = _misspecified_dataset(14)
         ref = _reference(KernelSpec(KernelFamily.MATERN52, 0.05,
                                     np.array([0.6, 0.7]), nugget=nugget))
-        calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref, 0.1)
+        calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref, 0.1,
+                  RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, count)))
         states = log["states"]
         assert set(states) == _distinct_lambdas(log)
         assert len(states) == _slot_builds(log) \
@@ -971,13 +989,15 @@ class TestCalibrate:
                 has_objective for _, has_objective in _slot_runs(log))
         assert calls["_inverse"] == 0
 
-    def test_default_grid_loses_no_w2(self):
-        # On a misspecified problem per nugget form, no side of the
-        # default 30-point calibration lands above the W2 of a 60-point
-        # grid by more than the lambda search's own resolution.  This is
-        # not a guarantee: with zero nugget W2 can have kink minima closer
-        # than one grid cell, and either grid's search may settle in the
-        # higher of them.
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    def test_default_grid_loses_no_w2(self, alpha):
+        # On a misspecified problem per nugget form and level, no side of
+        # the default 15-point calibration lands above the W2 of a
+        # 60-point grid by more than the lambda search's own resolution;
+        # here every side finds the 60-point grid's minimum, within 1e-11
+        # relative in W2.  This is not a guarantee: with zero nugget W2 can
+        # have kink minima closer than one grid cell, and either grid's
+        # search may settle in the higher of them.
         ds = _misspecified_dataset(21)
         fine = RpieConfig(lambda_grid=GridSpec(1e-2, 1e2, 60))
         for nugget in (1e-4, 0.0):
@@ -985,12 +1005,12 @@ class TestCalibrate:
                                         np.array([0.6, 0.7]),
                                         nugget=nugget))
             coarse = calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref,
-                               0.1)
+                               alpha)
             dense = calibrate(ds, ORD, KernelFamily.MATERN52, nugget, ref,
-                              0.1, fine)
+                              alpha, fine)
             for got, want in ((coarse.lower, dense.lower),
                               (coarse.upper, dense.upper)):
-                assert got.trace.lambdas.size == 30
+                assert got.trace.lambdas.size == 15
                 assert got.wasserstein2 <= want.wasserstein2 * (1.0 + 1e-6)
 
     def test_duplicate_rows_without_nugget_rejected(self, rng):
@@ -1133,9 +1153,8 @@ class TestScaleFree:
     def test_one_factorization_per_lambda(self, monkeypatch):
         # A default two-sided zero-nugget calibration never builds an
         # eigenbasis and builds one state per distinct lambda evaluated
-        # over the grid and both searches: 71, against 30 + 2 * 30 = 90
-        # for golden section alone; the two sides' searches share some
-        # golden-section lambdas here.
+        # over the grid and both searches: 58, 15 grid lambdas and 31 + 17
+        # search lambdas less the 5 that both sides' searches share here.
         log = _record_search(monkeypatch)
         ds, _ = self._problem()
         ref = _reference(KernelSpec(KernelFamily.MATERN52, self.SIGMA2_0,
@@ -1147,7 +1166,7 @@ class TestScaleFree:
                     for calls in log["evaluated"].values()]
         assert len(searched) == 2 and searched[0] & searched[1]
         distinct = _distinct_lambdas(log)
-        assert len(distinct) == 71
+        assert len(distinct) == 58
         assert len(log["states"]) == len(set(log["states"])) \
             == len(distinct) == _slot_builds(log)
         assert cal.loo_coverage_smoothed() == pytest.approx(0.9, abs=1e-6)

@@ -301,16 +301,16 @@ def _make_starts(n_params, n_starts, rng, nugget_slot=False):
     return starts
 
 
-def _log_objective(criterion, dataset, trend, unpack):
-    """u -> (value, gradient) of a criterion at the kernel ``unpack(u)``.
+def _log_objective(criterion, design: _Design, unpack):
+    """u -> (value, gradient) of a criterion at the kernel ``unpack(u)``,
+    fitted on ``design``.
 
     ``criterion(gls)`` returns the value and S = d criterion / dK of the
     solved state; the gradient keeps the first len(u) of the (log theta,
     log sigma2, log nugget) partials.  The fit's h and r(h) serve both K
     and the gradient.  Returns None where the criterion cannot be
-    evaluated, as for a zero nugget on a design with duplicated rows.
+    evaluated.
     """
-    design = _Design(dataset, trend)
 
     def objective(u):
         try:
@@ -333,7 +333,8 @@ def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
     """Multi-start fit of the criterion over log theta, log sigma2 (unless
     the amplitude is fixed at ``sigma2``) and, when estimated, the log
     nugget.  Returns (kernel, value, n_evals, converged).  The arguments
-    are checked before any start runs."""
+    are checked before any start runs, and so is a zero nugget on a design
+    with duplicated rows (IllConditionedError)."""
     if not (isinstance(n_starts, numbers.Integral) and n_starts >= 1):
         raise InvalidParameterError("n_starts must be an integer >= 1")
     _check_seed(seed)
@@ -355,11 +356,15 @@ def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
             sigma2=v * np.exp(u[d]) if sigma2 is None else sigma2,
             nugget=v * np.exp(u[-1]) if estimate_nugget else nugget)
 
+    design = _Design(dataset, trend)
+    # Every start shares the nugget, so a singular design fails them all.
+    _check_distinct_rows(unpack(np.zeros(len(boxes))),
+                         lambda: design.duplicates)
     rng = np.random.default_rng(seed)
     starts = _make_starts(len(boxes), n_starts, rng,
                           nugget_slot=estimate_nugget)
     value, u_best, n_evals, converged = _multistart_minimize(
-        _log_objective(criterion, dataset, trend, unpack), starts,
+        _log_objective(criterion, design, unpack), starts,
         [(np.log(lo), np.log(hi)) for lo, hi in boxes])
     return unpack(u_best), value, n_evals, converged
 

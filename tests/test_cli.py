@@ -135,6 +135,24 @@ class TestFitCommand:
                      "--out", str(tmp_path / "m.json")])
         assert code == 4
 
+    @pytest.mark.parametrize("method", ["mle", "msecv"])
+    def test_duplicated_rows_without_nugget_named(self, tmp_path, capsys,
+                                                  method):
+        # A zero nugget cannot fit a design with a repeated row at any
+        # start: the fit refuses it up front, as a numerical failure
+        # (exit 4) that names the duplicated rows.
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (11, 2))
+        X[7] = X[2]
+        path = tmp_path / "dup.csv"
+        _write_csv(path, ["a", "b", "resp"],
+                   [[X[i, 0], X[i, 1], float(i)] for i in range(11)])
+        code = main(["fit", "--data", str(path), "--target", "resp",
+                     "--method", method, "--nugget", "fixed:0",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 4
+        assert "duplicated design rows" in capsys.readouterr().err
+
     def test_bad_nugget_flag_is_usage_error(self, training_csv, tmp_path):
         path, _, _ = training_csv
         with pytest.raises(SystemExit) as exc:

@@ -283,7 +283,7 @@ class TestAnalyticGradient:
             return KernelSpec(family, math.exp(u[d]), np.exp(u[:d]),
                               nugget=eps)
 
-        objective = _log_objective(criterion, ds, trend, unpack)
+        objective = _log_objective(criterion, _Design(ds, trend), unpack)
         u = np.log([0.4, 0.7, 1.1, 1.5])
         if nugget == "estimated":
             u = np.append(u, math.log(0.03))
@@ -346,24 +346,71 @@ def test_optimizer_loads_with_the_first_fit(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_calibrate_and_predict_leave_scipy_special_unloaded(tmp_path):
+    # The normal quantile comes from the standard library, so importing
+    # the package and its CLI, calibrating and predicting never load
+    # scipy.special; only a copula design's normal CDF does.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gpcal, gpcal.cli\n"
+        "from gpcal import Dataset, DesignSpec, EstimationResult, \\\n"
+        "    KernelFamily, KernelSpec, TrendSpec, calibrate, \\\n"
+        "    predict_calibrated, sample_design\n"
+        "X = np.linspace(0.0, 1.0, 12)[:, None]\n"
+        "kernel = KernelSpec(KernelFamily.MATERN52, 1.0, np.array([0.3]),\n"
+        "                    nugget=1e-4)\n"
+        "ref = EstimationResult(kernel=kernel, objective_value=0.0,\n"
+        "                       n_evals=0, method='MLE', converged=True)\n"
+        "cal = calibrate(Dataset(X=X, y=np.sin(6.0 * X[:, 0])),\n"
+        "                TrendSpec.from_string('ordinary'),\n"
+        "                KernelFamily.MATERN52, 1e-4, ref, 0.1)\n"
+        "lower, upper, _ = predict_calibrated(cal, np.array([[0.45]]))\n"
+        "assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "U = sample_design(DesignSpec(n=4, d=2, sampling='copula'))\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert np.all((U > 0.0) & (U < 1.0))\n")
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 class TestFitMle:
     def test_rejects_single_observation(self):
         ds = Dataset(X=np.array([[0.0]]), y=np.array([1.0]))
         with pytest.raises(EstimationFailureError):
             fit_mle(ds, SIM, KernelFamily.MATERN32)
 
-    def test_duplicate_rows_need_a_nugget(self, rng):
-        # Duplicated rows make K singular at zero nugget: every evaluation
-        # is refused.  A positive nugget fits the same design.
+    @pytest.mark.parametrize("fit", [fit_mle, fit_msecv],
+                             ids=["mle", "msecv"])
+    def test_duplicate_rows_need_a_nugget(self, monkeypatch, rng, fit):
+        # Duplicated rows make K singular at zero nugget for every start,
+        # so the fit refuses the design before the first evaluation.  A
+        # positive nugget fits the same design.
+        fits = []
+        design_fit = _Design.fit
+
+        def counting_fit(design, kernel):
+            fits.append(kernel.nugget)
+            return design_fit(design, kernel)
+
+        monkeypatch.setattr(_Design, "fit", counting_fit)
         ds = random_dataset(rng, n=20, d=2)
         X = ds.X.copy()
         X[1] = X[0]
         ds = Dataset(X=X, y=ds.y)
-        with pytest.raises(EstimationFailureError):
-            fit_mle(ds, ORD, KernelFamily.MATERN32, n_starts=1)
-        result = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
-                         n_starts=1)
-        assert np.isfinite(result.objective_value)
+        with pytest.raises(IllConditionedError):
+            fit(ds, ORD, KernelFamily.MATERN32, n_starts=1)
+        assert not fits
+        result = fit(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
+                     n_starts=1)
+        assert fits and np.isfinite(result.objective_value)
 
     def test_objective_value_consistent(self, rng):
         ds = random_dataset(rng, n=30, d=2)

@@ -152,6 +152,43 @@ class TestSigmaOpt:
                        np.array([0.5, 0.5]), 0.05, 0.95, RpieConfig())
         assert s2 is None
 
+    def test_absent_for_degenerate_residuals_without_nugget(self, rng):
+        # The zero-nugget twin: with y in the trend span the residuals are
+        # round-off, so psi_delta - a is already positive at the bottom of
+        # the scan range and the exact root reports absence.
+        X = rng.uniform(0, 1, (12, 2))
+        ds = Dataset(X=X, y=np.full(12, 2.0))
+        theta = np.array([0.5, 0.5])
+        s2 = sigma_opt(ds, ORD, KernelFamily.MATERN32, theta, 0.0, 0.95,
+                       RpieConfig())
+        assert s2 is None
+        ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN32, 1.0, theta), ORD)
+        cal = _Calibration(ref, RpieConfig())
+        side = _Side(cal, 0.95)
+        z1 = cal.at(1.0).z1
+        assert side.excess(z1 / math.sqrt(cal.scan_range[0])) > 0.0
+
+    @pytest.mark.parametrize("a", [0.95, 0.05])
+    def test_absent_when_excess_negative_at_top_without_nugget(self, a):
+        # At a long lambda the zero-nugget LOO residuals at unit amplitude
+        # are so large that psi_delta - a is still below zero at the top
+        # of the scan range: no crossing, so no amplitude and no objective.
+        ds = random_dataset(np.random.default_rng(0), n=20, d=2)
+        theta = np.array([0.5, 0.5])
+        lam = 100.0
+        ref = fit_gp(ds, KernelSpec(KernelFamily.MATERN52, 1.0, theta), ORD)
+        cal = _Calibration(ref, RpieConfig())
+        side = _Side(cal, a)
+        z1 = cal.at(lam).z1
+        lo, hi = cal.scan_range
+        assert side.excess(z1 / math.sqrt(lo)) < 0.0
+        assert side.excess(z1 / math.sqrt(hi)) < 0.0
+        assert side.sigma_opt_at(lam) is None
+        assert sigma_opt(ds, ORD, KernelFamily.MATERN52, lam * theta, 0.0,
+                         a, RpieConfig()) is None
+        assert relaxation_objective(ds, ORD, KernelFamily.MATERN52, 0.0,
+                                    theta, 1.0, lam, a, RpieConfig()) is None
+
     def test_scan_extends_past_box_when_nugget_positive(self, rng):
         # Extreme length-scales push the required amplitude beyond the
         # default scan box; a positive nugget guarantees a solution, so
@@ -904,11 +941,12 @@ class TestCalibrate:
         # with a nugget one eigenbasis, per distinct lambda evaluated over
         # the grid and both searches.  The sides' best grid lambdas are
         # interior and their brackets apart here, so that is 15 grid
-        # lambdas and, per side, 13 golden-section steps and 4 of Brent's
-        # steps: 49 in all.  Each side's golden section stops at the first
-        # bracket no wider than _BRENT_BRACKET.  Brent's steps stop with
-        # evaluated lambdas within 2/3 _LOG_LAMBDA_TOL of lambda* in log
-        # lambda on either side of it, the ends of the final bracket.
+        # lambdas and, per side, 13 golden-section steps, then 5 of Brent's
+        # steps on the lower side and 4 on the upper: 50 in all.  Each
+        # side's golden section stops at the first bracket no wider than
+        # _BRENT_BRACKET.  Brent's steps stop with evaluated lambdas within
+        # 2/3 _LOG_LAMBDA_TOL of lambda* in log lambda on either side of
+        # it, the ends of the final bracket.
         handed, _ = _phase_recorders(monkeypatch)
         log = _record_search(monkeypatch)
         ds = _misspecified_dataset(13)
@@ -937,7 +975,7 @@ class TestCalibrate:
             assert any(-reach <= gap < 0.0 for gap in gaps)
             assert any(0.0 < gap <= reach for gap in gaps)
         distinct = _distinct_lambdas(log)
-        assert len(distinct) == 49
+        assert len(distinct) == 50
         assert len(log["bases"]) == len(log["states"]) \
             == len(set(log["states"])) == len(distinct) == _slot_builds(log)
 

@@ -1,8 +1,9 @@
 """Source hygiene of the gpcal package, checked on its syntax trees.
 
-Every imported name is used or re-exported through ``__all__``, and every
+Every imported name is used or re-exported through ``__all__``, every
 private module-level function or class and every private method is
-referenced somewhere in the package outside its own definition, so that a
+referenced somewhere in the package outside its own definition, and every
+private module-level constant is read somewhere in the package, so that a
 deletion leaves no orphan behind.  Every public one is either listed in an
 ``__all__`` or referenced from the package, the benchmark (``perfbench``)
 or the demos: code that only the tests call does not belong in the package.
@@ -73,6 +74,36 @@ def _definitions(tree, keep) -> list:
     return out
 
 
+def _private_constants(tree) -> list:
+    """Names bound by module-level assignments that pass _private."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and _private(sub.id):
+                    out.append(sub.id)
+    return out
+
+
+def _reads(trees) -> Counter:
+    """Identifiers loaded in trees: bare names and attribute names."""
+    out = Counter()
+    for tree in trees:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out[sub.id] += 1
+            elif isinstance(sub, ast.Attribute) and \
+                    isinstance(sub.ctx, ast.Load):
+                out[sub.attr] += 1
+    return out
+
+
 def _references(trees) -> Counter:
     """Identifiers read in trees, names imported from a module included."""
     refs = Counter()
@@ -114,3 +145,14 @@ def test_public_definitions_are_exported_or_used():
               if node.name not in exported
               and refs[node.name] <= _names(node)[node.name]]
     assert not unused, f"public definitions only tests use: {unused}"
+
+
+def test_private_constants_are_read():
+    trees = {path.name: _tree(path) for path in MODULES}
+    reads = _reads(trees.values())
+    constants = [(name, const) for name, tree in trees.items()
+                 for const in _private_constants(tree)]
+    assert constants
+    orphans = [f"{name}: {const}" for name, const in constants
+               if not reads[const]]
+    assert not orphans, f"private constants never read: {orphans}"

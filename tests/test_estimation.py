@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,14 @@ from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import ExperimentScale, experiment_split, \
     sample_gp_response
 from gpcal.estimation import (
+    _NUGGET_START_BOX,
+    _SIGMA2_BOUNDS,
+    _START_BOX,
+    _THETA_BOUNDS,
     McmcConfig,
     _Design,
     _log_objective,
+    _make_starts,
     _mle_with_dk,
     _msecv_with_dk,
     _multistart_minimize,
@@ -262,6 +268,47 @@ _GRADIENT_CASES = [
 ]
 
 
+class TestMakeStarts:
+    """Start 0 at the data scales, the rest log-uniform in the start
+    boxes, which lie inside the search boxes."""
+
+    @pytest.mark.parametrize("nugget_slot", [False, True],
+                             ids=["plain", "nugget"])
+    def test_starts_lie_in_their_boxes(self, nugget_slot):
+        starts = _make_starts(4, 50, np.random.default_rng(3),
+                              nugget_slot=nugget_slot)
+        assert len(starts) == 50
+        np.testing.assert_array_equal(starts[0], np.zeros(4))
+        rest = np.array(starts[1:])
+        plain = rest[:, :-1] if nugget_slot else rest
+        assert np.all(plain >= np.log(_START_BOX[0]))
+        assert np.all(plain <= np.log(_START_BOX[1]))
+        if nugget_slot:
+            assert np.all(rest[:, -1] >= np.log(_NUGGET_START_BOX[0]))
+            assert np.all(rest[:, -1] <= np.log(_NUGGET_START_BOX[1]))
+
+    def test_start_box_inside_search_boxes(self):
+        for lo, hi in (_THETA_BOUNDS, _SIGMA2_BOUNDS):
+            assert lo <= _START_BOX[0] < 1.0 < _START_BOX[1] <= hi
+
+    def test_same_seed_same_starts(self):
+        a = _make_starts(5, 6, np.random.default_rng(17), nugget_slot=True)
+        b = _make_starts(5, 6, np.random.default_rng(17), nugget_slot=True)
+        c = _make_starts(5, 6, np.random.default_rng(18), nugget_slot=True)
+        np.testing.assert_array_equal(np.array(a), np.array(b))
+        assert not np.array_equal(np.array(a[1:]), np.array(c[1:]))
+
+    def test_readme_states_the_start_box(self):
+        # README states the random starts' box once, as "drawn
+        # log-uniformly from [lo, hi] times"; it must be _START_BOX.
+        text = " ".join((Path(__file__).resolve().parent.parent
+                         / "README.md").read_text().split())
+        stated = re.findall(r"drawn log-uniformly from \[([^,\]]+), "
+                            r"([^\]]+)\] times", text)
+        assert len(stated) == 1
+        assert tuple(float(v) for v in stated[0]) == _START_BOX
+
+
 class TestAnalyticGradient:
     """The (value, gradient) the optimizer sees against central
     differences of the value, in the optimizer's log coordinates."""
@@ -450,18 +497,32 @@ class TestFitMle:
     def test_third_start_guards_against_an_agreeing_local_optimum(self):
         # Seed 109 of the desk morokoff inputs (150 training points, d=10,
         # Matern 5/2, nugget 1e-4; experiment_split builds the benchmark's
-        # desk inputs).  Starts 0 and 1 both end at -687.97081, 0.183
-        # above the optimum -688.15422 that starts 2 to 4 reach: stopping
-        # once the first two agree would return the higher one.
+        # desk inputs).  Starts 0 and 2 both end at -687.97084, a local
+        # optimum 0.607 above the -688.57822 that starts 1 and 3 reach;
+        # their agreement does not stop the search, which ends once start
+        # 3 matches the best.  -688.57822 is also the best of 40 starts,
+        # 20 from the start box and 20 from the whole search box.
         train, _, _ = experiment_split("morokoff",
                                        ExperimentScale(n=200, d=10), 109)
         first = fit_mle(train, ORD, KernelFamily.MATERN52, nugget=1e-4,
                         seed=109)
-        assert first.objective_value == pytest.approx(-688.1542189453094,
+        assert first.objective_value == pytest.approx(-688.5782166683045,
                                                       abs=1e-6)
         again = fit_mle(train, ORD, KernelFamily.MATERN52, nugget=1e-4,
                         seed=109)
         assert again.to_dict() == first.to_dict()
+
+    def test_third_start_undercuts_two_agreeing_starts(self):
+        # Seed 187 of the desk morokoff inputs.  Starts 0 and 1 end at
+        # -696.60799, 6.6e-10 relative apart, and starts 2 and 3 at
+        # -703.15750: stopping once the first two agree would return a
+        # value 6.55 above the optimum.
+        train, _, _ = experiment_split("morokoff",
+                                       ExperimentScale(n=200, d=10), 187)
+        result = fit_mle(train, ORD, KernelFamily.MATERN52, nugget=1e-4,
+                         seed=187)
+        assert result.objective_value == pytest.approx(-703.1575049396278,
+                                                       abs=1e-6)
 
     def test_scale_equivariance(self):
         ds, _ = _simulated_dataset(3, n=60, nugget=0.0)

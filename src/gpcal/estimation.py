@@ -122,8 +122,8 @@ class McmcConfig:
     def __post_init__(self):
         if not 0 <= self.burn_in < self.n_samples:
             raise InvalidParameterError("burn_in must lie in [0, n_samples)")
-        if self.proposal_scale <= 0.0:
-            raise InvalidParameterError("proposal_scale must be positive")
+        if not 0.0 < self.proposal_scale < math.inf:
+            raise InvalidParameterError("proposal_scale must lie in (0, inf)")
         _check_seed(self.seed)
 
 
@@ -134,7 +134,8 @@ def _check_seed(seed) -> None:
 
 
 def _data_scales(dataset: Dataset) -> tuple:
-    """Per-column input ranges and response variance, floored at 1."""
+    """Per-column input ranges and response variance, each replaced by 1
+    where it is zero."""
     spans = dataset.X.max(axis=0) - dataset.X.min(axis=0)
     spans = np.where(spans > 0.0, spans, 1.0)
     v = float(np.var(dataset.y))

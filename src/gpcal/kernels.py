@@ -295,9 +295,7 @@ def gram_matrix(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ShapeError(
             f"design has {X.shape[1]} columns but theta has {spec.dim}"
         )
-    K = correlation(spec.family, scaled_distances(X, X, spec.theta))
-    K *= spec.sigma2
-    return K
+    return cross_covariance(X, X, spec)
 
 
 def scaled_distances(X: np.ndarray, X_new: np.ndarray,

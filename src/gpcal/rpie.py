@@ -50,27 +50,26 @@ its grid cell.  Either way a root costs a few scalar evaluations, not the
 relative moves the W2 objectives of the lambda grid by up to 4e-5, since
 W2 is a difference of traces that cancel.
 
-Each side then refines its best grid lambda in log lambda: golden section
-from the two grid cells around it down to the first bracket no wider than
-1e-2, then Brent's parabolic steps, which stop once lambda* is resolved to
-1e-6.  lambda* carries no more precision than that: a last-bit change in
-the training responses moves it by about 1e-7 relative, and W2 is flat
-near its minimum, so the stop moves W2 by well under 1e-6 relative.  From
-a two-cell bracket of the default 15-point grid golden section takes 13
-evaluations and Brent's steps 4 or 5 more on most sides, against 32 for
-golden section alone.  Parabolic steps from the start converge as
-fast but can settle in a higher local minimum of W2 than golden section
-does; started on its 1e-2 bracket they stay inside it.  The two sides'
-searches run in lock-step, one evaluation of each in turn, and while they
-share a bracket they ask for the same lambdas in the same round, which
-the one kept state serves for both.  So a calibration builds one
-per-lambda state per distinct lambda it evaluates, about 45 with the
-default grid, of which the grid is a third.  Two searches can also
-cross, each asking next for the lambda the other has just evaluated; the
-later of the two is then built a second time.  That is rare: on
-perfbench's calib inputs a calibration builds 0.3 states more than the
-distinct lambdas it evaluates, and on a 30-point grid keeping a second
-state saved 0.1 of those.
+Each side then refines its best grid lambda in log lambda by Brent's
+method on the two grid cells around it.  It fits no parabola until the
+bracket is no wider than 1e-2, so it first takes the steps of a golden
+section, 12 from a two-cell bracket of the default 15-point grid, and then
+4 or 5 more on most sides, parabolic where a parabola fits, which stop
+once lambda* is resolved to 1e-6.  lambda* carries no more precision than
+that: a last-bit change in the training responses moves it by about 1e-7
+relative, and W2 is flat near its minimum, so the stop moves W2 by well
+under 1e-6 relative.  Parabolic steps from the start converge faster but
+can settle in a higher local minimum of W2 than golden steps do.  The two
+sides' searches run in lock-step, one evaluation of each in turn, and
+while they share a bracket they ask for the same lambdas in the same
+round, which the one kept state serves for both.  So a calibration builds
+one per-lambda state per distinct lambda it evaluates, about 44 with the
+default grid, of which the grid is a third.  Two searches can also cross,
+each asking next for the lambda the other has just evaluated; the later of
+the two is then built a second time.  That is rare: on perfbench's calib
+inputs a calibration builds 0.4 states more than the distinct lambdas it
+evaluates, and on a 30-point grid keeping a second state saved 0.1 of
+those.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ from .gp import (
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
 from .loo import SigmaScanBasis, SmoothingParams, _ramp_mean, \
     psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
-from .stats import check_alpha, normal_quantile
+from .stats import check_alpha, check_level, normal_quantile
 
 __all__ = [
     "GridSpec",
@@ -128,15 +127,15 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # its minimum (a 1e-6 stop moves W2 by at most 5.7e-7 relative).
 _LOG_LAMBDA_TOL = 1e-6
 
-# Width in log lambda at which the golden section hands its bracket to
-# Brent's parabolic steps.  On perfbench's calib inputs (seeds 141-170,
-# 360 sides, a 30-point grid) parabolic steps from the grid's two-cell
-# bracket on settle in a higher local minimum of W2 than golden section
-# alone on 4 sides (up to +3.0 %), and from a 3e-2 bracket on 3 (up to
-# +0.8 %).  From 1e-2 no W2 rises by more than 6.1e-7 relative, while 1e-3
-# builds 65 per-lambda states per calibration against 58 and lets one W2
-# rise by 1.3e-6.
-_BRENT_BRACKET = 1e-2
+# Bracket width in log lambda below which the lambda search fits
+# parabolas; wider, its steps are golden.  On perfbench's calib inputs
+# (seeds 141-170, 360 sides, the default grid), against golden steps alone
+# down to _LOG_LAMBDA_TOL (71 per-lambda states per calibration),
+# parabolas from the start settle in a higher local minimum of W2 on 8
+# sides (up to +130 %) and from a 3e-2 bracket on 1 (+3.0 %).  From 1e-2
+# one W2 rises, by 1.4e-6 relative, at 43.5 states per calibration; 1e-3
+# builds 47.8 and lets another W2 rise by 1.6e-6.
+_PARABOLA_BRACKET = 1e-2
 
 # Amplitudes per batched residual evaluation: bounds the (rows x n) work
 # arrays, and the scan stops at the first batch holding a crossing.
@@ -330,9 +329,7 @@ def _scan_extension(grid: np.ndarray) -> np.ndarray:
     the length-scales blow up, so a fixed box can top out below the
     crossing.
     """
-    step = np.log(grid[-1] / grid[0]) / max(grid.size - 1, 1)
-    if not step > 0.0:
-        return grid[:0]
+    step = np.log(grid[-1] / grid[0]) / (grid.size - 1)
     ceiling = float(grid[-1]) * 1e18
     extension = np.exp(np.arange(1, int(np.log(1e18) / step) + 2)
                        * step) * float(grid[-1])
@@ -694,27 +691,26 @@ class _Side:
     def refine(self):
         """Generator of (lambda*, sigma2_opt, W2): it walks the lambda
         grid, recording each answer in the trace, then refines the best
-        grid lambda in log lambda over its two neighbouring cells: golden
-        section (``_golden``) down to the first bracket no wider than
-        ``_BRENT_BRACKET`` = 1e-2, then Brent's parabolic steps
-        (``_brent``) on that bracket.  It yields each lambda it evaluates
-        and is sent ``evaluate`` there, so that ``_lockstep`` can
-        interleave the sides; the result is its return value.  Raises
-        CalibrationInfeasibleError when no grid lambda is admissible.
+        grid lambda in log lambda over its two neighbouring cells by
+        Brent's method (``_brent``), golden steps only until the bracket
+        is no wider than ``_PARABOLA_BRACKET`` = 1e-2.  It yields each
+        lambda it evaluates and is sent ``evaluate`` there, so that
+        ``_lockstep`` can interleave the sides; the result is its return
+        value.  Raises CalibrationInfeasibleError when no grid lambda is
+        admissible.
 
         The search stops once lambda* is resolved to ``_LOG_LAMBDA_TOL`` =
         1e-6 in log lambda: lambda* already moves by about 1e-7 with the
         last bits of the data, so finer steps resolve nothing.  From a
-        two-cell bracket of the default grid the golden section takes 13
-        evaluations and Brent's steps 4 or 5 more on most sides, up to
-        about 20 where W2 has a kink at its minimum and no parabola fits,
-        against 32 for golden section alone.  lambda* is the lowest W2
-        evaluated and a local minimum of W2 inside the final bracket.
-        With zero nugget W2 can have two local minima closer together than
-        one grid cell, at kinks of sigma2_opt(lambda) where a residual
-        enters or leaves the smoothing ramp; the bracket the grid hands the
-        search then decides which one it finds, so lambda* can depend on
-        the grid.
+        two-cell bracket of the default grid it takes 12 golden steps and
+        then 4 or 5 more on most sides, up to about 20 where W2 has a kink
+        at its minimum and no parabola fits, against 31 golden steps
+        alone.  lambda* is the lowest W2 evaluated and a local minimum of
+        W2 inside the final bracket.  With zero nugget W2 can have two
+        local minima closer together than one grid cell, at kinks of
+        sigma2_opt(lambda) where a residual enters or leaves the smoothing
+        ramp; the bracket the grid hands the search then decides which one
+        it finds, so lambda* can depend on the grid.
         """
         lambdas, objs = self.lambdas, self.objs
         for i, lam in enumerate(lambdas):
@@ -738,7 +734,7 @@ class _Side:
 
         lo_i = max(i_best - 1, 0)
         hi_i = min(i_best + 1, lambdas.size - 1)
-        if lambdas.size > 1 and hi_i > lo_i:
+        if hi_i > lo_i:
             cache: dict = {}
 
             def f(t):
@@ -747,9 +743,8 @@ class _Side:
                     cache[t] = (np.inf, None) if obj is None else (obj, s2)
                 return cache[t][0]
 
-            section = yield from _golden(f, np.log(lambdas[lo_i]),
-                                         np.log(lambdas[hi_i]))
-            t_best, f_best = yield from _brent(f, *section)
+            t_best, f_best = yield from _brent(f, np.log(lambdas[lo_i]),
+                                               np.log(lambdas[hi_i]))
             if f_best < best[2]:
                 obj, s2 = cache[t_best]
                 best = (float(np.exp(t_best)), float(s2), float(obj))
@@ -758,33 +753,6 @@ class _Side:
     def trace(self) -> LambdaTrace:
         return LambdaTrace(lambdas=self.lambdas, objectives=self.objs,
                            sigma2_opts=self.s2s)
-
-
-def _golden(f, a: float, b: float):
-    """Golden section for a minimum of f on [a, b], down to the first
-    bracket no wider than ``_BRENT_BRACKET``; f is a generator function,
-    driven with ``yield from``, whose value is inf where the objective is
-    absent.  Returns that bracket and three points in it, as
-    (a, b, x, fx, w, fw, v, fv): x the lower of the two interior points,
-    w the other and v the bracket end the section moved last (w again
-    when the first bracket was already narrow enough)."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = yield from f(x1)
-    f2 = yield from f(x2)
-    v, fv = x2, f2
-    while b - a > _BRENT_BRACKET:
-        if f1 <= f2:
-            b, v, fv, x2, f2 = x2, x2, f2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = yield from f(x1)
-        else:
-            a, v, fv, x1, f1 = x1, x1, f1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = yield from f(x2)
-    if f1 <= f2:
-        return a, b, x1, f1, x2, f2, v, fv
-    return a, b, x2, f2, x1, f1, v, fv
 
 
 def _parabola(x: float, fx: float, w: float, fw: float, v: float,
@@ -799,37 +767,43 @@ def _parabola(x: float, fx: float, w: float, fw: float, v: float,
     return (-p, q) if q > 0.0 else (p, -q)
 
 
-def _brent(f, a: float, b: float, x: float, fx: float, w: float,
-           fw: float, v: float, fv: float):
+def _brent(f, a: float, b: float):
     """Brent's minimization without derivatives (R. P. Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5) on the bracket
-    [a, b] and its points from ``_golden``: x the lowest value evaluated,
-    w the next lowest, v the bracket end the golden section moved last.
-    It takes Brent's step rules and scipy ``fminbound``'s stop with an
-    absolute tolerance only, ``_LOG_LAMBDA_TOL`` with no term relative to
-    x: it returns (x, fx) once both ends of the bracket are within 2/3
-    ``_LOG_LAMBDA_TOL`` of x, which puts x at least as close to every
-    point of the final bracket as a golden section stopped at a bracket
-    ``_LOG_LAMBDA_TOL`` wide.  Its first step may be parabolic, since x,
-    w and v are already evaluated, where ``fminbound``'s first step is
-    golden.
+    for Minimization without Derivatives, 1973, ch. 5) of f on [a, b]; f
+    is a generator function, driven with ``yield from``, whose value is
+    inf where the objective is absent.  Returns (x, fx), x the lowest
+    value evaluated.
 
-    Each step goes to the vertex of the parabola through x, w and v when
-    that lies inside the bracket and is shorter than half the step before
-    last; otherwise it takes a golden step into the larger side.  A step
-    is never shorter than a third of ``_LOG_LAMBDA_TOL``.  The parabola
-    is fitted only to finite values: an absent objective (inf) among the
-    three points makes the step golden.
+    It starts at the golden point a + (1 - phi)(b - a), phi = ``_GOLDEN``.
+    Each step goes to the vertex of the parabola through x, w and v (w the
+    point of the next lowest value, v the previous w) when that lies
+    inside the bracket and is shorter than half the step before last;
+    otherwise it takes a golden step into the larger side.  No parabola is
+    fitted while the bracket is wider than ``_PARABOLA_BRACKET``: until
+    then every step is golden, and in exact arithmetic the steps visit the
+    points of a golden section on [a, b].  A tie fu == fx moves x to u,
+    Brent's own rule, so the bracket keeps u's side of x.  A parabola is
+    fitted only to finite values: an absent objective (inf) among the
+    three points makes the step golden.  A step is never shorter than a
+    third of ``_LOG_LAMBDA_TOL``.
+
+    It takes scipy ``fminbound``'s stop with an absolute tolerance only,
+    ``_LOG_LAMBDA_TOL`` with no term relative to x: it returns once both
+    ends of the bracket are within 2/3 ``_LOG_LAMBDA_TOL`` of x, which
+    puts x at least as close to every point of the final bracket as a
+    golden section stopped at a bracket ``_LOG_LAMBDA_TOL`` wide.
     """
     tol = _LOG_LAMBDA_TOL / 3.0
-    d = e = b - a
+    x = w = v = a + (1.0 - _GOLDEN) * (b - a)
+    fx = fw = fv = yield from f(x)
+    d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
         if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
             return x, fx
         parabolic = False
-        if abs(e) > tol and math.isfinite(fx) and math.isfinite(fw) \
-                and math.isfinite(fv):
+        if b - a <= _PARABOLA_BRACKET and abs(e) > tol and math.isfinite(fx) \
+                and math.isfinite(fw) and math.isfinite(fv):
             p, q = _parabola(x, fx, w, fw, v, fv)
             last, e = e, d
             if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
@@ -960,10 +934,10 @@ def calibrate_quantile(dataset: Dataset, trend: TrendSpec,
                        theta0, sigma2_0: float, a: float,
                        config: RpieConfig | None = None) -> RpieSolution:
     """Calibrate one quantile side: grid-search L(lambda), refine the best
-    cells by golden section and Brent's steps, and assemble the solution
-    at the minimizer.  BLAS runs on one thread for the duration of the
-    call, as in :func:`calibrate`, so each side of a two-sided calibration
-    is bit-identical to this."""
+    cells by Brent's method, and assemble the solution at the minimizer.
+    BLAS runs on one thread for the duration of the call, as in
+    :func:`calibrate`, so each side of a two-sided calibration is
+    bit-identical to this."""
     config = config or RpieConfig()
     ref = fit_gp(dataset, KernelSpec(family, sigma2_0, theta0, nugget), trend)
     (found,) = _search(ref, (a,), config)
@@ -1019,6 +993,7 @@ class CalibratedIntervalModel:
 
         def solution(d):
             kernel = KernelSpec.from_dict(d["kernel"])
+            check_level(float(d["a"]))
             return RpieSolution(
                 lambda_star=float(d["lambda_star"]),
                 sigma2_opt=float(d["sigma2_opt"]),
@@ -1053,7 +1028,7 @@ def calibrate(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     of its own, is fitted once, and both sides share one calibration state
     built on that fit: the lambda grid is walked once and each grid
     lambda's Gram matrix and per-lambda state serve both, then each side is
-    refined by golden section and Brent's steps.  Each side equals
+    refined by Brent's method.  Each side equals
     ``calibrate_quantile`` at 1 - alpha/2 and alpha/2.  BLAS runs on one
     thread for the duration of the call.
     """

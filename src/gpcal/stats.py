@@ -56,10 +56,11 @@ def _quantile(a: float) -> float:
 def normal_quantile(a):
     """a-quantile of the standard normal distribution, q_a = Phi^{-1}(a).
 
-    Accepts scalars or arrays; a must lie strictly inside (0, 1).
+    Accepts scalars or arrays; a must lie strictly inside (0, 1), so NaN
+    is rejected.
     """
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise InvalidParameterError(
             "quantile level must lie strictly inside (0, 1)")
     if a.ndim == 0:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -513,17 +514,20 @@ class TestMalformedInputs:
         elif name == "calibrated_without_psi_raw":
             doc = json.loads(json.dumps(calibrated))
             del doc["lower"]["psi_raw"]
+        elif name == "calibrated_nan_level":
+            doc = json.loads(json.dumps(calibrated))
+            doc["upper"]["a"] = math.nan
         return doc
 
     # predict accepts a calibrated document, the other two do not; a
     # calibrated document must carry the step counts (psi_raw) its
-    # loo_coverage() reads.
+    # loo_coverage() reads and a quantile level a in (0, 1) for each side.
     @pytest.mark.parametrize("subcommand, bad", [
         (sub, bad) for sub in ("calibrate", "predict", "diagnose")
         for bad in ("empty", "not_an_object", "kernel_without_sigma2",
                     "mistyped_theta", "ragged_design",
                     "mistyped_standardization", "calibrated_doc",
-                    "calibrated_without_psi_raw")
+                    "calibrated_without_psi_raw", "calibrated_nan_level")
         if (sub, bad) != ("predict", "calibrated_doc")])
     def test_bad_model_document_is_data_error(self, tmp_path, capsys,
                                               subcommand, bad):

@@ -663,8 +663,9 @@ class TestBayesPredictive:
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             McmcConfig(n_samples=100, burn_in=100)
-        with pytest.raises(InvalidParameterError):
-            McmcConfig(proposal_scale=0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                McmcConfig(proposal_scale=scale)
 
     def test_negative_burn_in_rejected(self):
         # burn_in = -3 would keep only the last 3 states of the chain.

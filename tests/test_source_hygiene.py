@@ -7,9 +7,14 @@ private module-level constant is read somewhere in the package, so that a
 deletion leaves no orphan behind.  Every public one is either listed in an
 ``__all__`` or referenced from the package, the benchmark (``perfbench``)
 or the demos: code that only the tests call does not belong in the package.
+Every private name cited in backticks in a docstring, a comment or the
+README names something the package defines, so that prose does not
+outlive the code it describes.
 """
 
 import ast
+import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -156,3 +161,54 @@ def test_private_constants_are_read():
     orphans = [f"{name}: {const}" for name, const in constants
                if not reads[const]]
     assert not orphans, f"private constants never read: {orphans}"
+
+
+def _bound_names(tree) -> set:
+    """Every name a tree binds: functions, classes, arguments, assigned
+    names and assigned attributes."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            out.add(sub.name)
+        elif isinstance(sub, ast.arg):
+            out.add(sub.arg)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and \
+                isinstance(sub.ctx, ast.Store):
+            out.add(sub.attr)
+    return out
+
+
+def _prose(path) -> str:
+    """The docstrings and comments of a module."""
+    tree = _tree(path)
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    with tokenize.open(path) as fh:
+        comments = [tok.string for tok in tokenize.generate_tokens(fh.readline)
+                    if tok.type == tokenize.COMMENT]
+    return "\n".join(docs + comments)
+
+
+def _cited_private_names(text: str) -> set:
+    """Private names in backticked dotted names of text, such as
+    ``rpie._brent`` or `_Side.refine()`."""
+    spans = re.findall(r"`+([^`]+?)`+", text)
+    return {part for span in spans
+            if re.fullmatch(r"[A-Za-z_][\w.]*(\(\))?", span)
+            for part in span.removesuffix("()").split(".") if _private(part)}
+
+
+def test_cited_private_names_are_defined():
+    defined = set().union(*(_bound_names(_tree(path)) for path in MODULES))
+    sources = [(path.name, _prose(path)) for path in MODULES] \
+        + [("README.md", (ROOT / "README.md").read_text())]
+    cited = [(name, part) for name, text in sources
+             for part in _cited_private_names(text)]
+    assert cited
+    stale = sorted(f"{name}: {part}" for name, part in cited
+                   if part not in defined)
+    assert not stale, f"backticked private names with no definition: {stale}"

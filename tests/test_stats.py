@@ -67,7 +67,8 @@ def test_arrays_elementwise():
     assert normal_quantile(np.empty((0, 3))).shape == (0, 3)
 
 
-@pytest.mark.parametrize("a", [0.0, 1.0, -0.1, 1.5, [0.2, 1.0]])
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.1, 1.5, [0.2, 1.0],
+                               float("nan"), [0.2, float("nan")]])
 def test_rejects_levels_outside_the_open_interval(a):
     with pytest.raises(InvalidParameterError, match="quantile level"):
         normal_quantile(a)

@@ -18,6 +18,13 @@ leave-one-out formulas and the coverage calibration read.  Each is built
 on first read and kept, and both share one trend factor.  The kernel of
 Kbar equals the column space of F, and its diagonal is strictly positive
 whenever no canonical basis vector lies in that column space.
+
+The triangular solves and the factor of G call LAPACK directly
+(``dtrtrs``, ``dpotrf``, ``dpotrs``), as scipy.linalg's front-ends would
+after their argument checks, which cost more than a solve at these sizes.
+The complement of Im F is held as the Householder QR of F
+(``ResidualSpace``), whose reflectors project onto it without forming its
+basis.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "predict",
     "prediction_interval",
     "compute_kbar",
+    "ResidualSpace",
     "projection_basis",
     "check_hypotheses",
     "model_to_dict",
@@ -165,8 +173,7 @@ def build_regression_matrix(X: np.ndarray, trend: TrendSpec) -> np.ndarray:
             f"need at least p={p} observations for the trend, got n={n}"
         )
     # Rank-revealing check via column-pivoted QR.
-    R = linalg.qr(F, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(R))
+    diag = np.abs(np.diag(linalg.lapack.dgeqp3(F)[0]))
     if diag.size < p or diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
         raise HypothesisH1Error("regression matrix is rank deficient")
     return F
@@ -220,7 +227,8 @@ def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
     K = gram
     n = K.shape[0]
     if nugget > 0.0:
-        K = K + nugget * np.eye(n)
+        K = gram.copy()
+        K.flat[::n + 1] += nugget
     if not np.all(np.isfinite(K)):
         raise IllConditionedError("covariance entries overflowed")
     jitter = 0.0
@@ -232,7 +240,8 @@ def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
     jitter = _JITTER_START * sigma2
     while jitter <= _JITTER_MAX * sigma2 * (1.0 + 1e-12):
         try:
-            Kj = K + jitter * np.eye(n)
+            Kj = K.copy()
+            Kj.flat[::n + 1] += jitter
             L = np.linalg.cholesky(Kj)
             return Kj, L, jitter
         except np.linalg.LinAlgError:
@@ -266,8 +275,8 @@ class GlsState:
     def _trend_factor(self) -> np.ndarray:
         """C = L^{-T} B chol_G^{-T}, so that C C' = K^{-1} F (F' K^{-1}
         F)^{-1} F' K^{-1}; the state must have a trend (p > 0)."""
-        C = linalg.solve_triangular(self.chol_G, self.B.T, lower=True)
-        return linalg.solve_triangular(self.L, C.T, lower=True, trans="T")
+        C = _solve_lower(self.chol_G, self.B.T)
+        return _solve_lower(self.L, C.T, trans=1)
 
     @functools.cached_property
     def kbar(self) -> np.ndarray:
@@ -306,31 +315,45 @@ class GlsState:
         return self.kbar_y, diag
 
 
+def _solve_lower(T: np.ndarray, b: np.ndarray, trans: int = 0):
+    """T^{-1} b, or T^{-T} b with trans=1, for a lower triangular T, by
+    LAPACK ``dtrtrs`` as ``scipy.linalg.solve_triangular`` calls it: a
+    C-ordered T (np.linalg.cholesky's factor) is passed as T', its
+    column-major view, upper triangular and not copied.  A zero on T's
+    diagonal raises IllConditionedError."""
+    if T.flags.f_contiguous:
+        x, info = linalg.lapack.dtrtrs(T, b, lower=1, trans=trans)
+    else:
+        x, info = linalg.lapack.dtrtrs(T.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise IllConditionedError("triangular solve failed: singular factor")
+    return x
+
+
 def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
     """The GLS state of (F, L, y) by triangular solves.
 
     The only place F' K^{-1} F is factored: a singular one raises
     HypothesisH1Error.  quad is accumulated as |L^{-1} y|^2 - c' beta with
-    c = B' L^{-1} y.  L comes from ``factor_covariance``, which checked
-    its K for finite entries, and F and y from a checked design, so the
-    solves with L skip scipy's finiteness scan.
+    c = B' L^{-1} y.  Every solve and the factor of G call LAPACK directly
+    (``_solve_lower``, ``dpotrf``, ``dpotrs``), bit-identical to the
+    scipy.linalg routes; L comes from ``factor_covariance``, which checked
+    its K for finite entries, and F and y from a checked design.
     """
-    a = linalg.solve_triangular(L, y, lower=True, check_finite=False)
+    a = _solve_lower(L, y)
     quad = float(a @ a)
     if F.shape[1] == 0:
         B, chol_G, beta, w = F, None, np.zeros(0), a
     else:
-        B = linalg.solve_triangular(L, F, lower=True, check_finite=False)
+        B = _solve_lower(L, F)
         c = B.T @ a
-        try:
-            chol_G = linalg.cholesky(B.T @ B, lower=True)
-        except linalg.LinAlgError:
+        chol_G, info = linalg.lapack.dpotrf(B.T @ B, lower=1)
+        if info != 0:
             raise HypothesisH1Error("F' K^{-1} F is singular")
-        beta = linalg.cho_solve((chol_G, True), c)
+        beta = linalg.lapack.dpotrs(chol_G, c, lower=1)[0]
         quad -= float(c @ beta)
         w = a - B @ beta
-    kbar_y = linalg.solve_triangular(L, w, lower=True, trans="T",
-                                     check_finite=False)
+    kbar_y = _solve_lower(L, w, trans=1)
     return GlsState(L=L, B=B, chol_G=chol_G, beta=beta, w=w, kbar_y=kbar_y,
                     quad=quad)
 
@@ -389,7 +412,8 @@ def predict(model: FittedGp, x_new) -> tuple:
     The trend-uncertainty quadratic form uses the dimensionally consistent
     F' K^{-1} k inner factor.  L^{-1} F, the factor of F' K^{-1} F, beta
     and L^{-1} (y - F beta) come from the model's solved state.  Scalars
-    are returned for a single point, arrays for a batch.
+    are returned for a single point, arrays for a batch; a non-finite
+    point raises InvalidParameterError.
     """
     x_arr = np.asarray(x_new, dtype=float)
     single = x_arr.ndim == 1
@@ -398,16 +422,18 @@ def predict(model: FittedGp, x_new) -> tuple:
         raise ShapeError(
             f"x_new has {X_new.shape[1]} columns, model expects {model.d}"
         )
+    if not np.all(np.isfinite(X_new)):
+        raise InvalidParameterError("x_new must be finite")
     gls = model.gls
     Kx = cross_covariance(model.dataset.X, X_new, model.kernel)  # n x m
-    A = linalg.solve_triangular(gls.L, Kx, lower=True)           # L^{-1} k
+    A = _solve_lower(gls.L, Kx)                                  # L^{-1} k
     f_new = model.trend.basis(X_new)                             # m x p
     mean = f_new @ gls.beta + A.T @ gls.w
     prior_var = model.kernel.sigma2 + model.kernel.nugget
     var = prior_var - np.einsum("ij,ij->j", A, A)
     if model.p > 0:
         U = f_new.T - gls.B.T @ A                                # p x m
-        V = linalg.cho_solve((gls.chol_G, True), U)
+        V = linalg.lapack.dpotrs(gls.chol_G, U, lower=1)[0]
         var = var + np.einsum("ij,ij->j", U, V)
     var = np.maximum(var, 0.0)
     if single:
@@ -459,27 +485,63 @@ def compute_kbar(model: FittedGp) -> np.ndarray:
     return model.gls.kbar
 
 
-def projection_basis(F: np.ndarray) -> np.ndarray:
-    """Orthonormal basis W of the complement of Im F, so that W W' is the
-    projector onto it.
+class ResidualSpace:
+    """The complement of Im F, held as the Householder QR of F (LAPACK
+    ``dgeqrf``): F = Q [T; 0] with Q = H_1 ... H_p, so that W = Q[:, p:] is
+    an orthonormal basis of the complement.
 
-    Built from the full QR decomposition of F.  p = n leaves no residual
-    space and raises HypothesisH2Error; rank deficiency raises
+    W is not formed to be multiplied: ``project`` gives W' R W as the
+    trailing block of Q' R Q, and ``lift`` gives W U as Q [0; U], each by
+    applying the p reflectors (``dormqr``) in O(p n^2), where products
+    with W cost O(n^3).  With p = 0, W = I.  p >= n leaves no residual
+    space and raises HypothesisH2Error; a rank-deficient F raises
     HypothesisH1Error.
     """
-    F = np.asarray(F, dtype=float)
-    n, p = F.shape
-    if p == 0:
-        return np.eye(n)
-    if p >= n:
-        raise HypothesisH2Error(
-            f"no residual space: p={p} basis functions for n={n} points"
-        )
-    Q, R = np.linalg.qr(F, mode="complete")
-    diag = np.abs(np.diag(R[:p, :p]))
-    if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
-        raise HypothesisH1Error("regression matrix is rank deficient")
-    return Q[:, p:]
+
+    def __init__(self, F: np.ndarray):
+        F = np.asarray(F, dtype=float)
+        n, p = F.shape
+        self.n, self.p = n, p
+        if p == 0:
+            return
+        if p >= n:
+            raise HypothesisH2Error(
+                f"no residual space: p={p} basis functions for n={n} points"
+            )
+        self._qr, self._tau = linalg.lapack.dgeqrf(F)[:2]
+        diag = np.abs(np.diag(self._qr))
+        if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
+            raise HypothesisH1Error("regression matrix is rank deficient")
+
+    def _reflect(self, side: str, trans: str, C: np.ndarray) -> np.ndarray:
+        """Q C, Q' C, C Q or C Q' in place of the column-major C."""
+        return linalg.lapack.dormqr(side, trans, self._qr, self._tau, C,
+                                    max(C.shape), overwrite_c=1)[0]
+
+    def project(self, R: np.ndarray) -> np.ndarray:
+        """W' R W of a symmetric n x n R, symmetrized against round-off."""
+        if self.p == 0:
+            B = R
+        else:
+            C = self._reflect("L", "T", np.array(R, dtype=float, order="F"))
+            B = self._reflect("R", "N", C)[self.p:, self.p:]
+        return 0.5 * (B + B.T)
+
+    def lift(self, U: np.ndarray) -> np.ndarray:
+        """W U for U with n - p rows."""
+        if self.p == 0:
+            return U
+        C = np.zeros((self.n, U.shape[1]), order="F")
+        C[self.p:] = U
+        return self._reflect("L", "N", C)
+
+
+def projection_basis(F: np.ndarray) -> np.ndarray:
+    """Orthonormal basis W of the complement of Im F, so that W W' is the
+    projector onto it: the identity lifted by ``ResidualSpace``, whose
+    checks it keeps."""
+    space = ResidualSpace(F)
+    return space.lift(np.eye(space.n - space.p))
 
 
 def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,

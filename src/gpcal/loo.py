@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidParameterError
-from .gp import FittedGp, projection_basis
+from .gp import FittedGp, ResidualSpace
 from .kernels import KernelSpec, gram_matrix
 from .stats import check_alpha, check_level, normal_quantile
 
@@ -164,40 +164,41 @@ class SigmaScanBasis:
 
     For fixed length-scales, trend and nugget, write K = sigma2 R + nugget I
     with R the unit-amplitude Gram matrix.  Through the residual-space
-    identity Kbar = W (W' K W)^{-1} W' the dependence on sigma2 reduces to
-    a diagonal rescaling in the eigenbasis of W' R W:
+    identity Kbar = W (W' K W)^{-1} W', W an orthonormal basis of the
+    complement of the trend span, the dependence on sigma2 reduces to a
+    diagonal rescaling in the eigenbasis of W' R W:
 
         W' K W = U diag(sigma2 * lam_j + nugget) U'
 
     so each evaluation of the standardized residuals costs two matrix-vector
     products instead of a fresh O(n^3) factorization, and a batch of
-    amplitudes costs two matrix products.  Eigenvalues are floored at
-    lam_max * 1e-14 to guard the no-nugget case against round-off
-    negatives.
+    amplitudes costs two matrix products.  W is the Householder basis of
+    ``gp.ResidualSpace``: W' R W and V = W U come from the p reflectors of
+    F's QR, so the eigendecomposition is the basis's only O(n^3) step.
+    Eigenvalues are floored at lam_max * 1e-14 to guard the no-nugget case
+    against round-off negatives.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, F: np.ndarray,
                  family, theta: np.ndarray, nugget: float):
         spec = KernelSpec(family=family, sigma2=1.0, theta=theta, nugget=0.0)
         R = gram_matrix(np.atleast_2d(np.asarray(X, dtype=float)), spec)
-        self._factor(R, projection_basis(F), y, nugget)
+        self._factor(R, ResidualSpace(F), y, nugget)
 
     @classmethod
-    def from_gram(cls, R: np.ndarray, W: np.ndarray, y: np.ndarray,
+    def from_gram(cls, R: np.ndarray, space: ResidualSpace, y: np.ndarray,
                   nugget: float) -> "SigmaScanBasis":
-        """Basis from a unit-amplitude Gram matrix R and the orthonormal
-        complement W of the trend span (``projection_basis(F)``)."""
+        """Basis from a unit-amplitude Gram matrix R and the residual space
+        of the trend (``gp.ResidualSpace`` of F)."""
         basis = cls.__new__(cls)
-        basis._factor(R, W, y, nugget)
+        basis._factor(R, space, y, nugget)
         return basis
 
-    def _factor(self, R, W, y, nugget) -> None:
-        B = W.T @ R @ W
-        B = 0.5 * (B + B.T)
-        lam, U = np.linalg.eigh(B)
+    def _factor(self, R, space: ResidualSpace, y, nugget) -> None:
+        lam, U = np.linalg.eigh(space.project(R))
         floor = max(lam.max(), 0.0) * 1e-14
         lam = np.maximum(lam, floor)
-        V = W @ U
+        V = space.lift(U)
         self.lam = lam
         self.V = V
         self.V2 = V * V

@@ -12,7 +12,8 @@ One state serves a whole calibration, both bounds included.  It is built
 on the reference fit (a ``FittedGp`` at theta0 and the reference amplitude),
 which supplies the design, the trend and its regression matrix F, the
 kernel family, the nugget and the reference law; the state adds the
-residual basis W and the scaled distances h0 = h(theta0).  Since lambda
+residual space of F (``gp.ResidualSpace``, the Householder QR of F) and
+the scaled distances h0 = h(theta0).  Since lambda
 scales every length-scale together, the unit Gram matrix at lambda is
 R(lambda) = r(h0 / lambda).  Each lambda builds R and one state from it
 (``_LambdaState``); the amplitude scan and the W2 law K = sigma2 R +
@@ -21,7 +22,9 @@ grid once for both sides.  Only the state of the latest lambda is kept.
 Each state supplies the law's GLS mean and trace root Tr (L0' K L0)^{1/2}
 to one W2 formula that factors nothing.  L0 is the reference fit's own
 Cholesky factor of K0 = L0 L0'; L0' K L0 has the eigenvalues of
-K0^{1/2} K K0^{1/2}, so K0 is factored once, by the reference fit.
+K0^{1/2} K K0^{1/2}, so K0 is factored once, by the reference fit.  L0' R
+L0 takes two triangular products (BLAS ``dtrmm``) on L0', the
+column-major view of L0, half the work of two general products.
 
 The nugget chooses the state's form.  With zero nugget sigma2 is a pure
 scale of K = sigma2 R: the standardized LOO residuals are
@@ -29,10 +32,16 @@ z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the trace
 root is sqrt(sigma2) Tr (L0' R L0)^{1/2}, so one Cholesky factor serves
 every amplitude and both sides (the scale-free form).  It factors the
 R + j I of ``gp.factor_covariance(R, 0, 1)``, whose jitter scales with
-sigma2: ``fit_gp`` builds sigma2 (R + j I) at every amplitude.  With a
-positive nugget each lambda builds the eigenbasis of W' R W
-(``SigmaScanBasis``), from which a batch of amplitudes costs two matrix
-products, and the law reads its mean from that basis.
+sigma2: ``fit_gp`` builds sigma2 (R + j I) at every amplitude.  Its
+solves (``gp.solve_gls``) call LAPACK directly, bit for bit what the
+scipy.linalg front-ends give, without their per-call argument checks.
+With a positive nugget each lambda builds the eigenbasis of W' R W
+(``SigmaScanBasis``), W the Householder basis of the complement of Im F,
+from which a batch of amplitudes costs two matrix products, and the law
+reads its mean from that basis.  W' R W and the lifted eigenvectors W U
+come from the p reflectors of F in O(p n^2), so the state's cubic work is
+its eigendecomposition, and with the objective the eigenvalues of the
+law.
 
 The amplitude root is the left end of the first crossing of psi_delta = a
 on the ``_SIGMA_SCAN`` range, to adjacent doubles: the smallest amplitude
@@ -80,6 +89,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .blas import single_threaded_blas
 from .estimation import EstimationResult, _data_scales
@@ -94,9 +104,9 @@ from .gp import (
     TrendSpec,
     check_hypotheses,
     factor_covariance,
+    ResidualSpace,
     fit_gp,
     predict,
-    projection_basis,
     solve_gls,
 )
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
@@ -342,10 +352,13 @@ class _Calibration:
     ``at(lam)`` returns the per-lambda state, rebuilt only when lam
     changes.  The reference fit ``ref`` supplies the design, the trend, F,
     the kernel family, the nugget and theta0, all its shape and design
-    checks done by ``fit_gp``.  Its law is the reference law: K0 = ref.K
-    and m0 = F beta, with Tr K0 and the Cholesky factor L0 = ref.gls.L of
-    K0.  ``objective`` is one formula for both state forms, each supplying
-    the mean m and root = Tr (L0' K L0)^{1/2}:
+    checks done by ``fit_gp``.  The calibration adds the residual space of
+    F (``space``, the Householder QR of ``gp.ResidualSpace``, factored once
+    here and read by every eigenbasis state) and the scaled distances h0.
+    Its law is the reference law: K0 = ref.K and m0 = F beta, with Tr K0
+    and the Cholesky factor L0 = ref.gls.L of K0.  ``objective`` is one
+    formula for both state forms, each supplying the mean m and root =
+    Tr (L0' K L0)^{1/2}:
 
         W2 = max(||m - m0||^2 + Tr K0 + sigma2 Tr R + n nugget - 2 root, 0)
 
@@ -359,7 +372,7 @@ class _Calibration:
         self.config = config
         self.nugget = ref.kernel.nugget
         self.F = ref.F
-        self.W = projection_basis(self.F)
+        self.space = ResidualSpace(self.F)
         X = ref.dataset.X
         self.h0 = scaled_distances(X, X, ref.kernel.theta)
         grid = _SIGMA_SCAN.points(scale=_data_scales(ref.dataset)[1])
@@ -404,22 +417,26 @@ class _LambdaState:
     """What the amplitude search and the W2 law read at one lambda, in the
     form the nugget selects.  Both give the GLS mean ``mean(sigma2)`` and
     ``root(sigma2, cal)`` = Tr (L0' K L0)^{1/2} from A = L0' R L0, L0 the
-    reference fit's Cholesky factor; A is formed on first use.
+    reference fit's Cholesky factor; A is formed on first use, by two
+    triangular products (``dtrmm``).
 
     Scale-free form, with zero nugget: K = sigma2 R, so the standardized
     LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
     not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  R is the
     R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
     jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
-    ``GlsState.kbar_y_diag``, the route ``virtual_loo`` takes) and m1.
-    The solved state itself is dropped once z(1) and m1 are read.
+    ``GlsState.kbar_y_diag``, the route ``virtual_loo`` takes, each solve
+    a direct LAPACK call) and m1.  The solved state itself is dropped once
+    z(1) and m1 are read.
 
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
-    (``SigmaScanBasis``), from which each batch of amplitudes costs two
-    matrix products.  The mean is y - K Kbar y with Kbar y from the basis,
-    and root = Tr (sigma2 A + nugget L0' L0)^{1/2}, with the calibration's
-    L0' L0.  Its residuals on the amplitude scan are built one batch at a
-    time as the sides ask for them.
+    (``SigmaScanBasis.from_gram`` on the calibration's residual space,
+    which gives W' R W and V = W U by F's reflectors), from which each
+    batch of amplitudes costs two matrix products.  The mean is
+    y - K Kbar y with Kbar y from the basis, and root = Tr (sigma2 A +
+    nugget L0' L0)^{1/2}, with the calibration's L0' L0.  Its residuals
+    on the amplitude scan are built one batch at a time as the sides ask
+    for them.
     """
 
     def __init__(self, cal: _Calibration, lam: float):
@@ -430,7 +447,7 @@ class _LambdaState:
         self._y, self._nugget, self._L0 = cal.ref.dataset.y, cal.nugget, \
             cal.ref.gls.L
         if cal.nugget > 0.0:
-            self.basis = SigmaScanBasis.from_gram(self.R, cal.W, self._y,
+            self.basis = SigmaScanBasis.from_gram(self.R, cal.space, self._y,
                                                   cal.nugget)
         else:
             self.basis = None
@@ -450,8 +467,11 @@ class _LambdaState:
 
     @functools.cached_property
     def A(self) -> np.ndarray:
-        """L0' R L0, formed on first use."""
-        return (self._L0.T @ self.R) @ self._L0
+        """L0' R L0, formed on first use by two triangular products
+        (``dtrmm``) on L0', the column-major view of the C-ordered L0."""
+        L0t = self._L0.T
+        RL0 = dtrmm(1.0, L0t, self.R, side=1, lower=0, trans_a=1)
+        return dtrmm(1.0, L0t, RL0, lower=0, overwrite_b=1)
 
     @functools.cached_property
     def _t1(self) -> float:

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.exceptions import (
@@ -14,6 +15,7 @@ from gpcal.exceptions import (
     IllConditionedError,
 )
 from gpcal.gp import (
+    ResidualSpace,
     build_covariance,
     build_regression_matrix,
     check_hypotheses,
@@ -26,7 +28,8 @@ from gpcal.gp import (
     projection_basis,
     solve_gls,
 )
-from gpcal.loo import loo_coverage
+from gpcal.kernels import cross_covariance, gram_matrix
+from gpcal.loo import SigmaScanBasis, loo_coverage
 from gpcal.stats import normal_quantile
 
 from conftest import dense_kbar, dense_predict, random_dataset, random_kernel
@@ -343,6 +346,149 @@ class TestKbarYDiag:
             model.gls.kbar
         with pytest.raises(HypothesisH2Error):
             model.gls.kbar_y_diag
+
+
+class TestLapackRoute:
+    """The GLS state and prediction call LAPACK directly; they equal the
+    scipy.linalg front-end route they replace bit for bit."""
+
+    @staticmethod
+    def _scipy_gls(F, L, y):
+        """(B, chol_G, beta, w, Kbar y, quad) by the scipy.linalg route."""
+        a = scipy.linalg.solve_triangular(L, y, lower=True)
+        quad = float(a @ a)
+        B, chol_G, beta, w = F, None, np.zeros(0), a
+        if F.shape[1] > 0:
+            B = scipy.linalg.solve_triangular(L, F, lower=True)
+            c = B.T @ a
+            chol_G = scipy.linalg.cholesky(B.T @ B, lower=True)
+            beta = scipy.linalg.cho_solve((chol_G, True), c)
+            quad -= float(c @ beta)
+            w = a - B @ beta
+        kbar_y = scipy.linalg.solve_triangular(L, w, lower=True, trans="T")
+        return B, chol_G, beta, w, kbar_y, quad
+
+    @pytest.mark.parametrize("trend", [SIM, ORD, UNI],
+                             ids=["p0", "p1", "p3"])
+    def test_bit_identical_to_scipy(self, rng, trend):
+        ds = random_dataset(rng, n=30, d=2)
+        model = fit_gp(ds, random_kernel(rng, 2, nugget=1e-3), trend)
+        gls = model.gls
+        B, chol_G, beta, w, kbar_y, quad = self._scipy_gls(
+            model.F, gls.L, ds.y)
+        for got, want in ((gls.beta, beta), (gls.w, w),
+                          (gls.kbar_y, kbar_y)):
+            np.testing.assert_array_equal(got, want)
+        assert gls.quad == quad
+        X_new = rng.uniform(0.0, 1.0, (7, 2))
+        mean, var = predict(model, X_new)
+        Kx = scipy.linalg.solve_triangular(
+            gls.L, cross_covariance(ds.X, X_new, model.kernel), lower=True)
+        want_mean = trend.basis(X_new) @ beta + Kx.T @ w
+        want_var = model.kernel.sigma2 + model.kernel.nugget \
+            - np.einsum("ij,ij->j", Kx, Kx)
+        if chol_G is not None:
+            np.testing.assert_array_equal(gls.B, B)
+            np.testing.assert_array_equal(gls.chol_G, chol_G)
+            C = scipy.linalg.solve_triangular(chol_G, B.T, lower=True)
+            np.testing.assert_array_equal(
+                gls._trend_factor,
+                scipy.linalg.solve_triangular(gls.L, C.T, lower=True,
+                                              trans="T"))
+            U = trend.basis(X_new).T - B.T @ Kx
+            want_var = want_var + np.einsum(
+                "ij,ij->j", U, scipy.linalg.cho_solve((chol_G, True), U))
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(var, np.maximum(want_var, 0.0))
+
+    def test_singular_trend_gram_raises_h1(self, rng):
+        # A zero trend column makes F' K^{-1} F exactly singular.
+        n = 10
+        A = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        F = np.column_stack([np.ones(n), np.zeros(n)])
+        with pytest.raises(HypothesisH1Error):
+            solve_gls(F, L, rng.standard_normal(n))
+
+    def test_singular_factor_raises_ill_conditioned(self, rng):
+        # dtrtrs reports a zero on the factor's diagonal (info > 0).
+        n = 10
+        A = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        L[4, 4] = 0.0
+        for F in (np.zeros((n, 0)), np.ones((n, 1))):
+            with pytest.raises(IllConditionedError):
+                solve_gls(F, L, rng.standard_normal(n))
+
+    def test_predict_rejects_non_finite_points(self, rng):
+        model = fit_gp(random_dataset(rng, n=10, d=2),
+                       random_kernel(rng, 2), ORD)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                predict(model, np.array([0.5, bad]))
+        mean, var = predict(model, np.zeros((0, 2)))
+        assert mean.shape == var.shape == (0,)
+
+
+class TestResidualSpace:
+    """The Householder residual space against the explicit basis W of
+    np.linalg.qr(F, mode="complete"), for trends with p = 0, 1 and
+    d + 1, to 1e-10 relative."""
+
+    TOL = 1e-10
+
+    @staticmethod
+    def _explicit_w(F):
+        n, p = F.shape
+        return np.eye(n) if p == 0 \
+            else np.linalg.qr(F, mode="complete")[0][:, p:]
+
+    @pytest.mark.parametrize("trend", [SIM, ORD, UNI])
+    def test_matches_complete_qr(self, trend):
+        for seed in range(5):
+            local = np.random.default_rng(700 + seed)
+            ds = random_dataset(local, n=40, d=3)
+            spec = KernelSpec(KernelFamily.MATERN52, 1.0,
+                              local.uniform(0.2, 1.0, 3))
+            F = build_regression_matrix(ds.X, trend)
+            W = self._explicit_w(F)
+            space = ResidualSpace(F)
+            R = gram_matrix(ds.X, spec)
+            want = W.T @ R @ W
+            got = space.project(R)
+            assert np.abs(got - want).max() <= self.TOL * np.abs(want).max()
+            U = np.linalg.eigh(0.5 * (want + want.T))[1]
+            want_V = W @ U
+            assert np.abs(space.lift(U) - want_V).max() <= \
+                self.TOL * np.abs(want_V).max()
+            np.testing.assert_allclose(projection_basis(F) @ U, want_V,
+                                       rtol=0.0, atol=self.TOL)
+            # Standardized residuals from the explicit basis.
+            nugget = 1e-3
+            lam, U = np.linalg.eigh(0.5 * (want + want.T))
+            V = W @ U
+            basis = SigmaScanBasis(ds.X, ds.y, F, spec.family, spec.theta,
+                                   nugget)
+            for s2 in (0.05, 1.0, 30.0):
+                scale = s2 * np.maximum(lam, lam.max() * 1e-14) + nugget
+                z = (V @ ((V.T @ ds.y) / scale)) \
+                    / np.sqrt((V * V) @ (1.0 / scale))
+                assert np.abs(basis.std_residuals(s2) - z).max() <= \
+                    self.TOL * np.abs(z).max()
+
+    def test_rank_deficient_raises_h1(self, rng):
+        x = rng.uniform(0.0, 1.0, 10)
+        F = np.column_stack([np.ones(10), x, 2.0 * x])
+        for build in (ResidualSpace, projection_basis):
+            with pytest.raises(HypothesisH1Error):
+                build(F)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_no_residual_space_raises_h2(self, rng, p):
+        F = rng.standard_normal((3, p))
+        for build in (ResidualSpace, projection_basis):
+            with pytest.raises(HypothesisH2Error):
+                build(F)
 
 
 class TestProjectionBasis:

@@ -997,8 +997,10 @@ class TestCalibrate:
         # interior and their brackets apart here, so that is 15 grid
         # lambdas and, per side, TestRefine.GOLDEN_STEPS = 12 golden steps
         # down to the first bracket no wider than _PARABOLA_BRACKET, then 5
-        # more steps on the upper side and 4 on the lower: 15 + 17 + 16 =
-        # 48 in all.  The searches stop with evaluated lambdas within 2/3
+        # more steps on the upper side and 6 on the lower: 15 + 17 + 18 =
+        # 50 in all.  (Those last steps compare W2 values 1e-11 apart, so
+        # their count follows the round-off of the eigenbasis.)  The
+        # searches stop with evaluated lambdas within 2/3
         # _LOG_LAMBDA_TOL of lambda* in log lambda on either side of it,
         # the ends of the final bracket.
         log = _record_search(monkeypatch)
@@ -1028,7 +1030,7 @@ class TestCalibrate:
             assert any(-reach <= gap < 0.0 for gap in gaps)
             assert any(0.0 < gap <= reach for gap in gaps)
         distinct = _distinct_lambdas(log)
-        assert len(distinct) == 48
+        assert len(distinct) == 50
         assert len(log["bases"]) == len(log["states"]) \
             == len(set(log["states"])) == len(distinct) == _slot_builds(log)
 
@@ -1211,7 +1213,8 @@ class TestScaleFree:
         for lam in self.LAMBDAS:
             state = cal.at(lam)
             assert state.basis is None
-            basis = SigmaScanBasis.from_gram(cal.gram(lam), cal.W, ds.y, 0.0)
+            basis = SigmaScanBasis.from_gram(cal.gram(lam), cal.space, ds.y,
+                                             0.0)
             for s2 in self.AMPLITUDES:
                 want = basis.std_residuals(s2)
                 np.testing.assert_allclose(state.std_residuals(s2), want,
@@ -1341,9 +1344,10 @@ class TestScaleFree:
 
 class TestEigenbasisLaw:
     """With a positive nugget the W2 law is read from the eigenbasis
-    state: the mean y - K Kbar y and Tr (sigma2 S0 R S0 + nugget K0)^{1/2},
-    with S0 R S0 formed once per lambda.  Only the reference fit and the
-    two final fits factor a covariance."""
+    state: the mean y - K Kbar y and Tr (sigma2 L0' R L0 + nugget L0'
+    L0)^{1/2}, with L0' R L0 formed once per lambda by two triangular
+    products.  Only the reference fit and the two final fits factor a
+    covariance."""
 
     NUGGET = 1e-3
 
@@ -1367,6 +1371,21 @@ class TestEigenbasisLaw:
                                               model.K)
                 assert cal.objective(lam, s2) == pytest.approx(want,
                                                                rel=1e-9)
+
+    @pytest.mark.parametrize("nugget", [NUGGET, 0.0])
+    def test_triangular_products(self, nugget):
+        # A = L0' R L0 by two dtrmm products equals the two GEMMs, for
+        # both state forms (R + j I in the scale-free one).
+        ds = _misspecified_dataset(14, n=60, d=3)
+        cal = _Calibration(fit_gp(ds, KernelSpec(
+            KernelFamily.MATERN52, TestScaleFree.SIGMA2_0,
+            TestScaleFree.THETA0, nugget=nugget), ORD), RpieConfig())
+        L0 = cal.ref.gls.L
+        for lam in TestScaleFree.LAMBDAS:
+            state = cal.at(lam)
+            want = (L0.T @ state.R) @ L0
+            assert np.abs(state.A - want).max() <= \
+                1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("nugget", [1e-2, 0.0])
     def test_factorizations_per_calibration(self, monkeypatch, nugget):

@@ -9,7 +9,11 @@ deletion leaves no orphan behind.  Every public one is either listed in an
 or the demos: code that only the tests call does not belong in the package.
 Every private name cited in backticks in a docstring, a comment or the
 README names something the package defines, so that prose does not
-outlive the code it describes.
+outlive the code it describes.  The package calls scipy.linalg only
+through its LAPACK and BLAS wrappers (``scipy.linalg.lapack``,
+``scipy.linalg.blas``): the front-ends such as ``solve_triangular``,
+``cholesky`` or ``cho_solve`` check and batch their arguments at a cost of
+several microseconds a call, more than a solve at the sizes gpcal runs.
 """
 
 import ast
@@ -212,3 +216,70 @@ def test_cited_private_names_are_defined():
     stale = sorted(f"{name}: {part}" for name, part in cited
                    if part not in defined)
     assert not stale, f"backticked private names with no definition: {stale}"
+
+
+# What the package may read from scipy.linalg: the raw LAPACK and BLAS
+# wrappers, and the error class numpy and scipy raise.
+_LINALG_ALLOWED = {"lapack", "blas", "LinAlgError"}
+
+
+def _linalg_front_end_calls(tree) -> list:
+    """Calls and imports of scipy.linalg routines other than its LAPACK
+    and BLAS wrappers, as "line: name"."""
+    aliases, scipys, out = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "scipy.linalg" and a.asname:
+                    aliases.add(a.asname)
+                elif a.name.split(".")[0] == "scipy" and not a.asname:
+                    scipys.add("scipy")
+                elif a.name == "scipy":
+                    scipys.add(a.asname)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "scipy":
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "linalg"}
+            elif node.module == "scipy.linalg":
+                out += [f"{node.lineno}: {a.name}" for a in node.names
+                        if a.name not in _LINALG_ALLOWED]
+
+    def is_linalg(value) -> bool:
+        if isinstance(value, ast.Name):
+            return value.id in aliases
+        return isinstance(value, ast.Attribute) and value.attr == "linalg" \
+            and isinstance(value.value, ast.Name) \
+            and value.value.id in scipys
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                is_linalg(node.func.value) and \
+                node.func.attr not in _LINALG_ALLOWED:
+            out.append(f"{node.lineno}: {node.func.attr}")
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy import linalg\nlinalg.solve_triangular(a, b)",
+    "from scipy import linalg as sl\nsl.cho_solve((c, True), b)",
+    "import scipy.linalg\nscipy.linalg.cholesky(a)",
+    "import scipy.linalg as sla\nsla.solve(a, b)",
+    "from scipy.linalg import cho_factor",
+])
+def test_linalg_rule_flags_front_ends(source):
+    assert _linalg_front_end_calls(ast.parse(source))
+
+
+def test_linalg_rule_allows_lapack_and_blas():
+    source = ("from scipy import linalg\n"
+              "from scipy.linalg import blas\n"
+              "linalg.lapack.dtrtrs(a, b)\nblas.dtrmm(1.0, a, b)\n"
+              "try:\n    pass\nexcept linalg.LinAlgError:\n    pass\n")
+    assert not _linalg_front_end_calls(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_linalg_front_ends(path):
+    calls = _linalg_front_end_calls(_tree(path))
+    assert not calls, f"{path.name}: scipy.linalg front-ends {calls}"

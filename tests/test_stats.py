@@ -67,8 +67,23 @@ def test_arrays_elementwise():
     assert normal_quantile(np.empty((0, 3))).shape == (0, 3)
 
 
+def test_scalars_match_the_array_path():
+    # A Python or NumPy scalar gives the value of the 0-d array, bit for
+    # bit, and a float either way.
+    for level in np.concatenate([_levels()[::7], [0.5, 0.975]]):
+        want = normal_quantile(np.array(level))
+        for a in (float(level), np.float64(level)):
+            got = normal_quantile(a)
+            assert isinstance(got, float) and got == want
+    assert normal_quantile(np.float32(0.3)) \
+        == normal_quantile(np.array(np.float32(0.3)))
+
+
 @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, 1.5, [0.2, 1.0],
-                               float("nan"), [0.2, float("nan")]])
+                               float("nan"), [0.2, float("nan")],
+                               np.float64("nan"), np.float64(1.0), 0, 1,
+                               np.int64(0), True, float("inf"),
+                               np.array(float("nan"))])
 def test_rejects_levels_outside_the_open_interval(a):
     with pytest.raises(InvalidParameterError, match="quantile level"):
         normal_quantile(a)

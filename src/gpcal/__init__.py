@@ -29,7 +29,6 @@ from .estimation import (
     fit_mle,
     fit_msecv,
     mle_objective,
-    msecv_objective,
 )
 from .gp import (
     Dataset,
@@ -43,9 +42,8 @@ from .gp import (
     fit_gp,
     predict,
     prediction_interval,
-    projection_basis,
 )
-from .kernels import KernelFamily, KernelSpec, kernel_1d, kernel_radial
+from .kernels import KernelFamily, KernelSpec
 from .loo import (
     LooDiagnostics,
     SmoothingParams,
@@ -77,11 +75,10 @@ __all__ = [
     "SmoothingParams", "TrendSpec",
     "bayes_predictive", "build_covariance", "build_regression_matrix",
     "calibrate", "calibrate_quantile", "check_hypotheses", "compute_kbar",
-    "compute_metrics", "fit_gp", "fit_mle", "fit_msecv", "kernel_1d",
-    "kernel_radial", "loo_coverage", "loo_mse",
-    "mle_objective", "morokoff_caflisch", "msecv_objective", "predict",
-    "predict_calibrated", "prediction_interval", "projection_basis",
-    "quasi_gaussian", "quasi_gaussian_smoothed", "relaxation_objective",
-    "run_experiment", "sample_design", "sigma_opt",
-    "virtual_loo", "wasserstein2_gaussians", "wing_weight", "zhou_log",
+    "compute_metrics", "fit_gp", "fit_mle", "fit_msecv", "loo_coverage",
+    "loo_mse", "mle_objective", "morokoff_caflisch", "predict",
+    "predict_calibrated", "prediction_interval", "quasi_gaussian",
+    "quasi_gaussian_smoothed", "relaxation_objective", "run_experiment",
+    "sample_design", "sigma_opt", "virtual_loo", "wasserstein2_gaussians",
+    "wing_weight", "zhou_log",
 ]

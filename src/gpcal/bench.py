@@ -480,9 +480,15 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
     Seeds run on a pool of min(RPIE_THREADS, seeds) threads with BLAS on
     one thread, so every thread count computes the same bits; rows are
     ordered by (seed, method).  ``calibrations`` maps (seed, method) to the
-    CalibratedIntervalModel of each non-Bayesian reference fit.
+    CalibratedIntervalModel of each non-Bayesian reference fit.  ``methods``
+    is a list or tuple of one or more of "mle", "msecv" and "bayes", each
+    run once whatever its count; any other value is rejected before a seed
+    runs.
     """
     check_alpha(alpha)
+    methods = set(methods) if isinstance(methods, (list, tuple)) else set()
+    if not methods or not methods <= {"mle", "msecv", "bayes"}:
+        raise InvalidParameterError("methods must list mle, msecv or bayes")
     scale = scale or ExperimentScale()
     job = partial(_run_seed, name, _config(name), scale, methods, alpha)
     with single_threaded_blas(), ThreadPoolExecutor(

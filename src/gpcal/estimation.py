@@ -40,7 +40,6 @@ from .gp import Dataset, FittedGp, GlsState, TrendSpec, \
     predict, solve_gls
 from .kernels import KernelFamily, KernelSpec, correlation, \
     covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
-from .loo import loo_mse
 from .stats import check_alpha
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "McmcConfig",
     "BayesPredictive",
     "mle_objective",
-    "msecv_objective",
     "fit_mle",
     "fit_msecv",
     "bayes_predictive",
@@ -193,12 +191,6 @@ def mle_objective(dataset: Dataset, trend: TrendSpec,
     if sq_diffs is None:
         return _profile_nll(fit_gp(dataset, kernel, trend).gls)
     return _profile_nll(_Design(dataset, trend, sq_diffs).fit(kernel)[0].gls)
-
-
-def msecv_objective(dataset: Dataset, trend: TrendSpec,
-                    kernel: KernelSpec) -> float:
-    """LOO-MSE quadratic form y' Kbar Diag(Kbar)^{-2} Kbar y (= n * loo_mse)."""
-    return dataset.n * loo_mse(fit_gp(dataset, kernel, trend))
 
 
 def _mle_with_dk(gls: GlsState) -> tuple:

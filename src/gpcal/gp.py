@@ -62,7 +62,6 @@ __all__ = [
     "prediction_interval",
     "compute_kbar",
     "ResidualSpace",
-    "projection_basis",
     "check_hypotheses",
     "model_to_dict",
     "model_from_dict",
@@ -536,21 +535,15 @@ class ResidualSpace:
         return self._reflect("L", "N", C)
 
 
-def projection_basis(F: np.ndarray) -> np.ndarray:
-    """Orthonormal basis W of the complement of Im F, so that W W' is the
-    projector onto it: the identity lifted by ``ResidualSpace``, whose
-    checks it keeps."""
-    space = ResidualSpace(F)
-    return space.lift(np.eye(space.n - space.p))
-
-
 def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
                      a: float) -> HypothesisReport:
     """Diagnostic check of the three runtime hypotheses at quantile level a.
 
     k_eps counts the indices with (Pi y)_i / sqrt(Pi_ii) <= sigma_eps * q_a;
     h3 requires k_eps < n*a for a > 1/2 and k_eps > n*a for a < 1/2.
-    Pi itself is not formed: Pi_ii = sum_j W_ij^2 and Pi y = W (W' y).
+    Pi itself is not formed: Pi_ii = sum_j W_ij^2 and Pi y = W (W' y),
+    with W the orthonormal basis of the complement of Im F that
+    ``ResidualSpace`` lifts from the identity.
     """
     check_level(a)
     n = dataset.n
@@ -560,7 +553,8 @@ def check_hypotheses(dataset: Dataset, trend: TrendSpec, kernel: KernelSpec,
         return HypothesisReport(h1=False, h2=False, h3=False,
                                 k_eps=0, n_times_a=n * a)
     try:
-        W = projection_basis(F)
+        space = ResidualSpace(F)
+        W = space.lift(np.eye(n - space.p))
         pi_diag = np.einsum("ij,ij->i", W, W)
         h2 = bool(pi_diag.min() > 1e-12)
     except HypothesisH2Error:
@@ -599,6 +593,5 @@ def model_from_dict(doc: dict) -> FittedGp:
                       y=np.asarray(doc["y"], dtype=float))
     kernel = KernelSpec.from_dict(doc["kernel"])
     trend = TrendSpec.from_string(doc["trend"])
-    model = fit_gp(dataset, kernel, trend)
-    return model
+    return fit_gp(dataset, kernel, trend)
 

@@ -21,8 +21,6 @@ from .exceptions import InvalidParameterError, ShapeError
 __all__ = [
     "KernelFamily",
     "KernelSpec",
-    "kernel_1d",
-    "kernel_radial",
     "gram_matrix",
     "cross_covariance",
     "scaled_distances",
@@ -211,49 +209,6 @@ class KernelSpec:
             theta=np.asarray(d["theta"], dtype=float),
             nugget=float(d["nugget"]),
         )
-
-
-def kernel_1d(family: KernelFamily, sigma2: float, theta: float, h) -> float:
-    """Evaluate the 1-D stationary kernel at lag h >= 0.
-
-    Closed forms per variant (amplitude sigma2, length-scale theta):
-
-    * exponential:          sigma2 * exp(-h/theta)
-    * Matern 3/2:           sigma2 * (1 + sqrt(3) h/theta) exp(-sqrt(3) h/theta)
-    * Matern 5/2:           sigma2 * (1 + sqrt(5) h/theta + 5 h^2/(3 theta^2))
-                            * exp(-sqrt(5) h/theta)
-    * squared exponential:  sigma2 * exp(-h^2 / (2 theta^2))
-    """
-    if theta <= 0.0 or not np.isfinite(theta):
-        raise InvalidParameterError("theta must be positive")
-    if sigma2 <= 0.0 or not np.isfinite(sigma2):
-        raise InvalidParameterError("sigma2 must be positive")
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0):
-        raise InvalidParameterError("lag h must be non-negative")
-    u = np.where(h < _DISTANCE_FLOOR, 0.0, h) / theta
-    out = sigma2 * correlation(family, u)
-    return float(out) if out.ndim == 0 else out
-
-
-def kernel_radial(spec: KernelSpec, x, x_prime) -> float:
-    """Anisotropic geometric kernel value between two points.
-
-    Equals the 1-D kernel with unit length-scale applied to the scaled
-    radial distance sqrt(sum_j |x_j - x'_j|^2 / theta_j^2).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x_prime = np.asarray(x_prime, dtype=float).ravel()
-    if x.size != x_prime.size or x.size != spec.dim:
-        raise ShapeError(
-            f"dimension mismatch: x has {x.size}, x' has {x_prime.size}, "
-            f"theta has {spec.dim}"
-        )
-    h2 = np.sum(((x - x_prime) / spec.theta) ** 2)
-    h = np.sqrt(h2)
-    if h < _DISTANCE_FLOOR:
-        h = 0.0
-    return kernel_1d(spec.family, spec.sigma2, 1.0, h)
 
 
 def pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:

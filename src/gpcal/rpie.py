@@ -112,7 +112,7 @@ from .gp import (
 from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
 from .loo import SigmaScanBasis, SmoothingParams, _ramp_mean, \
     psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
-from .stats import check_alpha, check_level, normal_quantile
+from .stats import check_alpha, normal_quantile
 
 __all__ = [
     "GridSpec",
@@ -122,7 +122,6 @@ __all__ = [
     "CalibratedIntervalModel",
     "sigma_opt",
     "wasserstein2_gaussians",
-    "sqrtm_psd",
     "relaxation_objective",
     "calibrate_quantile",
     "calibrate",
@@ -269,21 +268,6 @@ class RpieSolution:
         }
 
 
-def sqrtm_psd(K: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Negative eigenvalues from round-off are clipped at zero, which keeps the
-    result well-defined for nearly singular covariance matrices.
-    """
-    K = np.asarray(K, dtype=float)
-    return _psd_root(*np.linalg.eigh(0.5 * (K + K.T)))
-
-
-def _psd_root(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U diag(w)^{1/2} U' with round-off negatives of w clipped at zero."""
-    return (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
-
-
 def _symmetrized(K, name: str) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -323,7 +307,8 @@ def wasserstein2_gaussians(m1, K1, m2, K2) -> float:
     if m1.size != m2.size or K1.shape[0] != m1.size or \
             K2.shape[0] != m2.size:
         raise InvalidMatrixError("mean/covariance dimensions disagree")
-    S1 = _psd_root(w1, U1)
+    # K1^{1/2}, with round-off negatives of w1 clipped at zero.
+    S1 = (U1 * np.sqrt(np.maximum(w1, 0.0))) @ U1.T
     dm = m1 - m2
     val = float(dm @ dm + np.trace(K1) + np.trace(K2)
                 - 2.0 * _trace_root(S1 @ K2 @ S1))
@@ -1010,10 +995,11 @@ class CalibratedIntervalModel:
                           y=np.asarray(doc["y"], dtype=float))
         trend = TrendSpec.from_string(doc["trend"])
         reference = EstimationResult.from_dict(doc["reference"])
+        alpha = float(doc["alpha"])
+        check_alpha(alpha)
 
         def solution(d):
             kernel = KernelSpec.from_dict(d["kernel"])
-            check_level(float(d["a"]))
             return RpieSolution(
                 lambda_star=float(d["lambda_star"]),
                 sigma2_opt=float(d["sigma2_opt"]),
@@ -1029,9 +1015,11 @@ class CalibratedIntervalModel:
 
         upper = solution(doc["upper"])
         lower = solution(doc["lower"])
+        if (upper.a, lower.a) != (1.0 - alpha / 2.0, alpha / 2.0):
+            raise InvalidParameterError("levels must be 1 - alpha/2, alpha/2")
         return cls(
             upper=upper, lower=lower, reference=reference,
-            dataset=dataset, trend=trend, alpha=float(doc["alpha"]),
+            dataset=dataset, trend=trend, alpha=alpha,
             upper_model=fit_gp(dataset, upper.kernel, trend),
             lower_model=fit_gp(dataset, lower.kernel, trend),
         )

@@ -2,15 +2,20 @@
 
 The oracles deliberately transcribe the defining formulas with explicit
 matrix inverses so they stay independent of the factorized implementation
-paths they are used to check.
+paths they are used to check.  The scalar kernel oracles (``kernel_1d``,
+``kernel_radial``) evaluate one pair of points at a time through the
+package's unit correlation profile, so the closed forms they are checked
+against are those of the profile ``gram_matrix`` evaluates.
 """
 
 import numpy as np
 import pytest
 
 from gpcal import Dataset, KernelFamily, KernelSpec
-from gpcal.gp import fit_gp
-from gpcal.kernels import kernel_radial
+from gpcal.exceptions import InvalidParameterError, ShapeError
+from gpcal.gp import ResidualSpace, fit_gp
+from gpcal.kernels import _DISTANCE_FLOOR, correlation
+from gpcal.loo import loo_mse
 
 ALL_FAMILIES = (
     KernelFamily.EXPONENTIAL,
@@ -38,6 +43,74 @@ def random_kernel(rng, d, family=None, nugget=None):
         theta=rng.uniform(0.2, 1.5, d),
         nugget=nugget,
     )
+
+
+def kernel_1d(family: KernelFamily, sigma2: float, theta: float, h) -> float:
+    """Evaluate the 1-D stationary kernel at lag h >= 0.
+
+    Closed forms per variant (amplitude sigma2, length-scale theta):
+
+    * exponential:          sigma2 * exp(-h/theta)
+    * Matern 3/2:           sigma2 * (1 + sqrt(3) h/theta) exp(-sqrt(3) h/theta)
+    * Matern 5/2:           sigma2 * (1 + sqrt(5) h/theta + 5 h^2/(3 theta^2))
+                            * exp(-sqrt(5) h/theta)
+    * squared exponential:  sigma2 * exp(-h^2 / (2 theta^2))
+    """
+    if theta <= 0.0 or not np.isfinite(theta):
+        raise InvalidParameterError("theta must be positive")
+    if sigma2 <= 0.0 or not np.isfinite(sigma2):
+        raise InvalidParameterError("sigma2 must be positive")
+    h = np.asarray(h, dtype=float)
+    if np.any(h < 0.0):
+        raise InvalidParameterError("lag h must be non-negative")
+    u = np.where(h < _DISTANCE_FLOOR, 0.0, h) / theta
+    out = sigma2 * correlation(family, u)
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_radial(spec: KernelSpec, x, x_prime) -> float:
+    """Anisotropic geometric kernel value between two points.
+
+    Equals the 1-D kernel with unit length-scale applied to the scaled
+    radial distance sqrt(sum_j |x_j - x'_j|^2 / theta_j^2).
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    x_prime = np.asarray(x_prime, dtype=float).ravel()
+    if x.size != x_prime.size or x.size != spec.dim:
+        raise ShapeError(
+            f"dimension mismatch: x has {x.size}, x' has {x_prime.size}, "
+            f"theta has {spec.dim}"
+        )
+    h2 = np.sum(((x - x_prime) / spec.theta) ** 2)
+    h = np.sqrt(h2)
+    if h < _DISTANCE_FLOOR:
+        h = 0.0
+    return kernel_1d(spec.family, spec.sigma2, 1.0, h)
+
+
+def sqrtm_psd(K: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition.
+
+    Negative eigenvalues from round-off are clipped at zero, which keeps the
+    result well-defined for nearly singular covariance matrices.
+    """
+    K = np.asarray(K, dtype=float)
+    w, U = np.linalg.eigh(0.5 * (K + K.T))
+    return (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
+
+
+def residual_basis(F):
+    """Orthonormal basis W of the complement of Im F, as check_hypotheses
+    forms it: the identity lifted by ResidualSpace, whose checks it keeps
+    (rank-deficient F raises H1, p >= n raises H2)."""
+    space = ResidualSpace(F)
+    return space.lift(np.eye(space.n - space.p))
+
+
+def msecv_value(dataset, trend, spec):
+    """The MSE-CV criterion y' Kbar Diag(Kbar)^{-2} Kbar y = n * loo_mse
+    of the fit at spec."""
+    return dataset.n * loo_mse(fit_gp(dataset, spec, trend))
 
 
 def dense_gram(X, spec):

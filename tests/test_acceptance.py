@@ -43,12 +43,12 @@ from gpcal.bench import (
 from gpcal.blas import single_threaded_blas
 from gpcal.estimation import EstimationResult, McmcConfig, \
     bayes_predictive, fit_mle
-from gpcal.gp import fit_gp, prediction_interval, projection_basis
+from gpcal.gp import fit_gp, prediction_interval
 from gpcal.loo import loo_coverage, virtual_loo
 from gpcal.rpie import calibrate, predict_calibrated, \
     wasserstein2_gaussians
 
-from conftest import ALL_FAMILIES, brute_force_loo
+from conftest import ALL_FAMILIES, brute_force_loo, residual_basis
 
 ORD = TrendSpec.from_string("ordinary")
 UNI = TrendSpec.from_string("universal")
@@ -157,7 +157,7 @@ def test_criterion_2_residual_matrix_identities():
         from gpcal.gp import compute_kbar
         kbar = compute_kbar(model)
         F = model.F
-        W = projection_basis(F)
+        W = residual_basis(F)
         # trend space lies in the kernel of Kbar
         ok1 = np.linalg.norm(kbar @ F) <= \
             1e-8 * np.linalg.norm(kbar) * np.linalg.norm(F)

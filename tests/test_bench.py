@@ -21,6 +21,7 @@ from gpcal.bench import (
     write_report_csv,
     zhou_log,
 )
+from gpcal.estimation import McmcConfig
 from gpcal.exceptions import DataError, DomainError, InvalidMatrixError, \
     InvalidParameterError
 
@@ -245,6 +246,40 @@ class TestRunExperiment:
             run_experiment("morokoff", scale=ExperimentScale(n=20, d=2,
                                                              seeds=1),
                            alpha=alpha)
+
+    # A method name outside mle, msecv and bayes (case included), a bare
+    # string, which would run one seed per character, and an empty
+    # collection are rejected before any seed runs.
+    @pytest.mark.parametrize("methods", [("MLE",), "mle", (),
+                                         ("mle", "foo")],
+                             ids=["upper_case", "string", "empty", "unknown"])
+    def test_bad_methods_rejected_before_any_seed(self, monkeypatch,
+                                                  methods):
+        import gpcal.bench
+
+        def no_seed(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(gpcal.bench, "_run_seed", no_seed)
+        with pytest.raises(InvalidParameterError, match="methods"):
+            run_experiment("morokoff", scale=ExperimentScale(n=20, d=2,
+                                                             seeds=1),
+                           methods=methods)
+
+    def test_bayes_beside_mle(self):
+        # A repeated name runs once.
+        report = run_experiment(
+            "morokoff", scale=ExperimentScale(n=20, d=2, seeds=1),
+            methods=["mle", "bayes", "mle"], alpha=0.2)
+        assert [r.method for r in report.rows] == ["bayes", "mle",
+                                                   "mle_rpie"]
+        bayes = report.rows[0]
+        assert math.isfinite(bayes.q2) and math.isnan(bayes.loo_cp)
+        assert 0.0 <= bayes.cp <= 1.0 and bayes.mpiw > 0.0
+        assert bayes.converged and bayes.n_evals == McmcConfig().n_samples
+        assert bayes.calibrate_seconds == 0.0
+        assert list(report.calibrations) == [(0, "mle")]
+        assert set(report.summary) == {"bayes", "mle", "mle_rpie"}
 
     def test_smoke_scale_runs_end_to_end(self, tmp_path):
         # n=40, d=2, 3 seeds: completes quickly and produces sane rows.

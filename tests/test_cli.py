@@ -117,6 +117,17 @@ class TestFitCommand:
         doc = json.loads(out.read_text())
         assert doc["standardization"] is None
 
+    @pytest.mark.parametrize("method", ["mle", "msecv"])
+    def test_joint_nugget(self, training_csv, tmp_path, method):
+        path, _, _ = training_csv
+        out = tmp_path / "joint.json"
+        assert main(["fit", "--data", str(path), "--target", "resp",
+                     "--method", method, "--nugget", "joint",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["kernel"]["nugget"] > 0.0
+        assert doc["estimation"]["kernel"] == doc["kernel"]
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--target", "y", "--out", str(tmp_path / "m.json")])
@@ -517,17 +528,27 @@ class TestMalformedInputs:
         elif name == "calibrated_nan_level":
             doc = json.loads(json.dumps(calibrated))
             doc["upper"]["a"] = math.nan
+        elif name == "calibrated_swapped_levels":
+            doc = json.loads(json.dumps(calibrated))
+            doc["upper"]["a"], doc["lower"]["a"] = \
+                doc["lower"]["a"], doc["upper"]["a"]
+        elif name == "calibrated_mismatched_alpha":
+            doc = json.loads(json.dumps(calibrated))
+            doc["alpha"] = 0.1
         return doc
 
     # predict accepts a calibrated document, the other two do not; a
     # calibrated document must carry the step counts (psi_raw) its
-    # loo_coverage() reads and a quantile level a in (0, 1) for each side.
+    # loo_coverage() reads, and the levels 1 - alpha/2 (upper) and
+    # alpha/2 (lower) of its own alpha.
     @pytest.mark.parametrize("subcommand, bad", [
         (sub, bad) for sub in ("calibrate", "predict", "diagnose")
         for bad in ("empty", "not_an_object", "kernel_without_sigma2",
                     "mistyped_theta", "ragged_design",
                     "mistyped_standardization", "calibrated_doc",
-                    "calibrated_without_psi_raw", "calibrated_nan_level")
+                    "calibrated_without_psi_raw", "calibrated_nan_level",
+                    "calibrated_swapped_levels",
+                    "calibrated_mismatched_alpha")
         if (sub, bad) != ("predict", "calibrated_doc")])
     def test_bad_model_document_is_data_error(self, tmp_path, capsys,
                                               subcommand, bad):

@@ -15,6 +15,7 @@ from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import ExperimentScale, experiment_split, \
     sample_gp_response
 from gpcal.estimation import (
+    _NUGGET_BOUNDS,
     _NUGGET_START_BOX,
     _SIGMA2_BOUNDS,
     _START_BOX,
@@ -30,7 +31,6 @@ from gpcal.estimation import (
     fit_mle,
     fit_msecv,
     mle_objective,
-    msecv_objective,
     posterior_mean_kernel,
     random_walk_metropolis,
 )
@@ -39,8 +39,8 @@ from gpcal.exceptions import EstimationFailureError, IllConditionedError, \
 from gpcal.gp import fit_gp
 from gpcal.loo import loo_mse, virtual_loo
 
-from conftest import ALL_FAMILIES, dense_kbar, random_dataset, \
-    random_kernel
+from conftest import ALL_FAMILIES, dense_kbar, msecv_value, \
+    random_dataset, random_kernel
 
 ORD = TrendSpec.from_string("ordinary")
 SIM = TrendSpec.from_string("simple")
@@ -88,20 +88,23 @@ class TestMsecvObjective:
         X = rng.uniform(0, 1, (9, 2))
         y = np.full(9, 4.0)
         ds = Dataset(X=X, y=y)
-        assert msecv_objective(ds, ORD, random_kernel(rng, 2)) <= 1e-18
+        assert msecv_value(ds, ORD, random_kernel(rng, 2)) <= 1e-18
 
     def test_equals_n_times_loo_mse(self, rng):
+        # n * loo_mse against the quadratic form y' Kbar Diag(Kbar)^{-2}
+        # Kbar y from the dense Kbar oracle.
         for _ in range(20):
             ds = random_dataset(rng, n=10, d=2)
             spec = random_kernel(rng, 2)
             model = fit_gp(ds, spec, ORD)
-            assert msecv_objective(ds, ORD, spec) == pytest.approx(
-                ds.n * loo_mse(model), rel=1e-10)
+            kbar = dense_kbar(ds.X, ds.y, model.F, spec)
+            e = (kbar @ ds.y) / np.diag(kbar)
+            assert ds.n * loo_mse(model) == pytest.approx(e @ e, rel=1e-10)
 
     def test_amplitude_invariance_without_nugget(self, rng):
         ds = random_dataset(rng, n=12, d=2)
         theta = rng.uniform(0.3, 1.0, 2)
-        vals = [msecv_objective(
+        vals = [msecv_value(
             ds, ORD, KernelSpec(KernelFamily.MATERN52, s2, theta, 0.0))
             for s2 in (0.1, 1.0, 10.0)]
         assert vals[0] == pytest.approx(vals[1], rel=1e-10)
@@ -315,7 +318,7 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("criterion, public", [
         (_mle_with_dk, mle_objective),
-        (_msecv_with_dk, msecv_objective),
+        (_msecv_with_dk, msecv_value),
     ], ids=["mle", "msecv"])
     @pytest.mark.parametrize("family, trend, nugget", _GRADIENT_CASES)
     def test_matches_central_differences(self, criterion, public, family,
@@ -555,7 +558,7 @@ class TestFitMsecv:
         ds = random_dataset(rng, n=25, d=2)
         result = fit_msecv(ds, ORD, KernelFamily.MATERN52, nugget=0.05,
                            n_starts=2, seed=1)
-        recomputed = msecv_objective(ds, ORD, result.kernel)
+        recomputed = msecv_value(ds, ORD, result.kernel)
         assert result.objective_value == pytest.approx(recomputed,
                                                        rel=1e-10)
         assert result.method == "MSE_CV"
@@ -576,13 +579,40 @@ class TestFitMsecv:
         ds = random_dataset(rng, n=30, d=2)
         result = fit_msecv(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
                            n_starts=3, seed=2)
-        best = msecv_objective(ds, ORD, result.kernel)
+        best = msecv_value(ds, ORD, result.kernel)
         probes = 0
         for _ in range(100):
             spec = random_kernel(rng, 2, family=KernelFamily.MATERN32,
                                  nugget=0.05)
-            probes += msecv_objective(ds, ORD, spec) >= best - 1e-9
+            probes += msecv_value(ds, ORD, spec) >= best - 1e-9
         assert probes >= 97   # allow a couple of lucky probes
+
+
+class TestJointNugget:
+    """Both criteria with the nugget estimated jointly, on a Matern 5/2
+    draw with a known nugget (n = 60, d = 2, seed 3).  The nugget's box is
+    _NUGGET_BOUNDS times var(y)."""
+
+    @staticmethod
+    def _fit(fit, nugget):
+        ds, _ = _simulated_dataset(3, n=60, nugget=nugget,
+                                   family=KernelFamily.MATERN52)
+        result = fit(ds, ORD, KernelFamily.MATERN52, estimate_nugget=True)
+        lo, hi = (b * float(np.var(ds.y)) for b in _NUGGET_BOUNDS)
+        assert lo <= result.kernel.nugget <= hi
+        assert result.kernel.nugget > 0.0
+        assert result.converged
+        return result.kernel.nugget
+
+    @pytest.mark.parametrize("fit", [fit_mle, fit_msecv],
+                             ids=["mle", "msecv"])
+    def test_positive_inside_box_and_converged(self, fit):
+        self._fit(fit, 0.1)
+
+    @pytest.mark.parametrize("nugget", [1e-2, 0.1])
+    def test_mle_recovers_true_nugget(self, nugget):
+        # Within a factor 2 of the nugget the draw was made with.
+        assert nugget / 2.0 <= self._fit(fit_mle, nugget) <= 2.0 * nugget
 
 
 class TestFitArguments:

@@ -15,24 +15,26 @@ from gpcal.exceptions import (
     IllConditionedError,
 )
 from gpcal.gp import (
+    HypothesisReport,
     ResidualSpace,
     build_covariance,
     build_regression_matrix,
     check_hypotheses,
     compute_kbar,
+    factor_covariance,
     fit_gp,
     model_from_dict,
     model_to_dict,
     predict,
     prediction_interval,
-    projection_basis,
     solve_gls,
 )
 from gpcal.kernels import cross_covariance, gram_matrix
 from gpcal.loo import SigmaScanBasis, loo_coverage
 from gpcal.stats import normal_quantile
 
-from conftest import dense_kbar, dense_predict, random_dataset, random_kernel
+from conftest import dense_kbar, dense_predict, random_dataset, \
+    random_kernel, residual_basis
 
 ORD = TrendSpec.from_string("ordinary")
 UNI = TrendSpec.from_string("universal")
@@ -97,6 +99,33 @@ class TestBuildCovariance:
         K, L, jitter = build_covariance(X, spec)
         assert jitter > 0.0
         np.testing.assert_allclose(L @ L.T, K, rtol=1e-10, atol=1e-12)
+
+
+class TestJitterEscalation:
+    """factor_covariance past its first ridge: a symmetric matrix whose
+    smallest eigenvalue is -5e-9 sigma2 fails at the ridges 1e-10 and
+    1e-9 sigma2 and factors at 1e-8 sigma2; at -1e-3 sigma2 no ridge up to
+    1e-6 sigma2 helps."""
+
+    @staticmethod
+    def _with_smallest(eig, sigma2):
+        Q = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)))[0]
+        A = (Q * (sigma2 * np.array([2.0, 1.0, 0.5, 0.3, 0.1, eig]))) @ Q.T
+        return 0.5 * (A + A.T)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 3.7])
+    def test_third_ridge_factors(self, sigma2):
+        A = self._with_smallest(-5e-9, sigma2)
+        K, L, jitter = factor_covariance(A, 0.0, sigma2)
+        assert jitter == pytest.approx(1e-8 * sigma2, rel=1e-12)
+        np.testing.assert_array_equal(K, A + jitter * np.eye(6))
+        np.testing.assert_allclose(L @ L.T, K, rtol=0.0, atol=1e-14 * sigma2)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 3.7])
+    def test_beyond_largest_ridge_raises(self, sigma2):
+        with pytest.raises(IllConditionedError, match="maximum jitter"):
+            factor_covariance(self._with_smallest(-1e-3, sigma2), 0.0,
+                              sigma2)
 
 
 class TestFitBeta:
@@ -261,7 +290,7 @@ class TestKbar:
         ds = random_dataset(rng, n=10, d=2)
         model = fit_gp(ds, random_kernel(rng, 2), ORD)
         kbar = compute_kbar(model)
-        W = projection_basis(model.F)
+        W = residual_basis(model.F)
         alt = W @ np.linalg.inv(W.T @ model.K @ W) @ W.T
         np.testing.assert_allclose(kbar, alt,
                                    atol=1e-8 * np.linalg.norm(kbar))
@@ -461,7 +490,7 @@ class TestResidualSpace:
             want_V = W @ U
             assert np.abs(space.lift(U) - want_V).max() <= \
                 self.TOL * np.abs(want_V).max()
-            np.testing.assert_allclose(projection_basis(F) @ U, want_V,
+            np.testing.assert_allclose(residual_basis(F) @ U, want_V,
                                        rtol=0.0, atol=self.TOL)
             # Standardized residuals from the explicit basis.
             nugget = 1e-3
@@ -479,22 +508,20 @@ class TestResidualSpace:
     def test_rank_deficient_raises_h1(self, rng):
         x = rng.uniform(0.0, 1.0, 10)
         F = np.column_stack([np.ones(10), x, 2.0 * x])
-        for build in (ResidualSpace, projection_basis):
-            with pytest.raises(HypothesisH1Error):
-                build(F)
+        with pytest.raises(HypothesisH1Error):
+            ResidualSpace(F)
 
     @pytest.mark.parametrize("p", [3, 4])
     def test_no_residual_space_raises_h2(self, rng, p):
         F = rng.standard_normal((3, p))
-        for build in (ResidualSpace, projection_basis):
-            with pytest.raises(HypothesisH2Error):
-                build(F)
+        with pytest.raises(HypothesisH2Error):
+            ResidualSpace(F)
 
 
 class TestProjectionBasis:
     def test_ordinary_gives_centering_projector(self):
         F = np.ones((6, 1))
-        W = projection_basis(F)
+        W = residual_basis(F)
         expected = np.eye(6) - np.full((6, 6), 1.0 / 6.0)
         np.testing.assert_allclose(W @ W.T, expected, atol=1e-12)
 
@@ -502,7 +529,7 @@ class TestProjectionBasis:
         for _ in range(10):
             n, p = 12, 3
             F = rng.standard_normal((n, p))
-            W = projection_basis(F)
+            W = residual_basis(F)
             np.testing.assert_allclose(W.T @ W, np.eye(n - p), atol=1e-10)
             assert np.linalg.norm(F.T @ W) <= 1e-10
             direct = np.eye(n) - F @ np.linalg.inv(F.T @ F) @ F.T
@@ -511,7 +538,7 @@ class TestProjectionBasis:
     def test_full_basis_rejected(self, rng):
         F = rng.standard_normal((3, 3))
         with pytest.raises(HypothesisH2Error):
-            projection_basis(F)
+            residual_basis(F)
 
 
 class TestCheckHypotheses:
@@ -544,6 +571,41 @@ class TestCheckHypotheses:
         # sigma_eps ~ 0, so k_eps counts (Pi y)_i <= ~0: the negatives.
         assert report.k_eps == 4
         assert report.h3
+
+    # One ordinary-kriging design at a = 0.9 and at 1 - a = 0.1, at two
+    # nuggets: (nugget, a, k_eps, h3).  With the nugget 1.0 the count
+    # sits on the wrong side of n a at both levels.
+    @pytest.mark.parametrize("nugget, a, k_eps, h3", [
+        (0.09, 0.9, 22, True), (0.09, 0.1, 6, True),
+        (1.0, 0.9, 30, False), (1.0, 0.1, 1, False)])
+    def test_pinned_reports_on_both_sides(self, nugget, a, k_eps, h3):
+        local = np.random.default_rng(0)
+        n = 30
+        X = local.uniform(0, 1, (n, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] + 0.3 * local.standard_normal(n)
+        spec = KernelSpec(KernelFamily.MATERN52, 1.0, np.array([0.5, 0.5]),
+                          nugget=nugget)
+        report = check_hypotheses(Dataset(X=X, y=y), ORD, spec, a)
+        assert report == HypothesisReport(h1=True, h2=True, h3=h3,
+                                          k_eps=k_eps, n_times_a=n * a)
+        # For the ordinary trend Pi = I - 11'/n, so Pi_ii = 1 - 1/n.
+        ratios = (y - y.mean()) / np.sqrt(1.0 - 1.0 / n)
+        assert k_eps == int(np.sum(
+            ratios <= np.sqrt(nugget) * normal_quantile(a)))
+
+    def test_collinear_universal_trend_fails_h1(self, rng):
+        x = rng.uniform(0, 1, 10)
+        ds = Dataset(X=np.column_stack([x, x]), y=np.arange(10.0))
+        spec = KernelSpec(KernelFamily.MATERN52, 1.0, np.ones(2))
+        assert check_hypotheses(ds, UNI, spec, 0.9) == HypothesisReport(
+            h1=False, h2=False, h3=False, k_eps=0, n_times_a=10 * 0.9)
+
+    def test_no_residual_space_fails_h2(self, rng):
+        # Universal trend on n = d + 1 points: p = n.
+        ds = Dataset(X=rng.uniform(0, 1, (3, 2)), y=np.arange(3.0))
+        spec = KernelSpec(KernelFamily.MATERN52, 1.0, np.ones(2))
+        assert check_hypotheses(ds, UNI, spec, 0.9) == HypothesisReport(
+            h1=True, h2=False, h3=False, k_eps=0, n_times_a=3 * 0.9)
 
 
 class TestPersistence:

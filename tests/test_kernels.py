@@ -15,13 +15,11 @@ from gpcal.kernels import (
     correlation,
     cross_covariance,
     gram_matrix,
-    kernel_1d,
-    kernel_radial,
     pairwise_sq_diffs,
     scaled_distance_matrix,
 )
 
-from conftest import ALL_FAMILIES
+from conftest import ALL_FAMILIES, kernel_1d, kernel_radial
 
 
 class TestKernel1d:

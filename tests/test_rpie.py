@@ -41,12 +41,11 @@ from gpcal.rpie import (
     predict_calibrated,
     relaxation_objective,
     sigma_opt,
-    sqrtm_psd,
     wasserstein2_gaussians,
 )
 from gpcal.stats import normal_quantile
 
-from conftest import random_dataset
+from conftest import random_dataset, sqrtm_psd
 
 ORD = TrendSpec.from_string("ordinary")
 

@@ -4,9 +4,12 @@ Every imported name is used or re-exported through ``__all__``, every
 private module-level function or class and every private method is
 referenced somewhere in the package outside its own definition, and every
 private module-level constant is read somewhere in the package, so that a
-deletion leaves no orphan behind.  Every public one is either listed in an
-``__all__`` or referenced from the package, the benchmark (``perfbench``)
-or the demos: code that only the tests call does not belong in the package.
+deletion leaves no orphan behind.  Every public module-level function is
+called from the package outside its own definition, from the benchmark
+(``perfbench``) or the demos, or named in the README; every other public
+class or method is either listed in an ``__all__`` or referenced from those
+places.  Code that only the tests call does not belong in the package, and
+an ``__all__`` entry does not excuse a function.
 Every private name cited in backticks in a docstring, a comment or the
 README names something the package defines, so that prose does not
 outlive the code it describes.  The package calls scipy.linalg only
@@ -29,6 +32,7 @@ SRC = ROOT / "src" / "gpcal"
 MODULES = sorted(SRC.glob("*.py"))
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) \
     + sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
 
 
 def _tree(path):
@@ -144,16 +148,48 @@ def test_private_definitions_are_referenced():
     assert not orphans, f"unreferenced private definitions: {orphans}"
 
 
+def _uncalled_functions(trees: dict, callers: list, readme: str) -> list:
+    """Public module-level functions of trees, as "module: name", that no
+    code in trees or callers reads outside their own definition and that
+    readme does not name.  Names imported from a module do not count, so
+    neither does a re-export or an ``__all__`` entry."""
+    calls = Counter()
+    for tree in [*trees.values(), *callers]:
+        calls += _names(tree)
+    return [f"{name}: {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and calls[node.name] <= _names(node)[node.name]
+            and not re.search(rf"\b{node.name}\b", readme)]
+
+
 def test_public_definitions_are_exported_or_used():
     trees = {path.name: _tree(path) for path in MODULES}
-    refs = _references([*trees.values(), *map(_tree, CALLERS)])
+    callers = list(map(_tree, CALLERS))
+    refs = _references([*trees.values(), *callers])
     exported = set().union(*map(_dunder_all, trees.values()))
     unused = [f"{name}: {node.name}"
               for name, tree in trees.items()
               for node in _definitions(tree, lambda n: not n.startswith("_"))
               if node.name not in exported
               and refs[node.name] <= _names(node)[node.name]]
+    unused += _uncalled_functions(trees, callers, README)
     assert not unused, f"public definitions only tests use: {unused}"
+
+
+def test_function_rule_ignores_all_entries():
+    module = ast.parse(
+        '__all__ = ["helper", "used", "benched", "documented"]\n'
+        "def helper(x):\n    return helper(x - 1) if x else 0\n"
+        "def used():\n    pass\n"
+        "def benched():\n    pass\n"
+        "def documented():\n    pass\n"
+        "def _private():\n    return used()\n")
+    caller = ast.parse("from gpcal.m import benched, helper\nbenched()\n")
+    assert _uncalled_functions({"m.py": module}, [caller],
+                               "Call `documented()` first.") \
+        == ["m.py: helper"]
 
 
 def test_private_constants_are_read():

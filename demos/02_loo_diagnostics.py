@@ -17,10 +17,9 @@ from gpcal import (
     loo_coverage,
     loo_mse,
     predict,
-    quasi_gaussian,
-    quasi_gaussian_smoothed,
     virtual_loo,
 )
+from gpcal.loo import psi_from_residuals, psi_smoothed_from_residuals
 
 rng = np.random.default_rng(1)
 n, d = 25, 2
@@ -51,6 +50,7 @@ print(f"LOO coverage at 90%:     {loo_coverage(model, alpha=0.1):.3f}")
 # The quasi-Gaussian proportion counts standardized residuals below a
 # normal quantile; its smoothed variant is continuous in the amplitude.
 for a in (0.95, 0.05):
-    raw = quasi_gaussian(model, a)
-    smooth = quasi_gaussian_smoothed(model, a, SmoothingParams(0.01))
+    raw = psi_from_residuals(diag.std_resid, a)
+    smooth = psi_smoothed_from_residuals(diag.std_resid, a,
+                                         SmoothingParams(0.01))
     print(f"proportion at a={a:.2f}: raw {raw:.3f}, smoothed {smooth:.3f}")

@@ -49,8 +49,6 @@ from .loo import (
     SmoothingParams,
     loo_coverage,
     loo_mse,
-    quasi_gaussian,
-    quasi_gaussian_smoothed,
     virtual_loo,
 )
 from .rpie import (
@@ -77,8 +75,7 @@ __all__ = [
     "calibrate", "calibrate_quantile", "check_hypotheses", "compute_kbar",
     "compute_metrics", "fit_gp", "fit_mle", "fit_msecv", "loo_coverage",
     "loo_mse", "mle_objective", "morokoff_caflisch", "predict",
-    "predict_calibrated", "prediction_interval", "quasi_gaussian",
-    "quasi_gaussian_smoothed", "relaxation_objective", "run_experiment",
-    "sample_design", "sigma_opt", "virtual_loo", "wasserstein2_gaussians",
-    "wing_weight", "zhou_log",
+    "predict_calibrated", "prediction_interval", "relaxation_objective",
+    "run_experiment", "sample_design", "sigma_opt", "virtual_loo",
+    "wasserstein2_gaussians", "wing_weight", "zhou_log",
 ]

@@ -7,6 +7,10 @@ Exit codes form a stable scripting contract:
     3  data error (malformed CSV, schema mismatch)
     4  numerical or hypothesis failure
 
+An input file that cannot be opened (missing, a directory, unreadable)
+is a data error; an output that cannot be written (its directory missing
+or not a directory) is a usage error.
+
 Every run writes a ``*.manifest.json`` next to its outputs recording the
 inputs (with hashes), flags, seed, and library versions.  Per-column
 z-score standardization is on by default; the transform is stored with the
@@ -52,12 +56,19 @@ __all__ = ["main", "ingest_csv"]
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _open_input(path, **kwargs):
+    """The input file at path opened for reading; a DataError when it
+    cannot be opened."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _parse_numeric_csv(path):
     """Header + float matrix; non-numeric and non-finite cells name their
     data row."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -242,9 +253,7 @@ def _load_model_doc(path):
     """The JSON document at path, the model it holds and its reference
     fit: a CalibratedIntervalModel when it has both bounds, else a
     FittedGp.  A missing or mistyped field is a DataError."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path) as fh:
+    with _open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -352,11 +361,17 @@ def cmd_calibrate(args) -> int:
 
 
 def _read_features(path, doc, d_model):
+    """The feature matrix of the CSV at path: its columns picked by the
+    names the model document stores, every one required, or taken by
+    position when the document stores none."""
     header, data = _parse_numeric_csv(path)
     columns = doc.get("columns") or []
-    if columns and set(columns).issubset(header):
-        idx = [header.index(c) for c in columns]
-        data = data[:, idx]
+    if columns:
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing feature columns {missing}; "
+                            f"columns are {header}")
+        data = data[:, [header.index(c) for c in columns]]
     if data.shape[1] != d_model:
         raise DataError(
             f"{path}: model expects {d_model} feature columns, got "
@@ -534,6 +549,10 @@ def main(argv=None) -> int:
     except GpcalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # Inputs are opened by _open_input, so this is an output.
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,8 +35,6 @@ __all__ = [
     "SmoothingParams",
     "virtual_loo",
     "loo_mse",
-    "quasi_gaussian",
-    "quasi_gaussian_smoothed",
     "loo_coverage",
     "psi_from_residuals",
     "psi_smoothed_from_residuals",
@@ -132,19 +130,6 @@ def psi_smoothed_from_residuals(std_resid: np.ndarray, a: float,
         return float(_ramp_mean(z, normal_quantile(a), 1.0, params.delta))
     return 1.0 - float(_ramp_mean(z, normal_quantile(1.0 - a), -1.0,
                                   params.delta))
-
-
-def quasi_gaussian(model: FittedGp, a: float) -> float:
-    """psi_a = (1/n) sum h(q_a - (Kbar y)_i / sqrt(Kbar_ii))."""
-    diag = virtual_loo(model)
-    return psi_from_residuals(diag.std_resid, a)
-
-
-def quasi_gaussian_smoothed(model: FittedGp, a: float,
-                            params: SmoothingParams) -> float:
-    """Smoothed proportion psi_delta at level a for a fitted model."""
-    diag = virtual_loo(model)
-    return psi_smoothed_from_residuals(diag.std_resid, a, params)
 
 
 def loo_coverage(model: FittedGp, alpha: float) -> float:

@@ -48,16 +48,16 @@ on the ``_SIGMA_SCAN`` range, to adjacent doubles: the smallest amplitude
 at which psi_delta - a is zero or has left the strict sign it has at the
 bottom of the range.  When n * a is an integer, psi_delta equals a on a
 whole interval of amplitudes, and the left end is its smallest point.
-With zero nugget psi_delta is piecewise linear in 1 / sqrt(sigma2), with
-at most 2n breakpoints: one array evaluates it there, the linear piece of
-the crossing gives the root, and a short gallop snaps it to the
-transition double, which is unique since the predicate is monotone.  With
-a positive nugget the grid is scanned in batches of amplitudes for the
-first crossing, which Illinois regula falsi in log sigma2 solves inside
-its grid cell.  Either way a root costs a few scalar evaluations, not the
-~50 steps of a bisection.  The root is kept exact: stopping at 1e-9
-relative moves the W2 objectives of the lambda grid by up to 4e-5, since
-W2 is a difference of traces that cancel.
+Both state forms find it one way: the grid is scanned in batches of
+amplitudes for the first crossing, which Illinois regula falsi in log
+sigma2 solves inside its grid cell before a short gallop snaps it to
+adjacent doubles.  With zero nugget psi_delta is monotone in sigma2, so
+the root is the predicate's unique transition double.  Only with a
+positive nugget does the scan continue past the top of the grid.  A root
+costs about a dozen scalar evaluations, not the ~50 steps of a bisection.
+The root is kept exact: stopping at 1e-9 relative moves the W2 objectives
+of the lambda grid by up to 4e-5, since W2 is a difference of traces that
+cancel.
 
 Each side then refines its best grid lambda in log lambda by Brent's
 method on the two grid cells around it.  It fits no parabola until the
@@ -150,14 +150,10 @@ _PARABOLA_BRACKET = 1e-2
 # arrays, and the scan stops at the first batch holding a crossing.
 _SCAN_CHUNK = 64
 
-# Relative bracket width at which the positive-nugget regula falsi hands
-# over to the ulp gallop of ``_Side._snap``: near the root the excess is
-# round-off, which gives regula falsi no usable slope.
+# Relative bracket width at which the regula falsi of the amplitude root
+# hands over to the ulp gallop of ``_Side._snap``: near the root the excess
+# is round-off, which gives regula falsi no usable slope.
 _ROOT_RTOL = 1e-12
-
-# Excess within which a breakpoint of the zero-nugget root counts as zero
-# when the candidate is picked (see ``_Side._scale_free_root``).
-_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -361,11 +357,10 @@ class _Calibration:
         X = ref.dataset.X
         self.h0 = scaled_distances(X, X, ref.kernel.theta)
         grid = _SIGMA_SCAN.points(scale=_data_scales(ref.dataset)[1])
-        # Zero nugget: the root is solved exactly over the grid's range.
-        # A positive nugget scans in ascending batches: the grid, then its
-        # extension past the top.
-        self.scan_range = (float(grid[0]), float(grid[-1]))
-        parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 else []
+        # The root scans ascending batches: the grid and, with a positive
+        # nugget, its extension past the top.
+        parts = [grid, _scan_extension(grid)] if self.nugget > 0.0 \
+            else [grid]
         self.batches = [part[i:i + _SCAN_CHUNK] for part in parts
                         for i in range(0, part.size, _SCAN_CHUNK)]
         self._state = None
@@ -403,7 +398,10 @@ class _LambdaState:
     form the nugget selects.  Both give the GLS mean ``mean(sigma2)`` and
     ``root(sigma2, cal)`` = Tr (L0' K L0)^{1/2} from A = L0' R L0, L0 the
     reference fit's Cholesky factor; A is formed on first use, by two
-    triangular products (``dtrmm``).
+    triangular products (``dtrmm``).  Both also give the standardized
+    residuals at one amplitude or a vector of them (``std_residuals``),
+    and build those of the amplitude scan one batch at a time as the sides
+    ask for them.
 
     Scale-free form, with zero nugget: K = sigma2 R, so the standardized
     LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
@@ -419,9 +417,7 @@ class _LambdaState:
     which gives W' R W and V = W U by F's reflectors), from which each
     batch of amplitudes costs two matrix products.  The mean is
     y - K Kbar y with Kbar y from the basis, and root = Tr (sigma2 A +
-    nugget L0' L0)^{1/2}, with the calibration's L0' L0.  Its residuals
-    on the amplitude scan are built one batch at a time as the sides ask
-    for them.
+    nugget L0' L0)^{1/2}, with the calibration's L0' L0.
     """
 
     def __init__(self, cal: _Calibration, lam: float):
@@ -469,17 +465,18 @@ class _LambdaState:
             return math.sqrt(sigma2) * self._t1
         return _trace_root(sigma2 * self.A + self._nugget * cal.L0tL0)
 
-    def std_residuals(self, sigma2: float) -> np.ndarray:
-        """Standardized residuals at amplitude sigma2."""
+    def std_residuals(self, sigma2s) -> np.ndarray:
+        """Standardized residuals at amplitude sigma2s: shape (n,) for a
+        scalar, and (G, n) with row g at sigma2s[g] for G amplitudes."""
         if self.basis is None:
-            return self.z1 / math.sqrt(sigma2)
-        return self.basis.std_residuals(sigma2)
+            return self.z1 / np.sqrt(sigma2s)[..., None]
+        return self.basis.std_residuals(sigma2s)
 
     def residuals(self, k: int) -> np.ndarray:
-        """Eigenbasis form: standardized residuals at the amplitudes of
-        scan batch k, one row per amplitude."""
+        """Standardized residuals at the amplitudes of scan batch k, one
+        row per amplitude."""
         if k not in self._residuals:
-            self._residuals[k] = self.basis.std_residuals(self._batches[k])
+            self._residuals[k] = self.std_residuals(self._batches[k])
         return self._residuals[k]
 
 
@@ -490,11 +487,11 @@ class _Side:
     A lower bound (a < 1/2) is evaluated in the upper orientation,
     psi_a(z) = 1 - psi_{1-a}(-z), so that negating y swaps the two sides
     bit for bit.  The level, the smoothing width and q are checked and
-    computed once here.  ``sigma_opt_at`` solves the equation exactly in
-    the scale-free form (``_scale_free_root``) and by regula falsi in the
-    eigenbasis form (``_scan_root``); both end in ``_snap``, which rounds
-    the root to adjacent doubles.  The root predicate is written once, as
-    f >= 0 with f = +-(psi_delta - a) (``_signed``).
+    computed once here.  ``sigma_opt_at`` solves the equation by a scan
+    and regula falsi (``_scan_root``), in either state form, and ends in
+    ``_snap``, which rounds the root to adjacent doubles.  The root
+    predicate is written once, as f >= 0 with f = +-(psi_delta - a)
+    (``_signed``).
     """
 
     def __init__(self, cal: _Calibration, a: float):
@@ -518,56 +515,12 @@ class _Side:
     def sigma_opt_at(self, lam: float) -> float | None:
         """Left end of the first crossing of psi_delta = a on the scan
         range at lam; None when the range has no crossing."""
-        state = self.cal.at(lam)
-        if state.basis is None:
-            return self._scale_free_root(state)
-        return self._scan_root(state)
+        return self._scan_root(self.cal.at(lam))
 
     def _hit(self, state: _LambdaState, negative: bool, s2: float) -> bool:
         """Whether psi_delta - a is zero at s2 or has lost the strict sign
         it has at the bottom of the scan (negative: below zero there)."""
         return self._signed(state.std_residuals(s2), negative) >= 0.0
-
-    def _scale_free_root(self, state: _LambdaState) -> float | None:
-        """The exact root with zero nugget.
-
-        With t = 1 / sqrt(sigma2) the residuals are z(1) t, and each ramp
-        term is linear in t between its breakpoints (q - delta) / u_i and
-        q / u_i, u_i = sign z(1)_i > 0 (a term with u_i <= 0 stays at 1,
-        since delta < q).  So psi_delta is non-decreasing in sigma2, and so
-        is its floating-point value, every step of which is correctly
-        rounded and monotone: the predicate has one transition double.
-        One (m, n) array evaluates the excess at the breakpoints inside
-        the scan range and at its two ends.  Its rows, z(1) / sqrt(sigma2)
-        as ``std_residuals`` forms them, equal the scalar evaluation bit
-        for bit, so the first row at or above zero and the row before
-        bracket the transition.  The linear piece between them gives the
-        candidate, which ``_snap`` turns into adjacent doubles.  A low
-        breakpoint within ``_ZERO_TOL`` of zero is itself the candidate:
-        at the left edge of a plateau psi_delta = a (n * a an integer) it
-        reads a few ulps below zero, and the linear solve across the
-        plateau would land at its far edge.
-        """
-        lo, hi = self.cal.scan_range
-        u = self.sign * state.z1
-        u = u[u > 0.0]
-        s2 = np.concatenate(((lo, hi), (u / self.q) ** 2,
-                             (u / (self.q - self.delta)) ** 2))
-        s2 = np.sort(s2[(s2 >= lo) & (s2 <= hi)])
-        g = self.excess(state.z1 / np.sqrt(s2)[:, None])
-        if g[0] >= 0.0:
-            return lo if g[0] == 0.0 else None
-        if g[-1] < 0.0:
-            return None
-        k = int(np.argmax(g >= 0.0))
-        lo, hi = float(s2[k - 1]), float(s2[k])
-        if g[k - 1] >= -_ZERO_TOL:
-            guess = lo
-        else:
-            t_lo, t_hi = 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
-            t = t_lo + (t_hi - t_lo) * (g[k - 1] / (g[k - 1] - g[k]))
-            guess = min(max(1.0 / (t * t), lo), hi)
-        return self._snap(state, True, guess, lo, hi)
 
     def _snap(self, state: _LambdaState, negative: bool, guess: float,
               lo: float, hi: float) -> float:
@@ -596,9 +549,9 @@ class _Side:
         return self._left_end(state, negative, lo, hi)
 
     def _scan_root(self, state: _LambdaState) -> float | None:
-        """The root with a positive nugget: scan the amplitude batches for
-        the first crossing, then solve it in its grid cell by Illinois
-        regula falsi (``_illinois``)."""
+        """The root: scan the amplitude batches for the first crossing,
+        then solve it in its grid cell by Illinois regula falsi
+        (``_illinois``)."""
         g = self.excess(state.residuals(0)[0])
         if g == 0.0:
             return float(self.cal.batches[0][0])
@@ -909,9 +862,8 @@ def sigma_opt(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     The search runs on a reference fit at theta and unit amplitude, whose
     law it never forms.  The left end of the first crossing on the scan
     range is returned, to adjacent doubles, so a plateau psi_delta = a
-    (n * a an integer) yields its smallest point: exactly, from the
-    breakpoints of psi_delta, with zero nugget, and by regula falsi in the
-    grid cell of the crossing with a positive nugget, where the scan
+    (n * a an integer) yields its smallest point.  It is solved by regula
+    falsi in the grid cell of the crossing; with a positive nugget the scan
     continues past the top of the grid when the grid itself has no
     crossing.  Absence (no crossing anywhere) is a value, not an error; it
     arises in the no-nugget case for extreme length-scales.

@@ -10,9 +10,9 @@ import pytest
 
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.cli import build_parser, ingest_csv, main
-from gpcal.estimation import EstimationResult
+from gpcal.estimation import EstimationResult, mle_objective
 from gpcal.exceptions import DataError
-from gpcal.gp import fit_gp, model_to_dict, predict
+from gpcal.gp import fit_gp, model_from_dict, model_to_dict, predict
 from gpcal.rpie import GridSpec, RpieConfig, calibrate
 
 
@@ -21,6 +21,11 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -147,6 +152,31 @@ class TestFitCommand:
                      "--out", str(tmp_path / "m.json")])
         assert code == 4
 
+    def test_bayes_fit_writes_a_usable_model(self, tmp_path, capsys):
+        # The posterior-mean kernel of a Bayesian fit is stored with its
+        # profile NLL, and the model it writes predicts.
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, (30, 2))
+        y = np.sin(4 * X[:, 0]) + X[:, 1]
+        path = tmp_path / "train.csv"
+        _write_csv(path, ["a", "b", "resp"],
+                   [[X[i, 0], X[i, 1], y[i]] for i in range(30)])
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(path), "--target", "resp",
+                     "--method", "bayes", "--nugget", "fixed:1e-4",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["estimation"]["method"] == "BAYES"
+        model = model_from_dict(doc)
+        assert doc["estimation"]["objective_value"] == mle_objective(
+            model.dataset, model.trend, model.kernel)
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], X[:4].tolist())
+        assert main(["predict", "--model", str(out), "--data", str(feat),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert len(_read_rows(tmp_path / "p.csv")) == 4
+        capsys.readouterr()
+
     @pytest.mark.parametrize("method", ["mle", "msecv"])
     def test_duplicated_rows_without_nugget_named(self, tmp_path, capsys,
                                                   method):
@@ -190,7 +220,7 @@ class TestPredictAndDiagnose:
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model_path), "--data",
                      str(feat), "--alpha", "0.1", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = _read_rows(out)
         assert len(rows) == X.shape[0]
         means = np.array([float(r["mean"]) for r in rows])
         lowers = np.array([float(r["lower"]) for r in rows])
@@ -241,12 +271,64 @@ class TestPredictAndDiagnose:
                      str(feat), "--out", str(tmp_path / "p.csv")])
         assert code == 3
 
+    def test_feature_columns_matched_by_name(self, fitted_model, tmp_path):
+        # A header in another order, or with extra columns, is reordered
+        # by the stored names: the same predictions.
+        _, model_path, X, y = fitted_model
+        outs = []
+        for header, rows in ((["a", "b"], X[:6]),
+                             (["b", "a"], X[:6, ::-1]),
+                             (["resp", "b", "a"],
+                              np.column_stack([y[:6], X[:6, ::-1]]))):
+            feat = tmp_path / "features.csv"
+            _write_csv(feat, header, rows.tolist())
+            out = tmp_path / "pred.csv"
+            assert main(["predict", "--model", str(model_path), "--data",
+                         str(feat), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("header, missing", [
+        (["a", "c"], "['b']"), (["p", "q"], "['a', 'b']")])
+    def test_missing_feature_column_is_data_error(self, fitted_model,
+                                                  tmp_path, capsys, header,
+                                                  missing):
+        # A model that stores its column names needs every one of them,
+        # even when the CSV has as many columns as the model.
+        _, model_path, X, _ = fitted_model
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, header, X[:3].tolist())
+        code = main(["predict", "--model", str(model_path), "--data",
+                     str(feat), "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert f"missing feature columns {missing}" in capsys.readouterr().err
+
+    def test_unnamed_columns_match_by_position(self, fitted_model,
+                                               tmp_path):
+        # A document that stores no column names takes the features in
+        # the CSV's order, whatever its header.
+        _, model_path, X, _ = fitted_model
+        doc = json.loads(model_path.read_text())
+        doc["columns"] = []
+        unnamed = tmp_path / "unnamed.json"
+        unnamed.write_text(json.dumps(doc))
+        outs = []
+        for model, header in ((model_path, ["a", "b"]),
+                              (unnamed, ["p", "q"])):
+            feat = tmp_path / "features.csv"
+            _write_csv(feat, header, X[:5].tolist())
+            out = tmp_path / "pred.csv"
+            assert main(["predict", "--model", str(model), "--data",
+                         str(feat), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[1] == outs[0]
+
     def test_diagnose_emits_loo_columns(self, fitted_model, tmp_path):
         _, model_path, X, y = fitted_model
         out = tmp_path / "diag.csv"
         assert main(["diagnose", "--model", str(model_path), "--out",
                      str(out)]) == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = _read_rows(out)
         assert list(rows[0].keys()) == ["index", "y", "loo_mean",
                                         "loo_sd", "std_resid"]
         assert len(rows) == X.shape[0]
@@ -322,7 +404,7 @@ class TestCalibrateCommand:
                      str(feat), "--out", str(pred_out)]) == 0
         said = capsys.readouterr().out
         assert "coverage sanity" in said
-        rows = list(csv.DictReader(open(pred_out)))
+        rows = _read_rows(pred_out)
         lowers = np.array([float(r["lower"]) for r in rows])
         uppers = np.array([float(r["upper"]) for r in rows])
         covered = float(np.mean((y >= lowers) & (y <= uppers)))
@@ -375,7 +457,7 @@ class TestBenchmarkCommand:
         report = out_dir / "morokoff_report.csv"
         summary = out_dir / "morokoff_summary.json"
         assert report.exists() and summary.exists()
-        rows = list(csv.DictReader(open(report)))
+        rows = _read_rows(report)
         assert {r["method"] for r in rows} == {"mle", "mle_rpie"}
         traces = sorted(p.name for p in out_dir.glob("*_lambda_trace.csv"))
         assert traces == ["morokoff_seed0_mle_lower_lambda_trace.csv",
@@ -481,6 +563,70 @@ class TestBadFlags:
         assert "--alpha" in capsys.readouterr().err
         assert main(argv + ["--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestPathErrors:
+    """An input that cannot be opened is a data error (exit 3) and an
+    output that cannot be written a usage error (exit 2), for every
+    subcommand: no traceback."""
+
+    @pytest.fixture
+    def files(self, training_csv, tmp_path):
+        """A training CSV, a plain model fitted on it and a feature CSV."""
+        path, X, _ = training_csv
+        model = tmp_path / "model.json"
+        ds = ingest_csv(path, "resp")
+        kernel = KernelSpec(KernelFamily.MATERN52, 0.5, [0.4, 0.4],
+                            nugget=1e-3)
+        doc = model_to_dict(fit_gp(ds, kernel,
+                                   TrendSpec.from_string("ordinary")))
+        doc.update(standardization=None, columns=["a", "b"])
+        model.write_text(json.dumps(doc))
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], X[:3].tolist())
+        return str(path), str(model), str(feat)
+
+    @staticmethod
+    def _argv(subcommand, data, model, feat, out):
+        return {
+            "fit": ["fit", "--data", data, "--target", "resp",
+                    "--out", out],
+            "calibrate": ["calibrate", "--reference", model,
+                          "--lambda-grid", "1,1,1", "--out", out],
+            "predict": ["predict", "--model", model, "--data", feat,
+                        "--out", out],
+            "diagnose": ["diagnose", "--model", model, "--out", out],
+        }[subcommand]
+
+    @pytest.mark.parametrize("subcommand, slot", [
+        ("fit", "data"), ("calibrate", "model"), ("predict", "model"),
+        ("predict", "feat"), ("diagnose", "model")])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_input_is_data_error(self, files, tmp_path, capsys,
+                                            subcommand, slot, unreadable):
+        paths = dict(zip(("data", "model", "feat"), files))
+        paths[slot] = str(tmp_path / "nope.csv") if unreadable == "missing" \
+            else str(tmp_path)
+        argv = self._argv(subcommand, **paths, out=str(tmp_path / "out"))
+        assert main(argv) == 3
+        assert "data error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand",
+                             ["fit", "calibrate", "predict", "diagnose"])
+    def test_unwritable_output_is_usage_error(self, files, tmp_path, capsys,
+                                              subcommand):
+        argv = self._argv(subcommand, *files,
+                          out=str(tmp_path / "nodir" / "out.json"))
+        assert main(argv) == 2
+        assert "usage error: cannot write output" in capsys.readouterr().err
+
+    def test_benchmark_out_dir_under_a_file_is_usage_error(self, tmp_path,
+                                                           capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["benchmark", "morokoff", "--n", "20", "--seeds", "1",
+                     "--out-dir", str(blocker / "x")]) == 2
+        assert "usage error: cannot write output" in capsys.readouterr().err
 
 
 class TestMalformedInputs:

@@ -148,6 +148,28 @@ class TestMultistartMinimize:
         np.testing.assert_array_equal(u, -2.0)
         assert value == -6.0 and converged
 
+    def test_unbuildable_kernel_is_unevaluable(self, rng):
+        # Past log sigma2 = 709.8 the amplitude overflows to inf, which
+        # KernelSpec refuses: the objective reports the point as one it
+        # cannot evaluate, and a search started there too still ends on
+        # a finite optimum.
+        ds = random_dataset(rng, n=20, d=2)
+
+        def unpack(u):
+            with np.errstate(over="ignore"):
+                sigma2 = np.exp(u[2])
+            return KernelSpec(KernelFamily.MATERN52, sigma2, np.exp(u[:2]),
+                              nugget=1e-6)
+
+        objective = _log_objective(_mle_with_dk, _Design(ds, ORD), unpack)
+        far = np.array([0.0, 0.0, 800.0])
+        assert objective(far) is None
+        value, u, _, _ = _multistart_minimize(
+            objective, [far, np.zeros(3)],
+            [(-3.0, 3.0), (-3.0, 3.0), (-5.0, 800.0)])
+        assert math.isfinite(value)
+        assert value == objective(u)[0]
+
 
 def _wells(levels):
     """1-d objective min_k levels[k] + (u - c_k)^2 with the wells c_k 4

@@ -13,8 +13,6 @@ from gpcal.loo import (
     loo_mse,
     psi_from_residuals,
     psi_smoothed_from_residuals,
-    quasi_gaussian,
-    quasi_gaussian_smoothed,
     virtual_loo,
 )
 from gpcal.stats import normal_quantile
@@ -108,7 +106,7 @@ class TestVirtualLoo:
         kbar_diag = first.kbar_diag.copy()
         first.kbar_diag[:] = -1.0
         mse = loo_mse(model)
-        quasi_gaussian(model, 0.9)
+        psi_from_residuals(virtual_loo(model).std_resid, 0.9)
         loo_coverage(model, 0.1)
         again = virtual_loo(model)
         assert len(calls) == 1
@@ -147,27 +145,30 @@ class TestQuasiGaussian:
         X = rng.uniform(0, 1, (8, 2))
         y = np.full(8, 3.25)          # constant: in the ordinary trend span
         model = fit_gp(Dataset(X=X, y=y), random_kernel(rng, 2), ORD)
-        assert quasi_gaussian(model, 0.95) == 1.0
-        assert quasi_gaussian(model, 0.05) == 0.0
+        z = virtual_loo(model).std_resid
+        assert psi_from_residuals(z, 0.95) == 1.0
+        assert psi_from_residuals(z, 0.05) == 0.0
 
     def test_half_level_rejected(self, rng):
         ds = random_dataset(rng, n=8, d=1)
         model = fit_gp(ds, random_kernel(rng, 1), ORD)
         with pytest.raises(InvalidParameterError):
-            quasi_gaussian(model, 0.5)
+            psi_from_residuals(virtual_loo(model).std_resid, 0.5)
 
     def test_values_are_counts_over_n(self, rng):
         ds = random_dataset(rng, n=13, d=2)
         model = fit_gp(ds, random_kernel(rng, 2), ORD)
+        z = virtual_loo(model).std_resid
         for a in (0.05, 0.3, 0.7, 0.95):
-            psi = quasi_gaussian(model, a)
+            psi = psi_from_residuals(z, a)
             assert psi == pytest.approx(round(psi * 13) / 13, abs=1e-12)
 
     def test_nondecreasing_in_level(self, rng):
         ds = random_dataset(rng, n=14, d=2)
         model = fit_gp(ds, random_kernel(rng, 2), ORD)
         levels = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95]
-        vals = [quasi_gaussian(model, a) for a in levels]
+        z = virtual_loo(model).std_resid
+        vals = [psi_from_residuals(z, a) for a in levels]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_well_specified_monte_carlo_band(self):
@@ -183,7 +184,7 @@ class TestQuasiGaussian:
                               np.array([0.3, 0.3]), nugget=0.1)
             y = sample_gp_response(X, spec, local)
             model = fit_gp(Dataset(X=X, y=y), spec, SIM)
-            psi = quasi_gaussian(model, 0.9)
+            psi = psi_from_residuals(virtual_loo(model).std_resid, 0.9)
             hits += 0.84 <= psi <= 0.96
         assert hits >= 0.94 * n_seeds
 
@@ -193,8 +194,8 @@ class TestQuasiGaussianSmoothed:
         X = rng.uniform(0, 1, (8, 2))
         model = fit_gp(Dataset(X=X, y=np.full(8, 1.0)),
                        random_kernel(rng, 2), ORD)
-        assert quasi_gaussian_smoothed(model, 0.95,
-                                       SmoothingParams(0.01)) == 1.0
+        assert psi_smoothed_from_residuals(virtual_loo(model).std_resid,
+                                           0.95, SmoothingParams(0.01)) == 1.0
 
     def test_midramp_point_contributes_half(self):
         # One residual exactly delta/2 short of the quantile.
@@ -208,11 +209,12 @@ class TestQuasiGaussianSmoothed:
     def test_converges_to_step_as_delta_shrinks(self, rng):
         ds = random_dataset(rng, n=12, d=2)
         model = fit_gp(ds, random_kernel(rng, 2), ORD)
-        raw = quasi_gaussian(model, 0.95)
+        z = virtual_loo(model).std_resid
+        raw = psi_from_residuals(z, 0.95)
         diffs = []
         for delta in (1e-2, 1e-4, 1e-6):
-            smoothed = quasi_gaussian_smoothed(model, 0.95,
-                                               SmoothingParams(delta))
+            smoothed = psi_smoothed_from_residuals(z, 0.95,
+                                                   SmoothingParams(delta))
             diffs.append(abs(smoothed - raw))
         assert diffs[-1] <= 1e-9
         assert diffs[0] >= diffs[-1]
@@ -221,10 +223,11 @@ class TestQuasiGaussianSmoothed:
         ds = random_dataset(rng, n=8, d=1)
         model = fit_gp(ds, random_kernel(rng, 1), ORD)
         # q_0.6 ~ 0.253: delta = 0.3 exceeds it.
+        z = virtual_loo(model).std_resid
         with pytest.raises(InvalidParameterError):
-            quasi_gaussian_smoothed(model, 0.6, SmoothingParams(0.3))
+            psi_smoothed_from_residuals(z, 0.6, SmoothingParams(0.3))
         with pytest.raises(InvalidParameterError):
-            quasi_gaussian_smoothed(model, 0.4, SmoothingParams(0.3))
+            psi_smoothed_from_residuals(z, 0.4, SmoothingParams(0.3))
 
     def test_lower_ramp_used_below_half(self):
         # h^- equals 1 at exactly the threshold and ramps just below it.
@@ -239,10 +242,11 @@ class TestQuasiGaussianSmoothed:
         ds = random_dataset(rng, n=20, d=2)
         spec = random_kernel(rng, 2, nugget=0.05)
         params = SmoothingParams(0.01)
-        base = quasi_gaussian_smoothed(fit_gp(ds, spec, ORD), 0.95, params)
-        bumped = quasi_gaussian_smoothed(
-            fit_gp(ds, spec.with_(sigma2=spec.sigma2 * (1 + 1e-8)), ORD),
-            0.95, params)
+        base = psi_smoothed_from_residuals(
+            virtual_loo(fit_gp(ds, spec, ORD)).std_resid, 0.95, params)
+        bumped = psi_smoothed_from_residuals(virtual_loo(
+            fit_gp(ds, spec.with_(sigma2=spec.sigma2 * (1 + 1e-8)), ORD)
+        ).std_resid, 0.95, params)
         assert abs(bumped - base) <= 1e-4
 
 

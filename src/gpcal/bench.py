@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .blas import single_threaded_blas
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
-    InvalidParameterError, UsageError
+    InvalidParameterError
 from .gp import Dataset, TrendSpec, _interval, build_covariance, fit_gp, \
     predict
 from .kernels import KernelFamily, KernelSpec
@@ -462,24 +459,13 @@ def _run_seed(name, cfg, scale, methods, alpha, seed):
     return rows, calibrations
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("RPIE_THREADS", "")
-    if not raw.strip():
-        return os.cpu_count() or 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise UsageError(
-            f"RPIE_THREADS must be an integer, got {raw!r}") from None
-
-
 def run_experiment(name: str, scale: ExperimentScale | None = None,
                    methods=("mle",), alpha: float = 0.1) -> BenchReport:
     """Run one canned experiment across seeds and collect the report.
 
-    Seeds run on a pool of min(RPIE_THREADS, seeds) threads with BLAS on
-    one thread, so every thread count computes the same bits; rows are
-    ordered by (seed, method).  ``calibrations`` maps (seed, method) to the
+    Seeds run in order on the caller's thread with BLAS on one thread, and
+    each seed appends its rows in method order, so rows are ordered by
+    (seed, method).  ``calibrations`` maps (seed, method) to the
     CalibratedIntervalModel of each non-Bayesian reference fit.  ``methods``
     is a list or tuple of one or more of "mle", "msecv" and "bayes", each
     run once whatever its count; any other value is rejected before a seed
@@ -490,13 +476,14 @@ def run_experiment(name: str, scale: ExperimentScale | None = None,
     if not methods or not methods <= {"mle", "msecv", "bayes"}:
         raise InvalidParameterError("methods must list mle, msecv or bayes")
     scale = scale or ExperimentScale()
-    job = partial(_run_seed, name, _config(name), scale, methods, alpha)
-    with single_threaded_blas(), ThreadPoolExecutor(
-            max_workers=min(_max_workers(), scale.seeds)) as pool:
-        results = list(pool.map(job, range(scale.seeds)))
-    rows = sorted((r for seed_rows, _ in results for r in seed_rows),
-                  key=lambda r: (r.seed, r.method))
-    calibrations = {k: c for _, cals in results for k, c in cals.items()}
+    cfg = _config(name)
+    rows, calibrations = [], {}
+    with single_threaded_blas():
+        for seed in range(scale.seeds):
+            seed_rows, seed_cals = _run_seed(name, cfg, scale, methods,
+                                             alpha, seed)
+            rows += seed_rows
+            calibrations.update(seed_cals)
 
     summary = {}
     for method in sorted({r.method for r in rows}):

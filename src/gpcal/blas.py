@@ -2,10 +2,9 @@
 
 numpy and scipy each bundle their own OpenBLAS, and each starts one thread
 per core.  At the problem sizes gpcal runs (n of a few hundred), a
-multi-threaded BLAS call costs more than it saves, and with several seeds
-on a thread pool the BLAS threads oversubscribe the cores: the acceptance
-fixture of 4 experiments x 5 seeds took 343 s on 2 cores with default
-threading and about 50 s with one BLAS thread.
+multi-threaded BLAS call costs more than it saves: the acceptance fixture
+of 4 experiments x 5 seeds took 343 s on 2 cores with default threading
+and about 50 s with one BLAS thread.
 
 ``single_threaded_blas()`` sets both libraries to one thread through their
 exported setters and restores the previous counts on exit.  The count is

@@ -3,8 +3,9 @@
 Exit codes form a stable scripting contract:
 
     0  success
-    2  usage error (bad flags, unknown experiment name, bad RPIE_THREADS)
-    3  data error (malformed CSV, schema mismatch)
+    2  usage error (bad flags, unknown experiment name)
+    3  data error (malformed CSV or JSON, undecodable text, schema
+       mismatch)
     4  numerical or hypothesis failure
 
 An input file that cannot be opened (missing, a directory, unreadable)
@@ -65,32 +66,36 @@ def _open_input(path, **kwargs):
         raise DataError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not {exc.encoding} text ({exc.reason})")
+
+
 def _parse_numeric_csv(path):
     """Header + float matrix; non-numeric and non-finite cells name their
     data row."""
     with _open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}")
-        header = [h.strip() for h in header]
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} cells, expected "
-                    f"{len(header)}")
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value at row {i}")
-            if not all(map(math.isfinite, values)):
-                raise DataError(f"{path}: non-finite value at row {i}")
-            rows.append(values)
+            lines = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc)
+    if not lines:
+        raise DataError(f"empty file: {path}")
+    header = [h.strip() for h in lines[0]]
+    rows = []
+    for i, row in enumerate(lines[1:], start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {i} has {len(row)} cells, expected "
+                f"{len(header)}")
+        try:
+            values = [float(c) for c in row]
+        except ValueError:
+            raise DataError(f"{path}: non-numeric value at row {i}")
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: non-finite value at row {i}")
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=float)
@@ -258,6 +263,8 @@ def _load_model_doc(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc)
     try:
         if "upper" in doc and "lower" in doc:
             model = CalibratedIntervalModel.from_dict(doc)

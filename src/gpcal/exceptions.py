@@ -18,8 +18,8 @@ class ShapeError(GpcalError, ValueError):
 
 
 class UsageError(GpcalError, ValueError):
-    """A setting has an invalid value that the flag parser cannot reject:
-    an environment variable, or a flag whose range depends on another."""
+    """A flag has an invalid value that the flag parser cannot reject,
+    such as one whose range depends on another flag."""
 
 
 class DataError(GpcalError, ValueError):

@@ -281,6 +281,18 @@ class TestRunExperiment:
         assert list(report.calibrations) == [(0, "mle")]
         assert set(report.summary) == {"bayes", "mle", "mle_rpie"}
 
+    def test_rows_come_in_seed_then_method_order(self):
+        # Each seed appends its rows in method order, whatever the order
+        # of ``methods``; nothing sorts them afterwards.
+        report = run_experiment(
+            "zhou_nugget", scale=ExperimentScale(n=30, d=2, seeds=2),
+            methods=("msecv", "mle"), alpha=0.2)
+        assert [(r.seed, r.method) for r in report.rows] == [
+            (seed, method) for seed in (0, 1)
+            for method in ("mle", "mle_rpie", "msecv", "msecv_rpie")]
+        assert list(report.calibrations) == [
+            (0, "mle"), (0, "msecv"), (1, "mle"), (1, "msecv")]
+
     def test_smoke_scale_runs_end_to_end(self, tmp_path):
         # n=40, d=2, 3 seeds: completes quickly and produces sane rows.
         report = run_experiment(
@@ -313,14 +325,11 @@ class TestRunExperiment:
             assert line["converged"] == str(row.converged)
             assert int(line["n_evals"]) == row.n_evals
 
-    def test_reruns_are_identical_outside_timings(self, monkeypatch):
-        # One run on one seed thread, the other on two: the thread count
-        # must not reach any row or calibration.
+    def test_reruns_are_identical_outside_timings(self):
+        # Nothing but the timings may differ between two runs.
         kwargs = dict(scale=ExperimentScale(n=30, d=2, seeds=2),
                       methods=("mle",), alpha=0.2)
-        monkeypatch.setenv("RPIE_THREADS", "1")
         r1 = run_experiment("zhou_nugget", **kwargs)
-        monkeypatch.setenv("RPIE_THREADS", "2")
         r2 = run_experiment("zhou_nugget", **kwargs)
         assert len(r1.rows) == len(r2.rows) == 4
         for a, b in zip(r1.rows, r2.rows):

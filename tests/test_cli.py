@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,14 +465,6 @@ class TestBenchmarkCommand:
                           "morokoff_seed0_mle_upper_lambda_trace.csv"]
         assert (out_dir / "morokoff_report.csv.manifest.json").exists()
 
-    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys,
-                                             monkeypatch):
-        monkeypatch.setenv("RPIE_THREADS", "abc")
-        code = main(["benchmark", "morokoff", "--n", "20", "--seeds", "1",
-                     "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "RPIE_THREADS" in capsys.readouterr().err
-
     def test_unknown_experiment_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "unknown", "--out-dir", str(tmp_path)])
@@ -610,6 +603,21 @@ class TestPathErrors:
         argv = self._argv(subcommand, **paths, out=str(tmp_path / "out"))
         assert main(argv) == 3
         assert "data error: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, slot", [
+        ("fit", "data"), ("calibrate", "model"), ("predict", "model"),
+        ("predict", "feat"), ("diagnose", "model")])
+    def test_non_utf8_input_is_data_error(self, files, tmp_path, capsys,
+                                          subcommand, slot):
+        paths = dict(zip(("data", "model", "feat"), files))
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff" + Path(paths[slot]).read_bytes())
+        paths[slot] = str(binary)
+        argv = self._argv(subcommand, **paths, out=str(tmp_path / "out"))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(binary) in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("subcommand",
                              ["fit", "calibrate", "predict", "diagnose"])

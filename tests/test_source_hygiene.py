@@ -17,6 +17,10 @@ through its LAPACK and BLAS wrappers (``scipy.linalg.lapack``,
 ``scipy.linalg.blas``): the front-ends such as ``solve_triangular``,
 ``cholesky`` or ``cho_solve`` check and batch their arguments at a cost of
 several microseconds a call, more than a solve at the sizes gpcal runs.
+No module reads the environment (``os.environ``, ``os.getenv``), imports
+``concurrent.futures`` or ``multiprocessing``, or constructs a
+``threading.Thread``: a call's result depends on its arguments alone, and
+it runs on the caller's thread (``blas`` may hold a ``threading.Lock``).
 """
 
 import ast
@@ -319,3 +323,58 @@ def test_linalg_rule_allows_lapack_and_blas():
 def test_no_scipy_linalg_front_ends(path):
     calls = _linalg_front_end_calls(_tree(path))
     assert not calls, f"{path.name}: scipy.linalg front-ends {calls}"
+
+
+_POOL_MODULES = {"concurrent", "multiprocessing"}
+_ENVIRONMENT = {"environ", "getenv"}
+
+
+def _environment_and_threads(tree) -> list:
+    """Reads of the environment, imports of process or thread pools and
+    references to ``threading.Thread``, as "line: name".  Any attribute
+    named environ, getenv or Thread counts, whatever module alias it is
+    read through."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [f"{node.lineno}: {a.name}" for a in node.names
+                    if a.name.split(".")[0] in _POOL_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            root = node.module.split(".")[0]
+            out += [f"{node.lineno}: {node.module}.{a.name}"
+                    for a in node.names
+                    if root in _POOL_MODULES
+                    or (root == "os" and a.name in _ENVIRONMENT)
+                    or (root == "threading" and a.name == "Thread")]
+        elif isinstance(node, ast.Attribute) and \
+                (node.attr in _ENVIRONMENT or node.attr == "Thread"):
+            out.append(f"{node.lineno}: .{node.attr}")
+    return out
+
+
+@pytest.mark.parametrize("source", [
+    'import os\nos.environ.get("RPIE_THREADS", "")',
+    'import os\nos.getenv("HOME")',
+    "from os import environ",
+    "from concurrent.futures import ThreadPoolExecutor",
+    "import concurrent.futures",
+    "import multiprocessing as mp",
+    "from multiprocessing.pool import Pool",
+    "import threading\nthreading.Thread(target=print).start()",
+    "import threading as th\nclass Worker(th.Thread):\n    pass",
+    "from threading import Thread",
+])
+def test_environment_and_thread_rule_flags(source):
+    assert _environment_and_threads(ast.parse(source))
+
+
+def test_environment_and_thread_rule_allows_lock_and_paths():
+    source = ("import os\nimport threading\n_lock = threading.Lock()\n"
+              'os.path.join(os.path.dirname("a"), "b")\n')
+    assert not _environment_and_threads(ast.parse(source))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads_or_threads(path):
+    found = _environment_and_threads(_tree(path))
+    assert not found, f"{path.name}: environment reads or threads {found}"

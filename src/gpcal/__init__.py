@@ -35,7 +35,6 @@ from .gp import (
     FittedGp,
     HypothesisReport,
     TrendSpec,
-    build_covariance,
     build_regression_matrix,
     check_hypotheses,
     compute_kbar,
@@ -71,7 +70,7 @@ __all__ = [
     "HypothesisReport", "IntervalMetrics", "KernelFamily", "KernelSpec",
     "LooDiagnostics", "McmcConfig", "RpieConfig", "RpieSolution",
     "SmoothingParams", "TrendSpec",
-    "bayes_predictive", "build_covariance", "build_regression_matrix",
+    "bayes_predictive", "build_regression_matrix",
     "calibrate", "calibrate_quantile", "check_hypotheses", "compute_kbar",
     "compute_metrics", "fit_gp", "fit_mle", "fit_msecv", "loo_coverage",
     "loo_mse", "mle_objective", "morokoff_caflisch", "predict",

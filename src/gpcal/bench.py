@@ -30,8 +30,7 @@ from .blas import single_threaded_blas
 from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
     InvalidParameterError
-from .gp import Dataset, TrendSpec, _interval, build_covariance, fit_gp, \
-    predict
+from .gp import Dataset, TrendSpec, _interval, fit_gp, predict
 from .kernels import KernelFamily, KernelSpec
 from .loo import loo_coverage
 from .rpie import calibrate, predict_calibrated
@@ -218,8 +217,13 @@ def sample_design(spec: DesignSpec) -> np.ndarray:
 def sample_gp_response(X: np.ndarray, kernel: KernelSpec,
                        rng: np.random.Generator) -> np.ndarray:
     """One zero-mean draw of the Gaussian law implied by the kernel
-    (nugget included), for well-specified simulation studies."""
-    _, L, _ = build_covariance(np.atleast_2d(X), kernel)
+    (nugget included), for well-specified simulation studies: L z with L
+    the Cholesky factor of K that ``fit_gp`` solves on the design, with
+    zero responses and the simple trend, so K passes its duplicated-row
+    check and jitter policy."""
+    X = np.atleast_2d(X)
+    L = fit_gp(Dataset(X, np.zeros(X.shape[0])), kernel,
+               TrendSpec.from_string("simple")).gls.L
     return L @ rng.standard_normal(L.shape[0])
 
 

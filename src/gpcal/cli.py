@@ -5,7 +5,7 @@ Exit codes form a stable scripting contract:
     0  success
     2  usage error (bad flags, unknown experiment name)
     3  data error (malformed CSV or JSON, undecodable text, schema
-       mismatch)
+       mismatch, a repeated column name)
     4  numerical or hypothesis failure
 
 An input file that cannot be opened (missing, a directory, unreadable)
@@ -72,15 +72,21 @@ def _undecodable(path, exc: UnicodeDecodeError) -> DataError:
 
 def _parse_numeric_csv(path):
     """Header + float matrix; non-numeric and non-finite cells name their
-    data row."""
+    data row.  A file the csv module cannot read (a cell over its field
+    limit, say) and a header that repeats a name are data errors."""
     with _open_input(path, newline="") as fh:
         try:
             lines = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc)
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV ({exc})")
     if not lines:
         raise DataError(f"empty file: {path}")
     header = [h.strip() for h in lines[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column names {repeated}")
     rows = []
     for i, row in enumerate(lines[1:], start=1):
         if not row or all(not c.strip() for c in row):
@@ -261,7 +267,7 @@ def _load_model_doc(path):
     with _open_input(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}: invalid JSON ({exc})")
         except UnicodeDecodeError as exc:
             raise _undecodable(path, exc)
@@ -293,15 +299,10 @@ def cmd_fit(args) -> int:
     work = dataset
     if args.standardize:
         work, transform = _standardize(dataset)
-    mode, value = args.nugget
-    if mode == "fixed":
-        nugget = value
-        if transform is not None:
-            nugget = value / transform["y_scale"] ** 2
-        estimate_nugget = False
-    else:
-        nugget = 0.0
-        estimate_nugget = True
+    # --nugget joint is None: estimated jointly with the kernel.
+    nugget = args.nugget[1]
+    if nugget is not None and transform is not None:
+        nugget = nugget / transform["y_scale"] ** 2
     trend = TrendSpec.from_string(args.trend)
     family = KernelFamily.from_string(args.kernel)
 
@@ -314,11 +315,10 @@ def cmd_fit(args) -> int:
             objective_value=mle_objective(work, trend, kernel),
             n_evals=config.n_samples, method="BAYES", converged=True)
     elif args.method == "mle":
-        result = fit_mle(work, trend, family, nugget=nugget,
-                         estimate_nugget=estimate_nugget, seed=args.seed)
+        result = fit_mle(work, trend, family, nugget=nugget, seed=args.seed)
     else:
         result = fit_msecv(work, trend, family, nugget=nugget,
-                           estimate_nugget=estimate_nugget, seed=args.seed)
+                           seed=args.seed)
 
     model = fit_gp(work, result.kernel, trend)
     doc = model_to_dict(model)

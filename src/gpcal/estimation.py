@@ -8,8 +8,9 @@ is the most starts a fit runs: the starts run in index order, and from the
 third on the fit stops once two of them have reached the best value so
 far (``_multistart_minimize``).  Each evaluation fits the kernel on the
 design prepared once (``_Design``): it builds the scaled distances h and
-correlations r(h) once, factors K and solves the GLS state once
-(``gp.solve_gls``).  The criterion reads that state and returns its value
+correlations r(h) once, and ``gp._solve`` factors K = sigma2 r(h) +
+nugget I and solves the GLS state once, as for ``fit_gp``.  The criterion
+reads that state and returns its value
 with S = d criterion / dK, and ``kernels.covariance_gradient`` maps S, h
 and r(h) to the analytic gradient in the optimizer's log coordinates;
 ``n_evals`` counts value+gradient evaluations.  The Bayesian baseline runs
@@ -34,10 +35,9 @@ from .exceptions import (
     GpcalError,
     InvalidParameterError,
 )
-from .gp import Dataset, FittedGp, GlsState, TrendSpec, \
-    _check_distinct_rows, _check_kernel_dim, _has_duplicate_rows, \
-    _inverse, build_regression_matrix, factor_covariance, fit_gp, \
-    predict, solve_gls
+from .gp import Dataset, GlsState, TrendSpec, _check_distinct_rows, \
+    _check_kernel_dim, _has_duplicate_rows, _inverse, _solve, \
+    build_regression_matrix, fit_gp, predict
 from .kernels import KernelFamily, KernelSpec, correlation, \
     covariance_gradient, pairwise_sq_diffs, scaled_distance_matrix
 from .stats import check_alpha
@@ -150,7 +150,8 @@ def _profile_nll(gls: GlsState) -> float:
 class _Design:
     """A design and trend prepared for many kernels: F, the squared
     differences (the cache handed in, if any) and, on the first
-    zero-nugget fit, the duplicated-row verdict, each built once."""
+    zero-nugget fit, the duplicated-row verdict, each built once.  Each
+    kernel's model is then solved by ``gp._solve``."""
 
     def __init__(self, dataset: Dataset, trend: TrendSpec, sq_diffs=None):
         self.dataset = dataset
@@ -171,13 +172,8 @@ class _Design:
         _check_distinct_rows(kernel, lambda: self.duplicates)
         h = scaled_distance_matrix(self.sq_diffs, kernel.theta)
         r = correlation(kernel.family, h)
-        K, L, jitter = factor_covariance(kernel.sigma2 * r, kernel.nugget,
-                                         kernel.sigma2)
-        model = FittedGp(dataset=self.dataset, kernel=kernel,
-                         trend=self.trend, F=self.F, K=K,
-                         gls=solve_gls(self.F, L, self.dataset.y),
-                         jitter_used=jitter)
-        return model, h, r
+        return _solve(self.dataset, kernel, self.trend, self.F,
+                      kernel.sigma2 * r), h, r
 
 
 def mle_objective(dataset: Dataset, trend: TrendSpec,
@@ -332,17 +328,19 @@ def _log_objective(criterion, design: _Design, unpack):
     return objective
 
 
-def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
-                criterion, n_starts, seed, sigma2=None):
+def _fit_kernel(dataset, trend, family, nugget, criterion, n_starts, seed,
+                sigma2=None):
     """Multi-start fit of the criterion over log theta, log sigma2 (unless
-    the amplitude is fixed at ``sigma2``) and, when estimated, the log
-    nugget.  Returns (kernel, value, n_evals, converged).  The arguments
-    are checked before any start runs, and so is a zero nugget on a design
-    with duplicated rows (IllConditionedError)."""
+    the amplitude is fixed at ``sigma2``) and, when ``nugget`` is None,
+    the log nugget; a number fixes the nugget.  Returns (kernel, value,
+    n_evals, converged).  The arguments are checked before any start
+    runs, and so is a zero nugget on a design with duplicated rows
+    (IllConditionedError)."""
     if not (isinstance(n_starts, numbers.Integral) and n_starts >= 1):
         raise InvalidParameterError("n_starts must be an integer >= 1")
     _check_seed(seed)
-    if not 0.0 <= nugget < math.inf:
+    estimate_nugget = nugget is None
+    if not (estimate_nugget or 0.0 <= nugget < math.inf):
         raise InvalidParameterError("nugget must be finite and >= 0")
     if dataset.n < 2:
         raise EstimationFailureError("insufficient data: need n >= 2")
@@ -375,9 +373,10 @@ def _fit_kernel(dataset, trend, family, nugget, estimate_nugget,
 
 @single_threaded_blas()
 def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-            nugget: float = 0.0, estimate_nugget: bool = False,
-            n_starts: int = 5, seed: int = 0) -> EstimationResult:
-    """Maximum-likelihood fit of (sigma2, theta) [and optionally the nugget].
+            nugget: float | None = 0.0, n_starts: int = 5,
+            seed: int = 0) -> EstimationResult:
+    """Maximum-likelihood fit of (sigma2, theta), at the fixed ``nugget``
+    or, with ``nugget=None``, jointly with it.
 
     Minimizes the profile objective y' Kbar y + log det K by multi-start
     bounded L-BFGS-B over log hyperparameters, with the analytic gradient
@@ -393,8 +392,7 @@ def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     one thread for the duration of the call.
     """
     kernel, value, n_evals, converged = _fit_kernel(
-        dataset, trend, family, nugget, estimate_nugget,
-        _mle_with_dk, n_starts, seed)
+        dataset, trend, family, nugget, _mle_with_dk, n_starts, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MLE",
                             converged=converged)
@@ -402,8 +400,8 @@ def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
 
 @single_threaded_blas()
 def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-              nugget: float = 0.0, estimate_nugget: bool = False,
-              n_starts: int = 5, seed: int = 0) -> EstimationResult:
+              nugget: float | None = 0.0, n_starts: int = 5,
+              seed: int = 0) -> EstimationResult:
     """Leave-one-out MSE cross-validation fit.
 
     Uses the same multi-start bounded L-BFGS-B as :func:`fit_mle`, with
@@ -411,9 +409,9 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     over [0.1, 10] times them), its stopping rule (``n_starts`` is the
     most starts run), one BLAS thread, and the analytic gradient that
     follows from dKbar = -Kbar dK Kbar; ``n_evals`` counts value+gradient
-    evaluations of the starts that ran.  With a positive (or jointly
-    estimated) nugget the criterion is minimized over all
-    hyperparameters.  Without a nugget the criterion does not identify
+    evaluations of the starts that ran.  With a positive nugget, or with
+    ``nugget=None`` (estimated jointly), the criterion is minimized over
+    all hyperparameters.  Without a nugget the criterion does not identify
     the amplitude, so the length-scales are fitted first at unit amplitude
     and sigma2 is then set by the closed form
 
@@ -421,17 +419,16 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
 
     which normalizes the mean squared standardized LOO residual to one.
     """
-    if nugget == 0.0 and not estimate_nugget:
+    if nugget == 0.0:
         unit, value, n_evals, converged = _fit_kernel(
-            dataset, trend, family, 0.0, False, _msecv_with_dk, n_starts,
-            seed, sigma2=1.0)
+            dataset, trend, family, 0.0, _msecv_with_dk, n_starts, seed,
+            sigma2=1.0)
         # Closed-form amplitude at the fitted length-scales.
         ry, rdiag = fit_gp(dataset, unit, trend).gls.kbar_y_diag
         kernel = unit.with_(sigma2=float(np.mean(ry * ry / rdiag)))
     else:
         kernel, value, n_evals, converged = _fit_kernel(
-            dataset, trend, family, nugget, estimate_nugget,
-            _msecv_with_dk, n_starts, seed)
+            dataset, trend, family, nugget, _msecv_with_dk, n_starts, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MSE_CV",
                             converged=converged)

@@ -1,9 +1,13 @@
 """Kriging core: trend bases, covariance assembly, the solved GLS state,
 posterior prediction, and the residual-space machinery.
 
-Each (design, kernel, trend) is solved once.  ``factor_covariance`` gives
-the Cholesky factor L of K, and ``solve_gls`` derives from (F, L, y)
-everything the fit, the likelihood, prediction and the LOO formulas read:
+Each (design, kernel, trend) is solved once, by ``_solve``: the one place
+a ``FittedGp`` is assembled, for ``fit_gp``, the estimation loop, the
+calibration's zero-nugget lambda states and its calibrated sides, each
+of which checks the design and builds F and the Gram matrix its own way.
+``factor_covariance`` gives the Cholesky factor L of K, and ``solve_gls``
+derives from (F, L, y) everything the fit, the likelihood, prediction and
+the LOO formulas read:
 B = L^{-1} F, the Cholesky factor of G = B'B = F' K^{-1} F (the only place
 G is factored), the GLS coefficients beta = G^{-1} B' L^{-1} y, the
 whitened residual w = L^{-1} (y - F beta) and Kbar y = L^{-T} w, where
@@ -54,7 +58,6 @@ __all__ = [
     "GlsState",
     "HypothesisReport",
     "build_regression_matrix",
-    "build_covariance",
     "factor_covariance",
     "solve_gls",
     "fit_gp",
@@ -93,6 +96,8 @@ class TrendSpec:
 
     @classmethod
     def from_string(cls, name: str) -> "TrendSpec":
+        if not isinstance(name, str):
+            raise InvalidParameterError(f"trend must be a name: {name!r}")
         try:
             return cls(TrendKind(name.lower()))
         except ValueError:
@@ -202,26 +207,15 @@ def _check_distinct_rows(kernel: KernelSpec, duplicates) -> None:
         )
 
 
-def build_covariance(X: np.ndarray, kernel: KernelSpec):
-    """Covariance matrix K = Gram(X) + nugget * I and its Cholesky factor.
-
-    Returns (K, L, jitter_used) from ``factor_covariance``.  Duplicated
-    design rows with a zero nugget raise IllConditionedError up front.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_distinct_rows(kernel, lambda: _has_duplicate_rows(X))
-    return factor_covariance(gram_matrix(X, kernel), kernel.nugget,
-                             kernel.sigma2)
-
-
 def factor_covariance(gram: np.ndarray, nugget: float, sigma2: float):
     """K = gram + nugget * I and its Cholesky factor, under the jitter
     policy: when the factorization fails, a ridge of 1e-10 * sigma2 is
     added and escalated tenfold up to 1e-6 * sigma2; failure beyond that,
     or a non-finite entry, raises IllConditionedError.
 
-    Returns (K, L, jitter_used).  Callers that hold a design check it for
-    duplicated rows themselves (``_check_distinct_rows``).
+    Returns (K, L, jitter_used).  Its one caller, ``_solve``, is handed
+    a Gram matrix whose design was checked for duplicated rows under a
+    zero nugget (``_check_distinct_rows``) where it was built.
     """
     K = gram
     n = K.shape[0]
@@ -361,7 +355,7 @@ def solve_gls(F: np.ndarray, L: np.ndarray, y: np.ndarray) -> GlsState:
 class FittedGp:
     """A kriging model and its solved state.
 
-    ``fit_gp`` factors K and solves the GLS problem once (``gls``: L,
+    ``_solve`` factors K and solves the GLS problem once (``gls``: L,
     L^{-1} F, the factor of F' K^{-1} F, beta, L^{-1} (y - F beta) and
     Kbar y); ``predict``, ``compute_kbar`` and the LOO formulas read that
     state, which keeps Kbar and (Kbar y, diag Kbar) once built.
@@ -392,13 +386,27 @@ class FittedGp:
         return self.gls.beta
 
 
-def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec) -> FittedGp:
-    """Assemble a FittedGp: F, K and its solved GLS state."""
-    _check_kernel_dim(dataset, kernel)
-    F = build_regression_matrix(dataset.X, trend)
-    K, L, jitter = build_covariance(dataset.X, kernel)
+def _solve(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec,
+           F: np.ndarray, gram: np.ndarray) -> FittedGp:
+    """The FittedGp at kernel: K = gram + nugget * I factored under the
+    jitter policy (``factor_covariance``) and its GLS state on (F, y)
+    (``solve_gls``).  The caller has checked the kernel against the
+    design, built F and gram = sigma2 r(h) from them, and rejected a zero
+    nugget on duplicated rows, as ``fit_gp`` does."""
+    K, L, jitter = factor_covariance(gram, kernel.nugget, kernel.sigma2)
     return FittedGp(dataset=dataset, kernel=kernel, trend=trend, F=F, K=K,
                     gls=solve_gls(F, L, dataset.y), jitter_used=jitter)
+
+
+def fit_gp(dataset: Dataset, kernel: KernelSpec, trend: TrendSpec) -> FittedGp:
+    """Assemble a FittedGp: F, K and its solved GLS state.  A theta that
+    does not match the design raises ShapeError, a rank-deficient F
+    HypothesisH1Error, and a zero nugget on duplicated design rows
+    IllConditionedError, in that order."""
+    _check_kernel_dim(dataset, kernel)
+    F = build_regression_matrix(dataset.X, trend)
+    _check_distinct_rows(kernel, lambda: _has_duplicate_rows(dataset.X))
+    return _solve(dataset, kernel, trend, F, gram_matrix(dataset.X, kernel))
 
 
 def predict(model: FittedGp, x_new) -> tuple:

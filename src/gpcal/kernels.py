@@ -59,6 +59,9 @@ class KernelFamily(enum.Enum):
             "squared_exponential": cls.SQUARED_EXPONENTIAL,
             "gaussian": cls.SQUARED_EXPONENTIAL,
         }
+        if not isinstance(name, str):
+            raise InvalidParameterError(
+                f"kernel family must be a name: {name!r}")
         try:
             return aliases[name.lower()]
         except KeyError:

@@ -30,11 +30,11 @@ The nugget chooses the state's form.  With zero nugget sigma2 is a pure
 scale of K = sigma2 R: the standardized LOO residuals are
 z(1) / sqrt(sigma2), the GLS mean does not depend on sigma2 and the trace
 root is sqrt(sigma2) Tr (L0' R L0)^{1/2}, so one Cholesky factor serves
-every amplitude and both sides (the scale-free form).  It factors the
-R + j I of ``gp.factor_covariance(R, 0, 1)``, whose jitter scales with
-sigma2: ``fit_gp`` builds sigma2 (R + j I) at every amplitude.  Its
-solves (``gp.solve_gls``) call LAPACK directly, bit for bit what the
-scipy.linalg front-ends give, without their per-call argument checks.
+every amplitude and both sides (the scale-free form).  It solves the
+model at the unit kernel by ``gp._solve`` and reads z(1) from its
+``virtual_loo``.  The solve factors R + j I (j = 0 unless R needs
+jitter), whose jitter scales with sigma2: ``fit_gp`` builds
+sigma2 (R + j I) at every amplitude.
 With a positive nugget each lambda builds the eigenbasis of W' R W
 (``SigmaScanBasis``), W the Householder basis of the complement of Im F,
 from which a batch of amplitudes costs two matrix products, and the law
@@ -103,13 +103,13 @@ from .gp import (
     FittedGp,
     TrendSpec,
     check_hypotheses,
-    factor_covariance,
     ResidualSpace,
+    _solve,
     fit_gp,
     predict,
-    solve_gls,
 )
-from .kernels import KernelFamily, KernelSpec, correlation, scaled_distances
+from .kernels import KernelFamily, KernelSpec, correlation, gram_matrix, \
+    scaled_distances
 from .loo import SigmaScanBasis, SmoothingParams, _ramp_mean, \
     psi_from_residuals, psi_smoothed_from_residuals, virtual_loo
 from .stats import check_alpha, normal_quantile
@@ -229,10 +229,10 @@ class RpieSolution:
     root is solved in: 1 - psi_{1-a}(-z) for a lower bound (a < 1/2), as
     ``loo.psi_smoothed_from_residuals`` does; psi_raw is the step-function
     count, which sits within about half an in-band residual of the target.
-    Both are recomputed from the final model (``fit_gp``, then
-    ``virtual_loo``), independently of the state the root was found on.
-    With zero nugget that is the Cholesky and ``GlsState.kbar_y_diag``
-    route of the scale-free search state itself; with a positive nugget
+    Both are recomputed from the final model (``gp._solve`` on the
+    reference's F, then ``virtual_loo``), independently of the state the
+    root was found on.  With zero nugget that is the route of the
+    scale-free search state itself; with a positive nugget
     the root was found in the eigenbasis of W' R W, and the recomputation
     is an independent check of it (perfbench's coverage check relies on
     it).
@@ -405,12 +405,12 @@ class _LambdaState:
 
     Scale-free form, with zero nugget: K = sigma2 R, so the standardized
     LOO residuals are z(1) / sqrt(sigma2), the GLS mean m1 = F beta does
-    not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  R is the
-    R + j I of ``factor_covariance(R, 0, 1)`` (j = 0 unless R needs
-    jitter), whose Cholesky factor gives z(1) (``gp.solve_gls``, then
-    ``GlsState.kbar_y_diag``, the route ``virtual_loo`` takes, each solve
-    a direct LAPACK call) and m1.  The solved state itself is dropped once
-    z(1) and m1 are read.
+    not depend on sigma2, and root = sqrt(sigma2) Tr A^{1/2}.  The model
+    at the unit kernel (sigma2 = 1, theta = lambda theta0) is solved on
+    R by ``gp._solve``, on the reference's F: z(1) is its
+    ``virtual_loo`` standardized residuals, m1 is F times its beta, and R
+    becomes its K, the R + j I it factored (j = 0 unless R needs jitter).
+    The model itself is dropped once z(1), m1 and R are read.
 
     Eigenbasis form, with a positive nugget: the eigenbasis of W' R W
     (``SigmaScanBasis.from_gram`` on the calibration's residual space,
@@ -432,11 +432,13 @@ class _LambdaState:
                                                   cal.nugget)
         else:
             self.basis = None
-            self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)
-            gls = solve_gls(cal.F, L, self._y)
-            ky, diag = gls.kbar_y_diag
-            self.z1 = ky / np.sqrt(diag)
-            self.m1 = cal.F @ gls.beta
+            ref = cal.ref
+            model = _solve(ref.dataset, ref.kernel.with_(
+                sigma2=1.0, theta=lam * ref.kernel.theta), ref.trend, cal.F,
+                self.R)
+            self.R = model.K
+            self.z1 = virtual_loo(model).std_resid
+            self.m1 = cal.F @ model.beta_hat
         self.tr_R = float(np.trace(self.R))
 
     def mean(self, sigma2: float) -> np.ndarray:
@@ -796,11 +798,14 @@ def _brent(f, a: float, b: float):
 def _solution(ref: FittedGp, delta: SmoothingParams, a: float, best: tuple,
               trace: LambdaTrace) -> tuple:
     """The RpieSolution at best = (lambda*, sigma2_opt, W2) on the
-    reference fit ref, and the FittedGp it was read from."""
+    reference fit ref, and the FittedGp it was read from.  That model is
+    solved on ref's F (``gp._solve``): ref passed ``fit_gp``'s shape, rank
+    and duplicated-row checks on the same design, trend and nugget."""
     lam, s2, obj = best
     theta0 = ref.kernel.theta
     kernel = ref.kernel.with_(sigma2=s2, theta=lam * theta0)
-    model = fit_gp(ref.dataset, kernel, ref.trend)
+    model = _solve(ref.dataset, kernel, ref.trend, ref.F,
+                   gram_matrix(ref.dataset.X, kernel))
     z = virtual_loo(model).std_resid
     return RpieSolution(
         lambda_star=lam,

@@ -739,3 +739,94 @@ class TestMalformedInputs:
         _write_csv(feat, ["a", "b"], [[0.1, 0.2], ["nan", 0.4]])
         assert main(["predict", "--model", str(model), "--data", str(feat),
                      "--out", str(tmp_path / "p.csv")]) == 3
+
+
+class TestUnreadableInputs:
+    """Inputs the csv and json modules cannot parse, names that are not
+    strings and repeated column names are data errors (exit 3) that name
+    the file, with no traceback."""
+
+    @staticmethod
+    def _plain(tmp_path, columns):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, (30, 2))
+        ds = Dataset(X=X, y=np.sin(4 * X[:, 0]) + X[:, 1])
+        kernel = KernelSpec(KernelFamily.MATERN52, 0.5, [0.4, 0.4],
+                            nugget=1e-3)
+        doc = model_to_dict(fit_gp(ds, kernel,
+                                   TrendSpec.from_string("ordinary")))
+        doc.update(standardization=None, columns=columns)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        return model, doc, X
+
+    @staticmethod
+    def _data_error(argv, path, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand", ["fit", "predict"])
+    def test_cell_over_the_csv_field_limit(self, tmp_path, capsys,
+                                           subcommand):
+        model, _, _ = self._plain(tmp_path, [])
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,y\n" + "1" * 200_000 + ",0.5,1.0\n")
+        out = str(tmp_path / "out")
+        argv = {"fit": ["fit", "--data", str(path), "--target", "y",
+                        "--out", out],
+                "predict": ["predict", "--model", str(model), "--data",
+                            str(path), "--out", out]}[subcommand]
+        self._data_error(argv, path, capsys)
+
+    @pytest.mark.parametrize("subcommand",
+                             ["calibrate", "predict", "diagnose"])
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys,
+                                                  subcommand):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], [[0.1, 0.2]])
+        out = str(tmp_path / "out")
+        argv = {"calibrate": ["calibrate", "--reference", str(deep),
+                              "--out", out],
+                "predict": ["predict", "--model", str(deep), "--data",
+                            str(feat), "--out", out],
+                "diagnose": ["diagnose", "--model", str(deep),
+                             "--out", out]}[subcommand]
+        self._data_error(argv, deep, capsys)
+
+    @pytest.mark.parametrize("subcommand", ["calibrate", "diagnose"])
+    @pytest.mark.parametrize("field", ["trend", "family"])
+    def test_name_that_is_not_a_string(self, tmp_path, capsys, subcommand,
+                                       field):
+        model, doc, _ = self._plain(tmp_path, ["a", "b"])
+        if field == "trend":
+            doc["trend"] = 5
+        else:
+            doc["kernel"]["family"] = 3
+        model.write_text(json.dumps(doc))
+        flag = "--reference" if subcommand == "calibrate" else "--model"
+        self._data_error([subcommand, flag, str(model), "--out",
+                          str(tmp_path / "out")], model, capsys)
+
+    def test_fit_rejects_a_repeated_column_name(self, tmp_path, capsys):
+        path = tmp_path / "twice.csv"
+        rng = np.random.default_rng(13)
+        _write_csv(path, ["a", " a", "y"], rng.uniform(0, 1, (20, 3)))
+        self._data_error(["fit", "--data", str(path), "--target", "y",
+                          "--out", str(tmp_path / "m.json")], path, capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("columns", [["a", "a"], []],
+                             ids=["named", "positional"])
+    def test_predict_rejects_a_repeated_column_name(self, tmp_path, capsys,
+                                                    columns):
+        model, _, X = self._plain(tmp_path, columns)
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "a"], X.tolist())
+        out = tmp_path / "p.csv"
+        self._data_error(["predict", "--model", str(model), "--data",
+                          str(feat), "--out", str(out)], feat, capsys)
+        assert not out.exists()

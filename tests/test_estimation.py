@@ -619,7 +619,7 @@ class TestJointNugget:
     def _fit(fit, nugget):
         ds, _ = _simulated_dataset(3, n=60, nugget=nugget,
                                    family=KernelFamily.MATERN52)
-        result = fit(ds, ORD, KernelFamily.MATERN52, estimate_nugget=True)
+        result = fit(ds, ORD, KernelFamily.MATERN52, nugget=None)
         lo, hi = (b * float(np.var(ds.y)) for b in _NUGGET_BOUNDS)
         assert lo <= result.kernel.nugget <= hi
         assert result.kernel.nugget > 0.0

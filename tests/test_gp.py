@@ -13,11 +13,11 @@ from gpcal.exceptions import (
     HypothesisH1Error,
     HypothesisH2Error,
     IllConditionedError,
+    InvalidParameterError,
 )
 from gpcal.gp import (
     HypothesisReport,
     ResidualSpace,
-    build_covariance,
     build_regression_matrix,
     check_hypotheses,
     compute_kbar,
@@ -69,11 +69,29 @@ class TestRegressionMatrix:
             build_regression_matrix(np.array([[1.0, 2.0]]), UNI)
 
 
+def _solved(X, spec):
+    """(K, L, jitter_used) of the model fit_gp solves at spec on design X,
+    with zero responses and the simple trend."""
+    X = np.atleast_2d(X)
+    model = fit_gp(Dataset(X, np.zeros(X.shape[0])), spec, SIM)
+    return model.K, model.gls.L, model.jitter_used
+
+
+class TestTrendSpec:
+    @pytest.mark.parametrize("name", [5, None, b"ordinary", ["simple"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(InvalidParameterError, match="must be a name"):
+            TrendSpec.from_string(name)
+
+
 class TestBuildCovariance:
+    """K = Gram + nugget I, its duplicated-row check and its jitter, as
+    fit_gp assembles them."""
+
     def test_single_point_with_nugget(self):
         spec = KernelSpec(KernelFamily.MATERN32, 1.0, np.array([1.0]),
                           nugget=0.5)
-        K, L, jitter = build_covariance(np.array([[0.3]]), spec)
+        K, L, jitter = _solved(np.array([[0.3]]), spec)
         np.testing.assert_allclose(K, [[1.5]])
         assert jitter == 0.0
 
@@ -81,14 +99,14 @@ class TestBuildCovariance:
         X = rng.uniform(0, 1, (3, 2))
         spec = random_kernel(rng, 2, nugget=0.0)
         from conftest import dense_gram
-        K, _, _ = build_covariance(X, spec)
+        K, _, _ = _solved(X, spec)
         np.testing.assert_allclose(K, dense_gram(X, spec), rtol=1e-12)
 
     def test_duplicate_rows_no_nugget_rejected(self):
         X = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, 0.6]])
         spec = KernelSpec(KernelFamily.MATERN52, 1.0, np.array([1.0, 1.0]))
         with pytest.raises(IllConditionedError):
-            build_covariance(X, spec)
+            _solved(X, spec)
 
     def test_jitter_rescues_near_singular(self, rng):
         # Two nearly identical points with a smooth kernel: plain Cholesky
@@ -96,7 +114,7 @@ class TestBuildCovariance:
         X = np.array([[0.0], [1e-9], [0.5]])
         spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0,
                           np.array([1.0]))
-        K, L, jitter = build_covariance(X, spec)
+        K, L, jitter = _solved(X, spec)
         assert jitter > 0.0
         np.testing.assert_allclose(L @ L.T, K, rtol=1e-10, atol=1e-12)
 

@@ -265,3 +265,8 @@ class TestKernelSpec:
             KernelFamily.SQUARED_EXPONENTIAL
         with pytest.raises(InvalidParameterError):
             KernelFamily.from_string("cubic")
+
+    @pytest.mark.parametrize("name", [3, None, b"m52", ["m52"]])
+    def test_family_name_must_be_a_string(self, name):
+        with pytest.raises(InvalidParameterError, match="must be a name"):
+            KernelFamily.from_string(name)

@@ -1390,7 +1390,6 @@ class TestEigenbasisLaw:
         # the two final fits; a zero-nugget one also factors R once per
         # lambda state.
         import gpcal.gp
-        import gpcal.rpie
         factor = gpcal.gp.factor_covariance
         init = _LambdaState.__init__
         calls, states = [], []
@@ -1403,8 +1402,7 @@ class TestEigenbasisLaw:
             states.append(1)
             init(state, *args)
 
-        for module in (gpcal.gp, gpcal.rpie):
-            monkeypatch.setattr(module, "factor_covariance", counting_factor)
+        monkeypatch.setattr(gpcal.gp, "factor_covariance", counting_factor)
         monkeypatch.setattr(_LambdaState, "__init__", counting_init)
         ds = _misspecified_dataset(14, n=60, d=3)
         ref = _reference(KernelSpec(KernelFamily.MATERN52,

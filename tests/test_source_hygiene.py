@@ -21,6 +21,9 @@ No module reads the environment (``os.environ``, ``os.getenv``), imports
 ``concurrent.futures`` or ``multiprocessing``, or constructs a
 ``threading.Thread``: a call's result depends on its arguments alone, and
 it runs on the caller's thread (``blas`` may hold a ``threading.Lock``).
+A ``FittedGp`` is constructed only in ``gp._solve``, and only gp.py calls
+``factor_covariance`` and ``solve_gls``: every solved model, whether for
+``fit_gp``, a fit's evaluation or a calibration, is assembled one way.
 """
 
 import ast
@@ -378,3 +381,87 @@ def test_environment_and_thread_rule_allows_lock_and_paths():
 def test_no_environment_reads_or_threads(path):
     found = _environment_and_threads(_tree(path))
     assert not found, f"{path.name}: environment reads or threads {found}"
+
+
+# The two steps of a solved model, which only gp.py may call.
+_ASSEMBLY_STEPS = {"factor_covariance", "solve_gls"}
+
+
+def _called(node) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _assembly_outside_solve(tree, module: str) -> list:
+    """Constructions of ``FittedGp`` outside ``gp._solve`` and calls of
+    ``factor_covariance`` or ``solve_gls`` outside gp.py, as "line:
+    name", so that every solved model is assembled in one place."""
+    out = []
+    for top in tree.body:
+        in_solve = module == "gp.py" and isinstance(top, ast.FunctionDef) \
+            and top.name == "_solve"
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called(node)
+            if (name == "FittedGp" and not in_solve) or \
+                    (name in _ASSEMBLY_STEPS and module != "gp.py"):
+                out.append(f"{node.lineno}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("module, source", [
+    ("gp.py", "def fit_gp(ds, k, t):\n"
+              "    K, L, j = factor_covariance(g, k.nugget, k.sigma2)\n"
+              "    return FittedGp(dataset=ds, K=K, gls=solve_gls(F, L, y))"),
+    ("gp.py", "class Cache:\n    def model(self):\n"
+              "        return FittedGp(**self.parts)"),
+    ("bench.py", "from . import gp\nL = gp.factor_covariance(g, 0, 1)[1]"),
+    # The assemblies estimation and rpie made for themselves before
+    # gp._solve: the fit loop's and the zero-nugget lambda state's.
+    ("estimation.py",
+     "class _Design:\n"
+     "    def fit(self, kernel):\n"
+     "        K, L, jitter = factor_covariance(kernel.sigma2 * r,\n"
+     "                                         kernel.nugget,\n"
+     "                                         kernel.sigma2)\n"
+     "        model = FittedGp(dataset=self.dataset, kernel=kernel,\n"
+     "                         trend=self.trend, F=self.F, K=K,\n"
+     "                         gls=solve_gls(self.F, L, self.dataset.y),\n"
+     "                         jitter_used=jitter)\n"
+     "        return model, h, r\n"),
+    ("rpie.py",
+     "class _LambdaState:\n"
+     "    def __init__(self, cal, lam):\n"
+     "        self.R, L, _ = factor_covariance(self.R, 0.0, 1.0)\n"
+     "        gls = solve_gls(cal.F, L, self._y)\n"),
+])
+def test_assembly_rule_flags(module, source):
+    assert _assembly_outside_solve(ast.parse(source), module)
+
+
+@pytest.mark.parametrize("module, source", [
+    ("gp.py", "def _solve(dataset, kernel, trend, F, gram):\n"
+              "    K, L, jitter = factor_covariance(gram, kernel.nugget,\n"
+              "                                     kernel.sigma2)\n"
+              "    return FittedGp(dataset=dataset, K=K,\n"
+              "                    gls=solve_gls(F, L, dataset.y))\n"
+              "def check():\n    return factor_covariance(g, 0.0, 1.0)"),
+    ("estimation.py", "def fit(self, kernel) -> FittedGp:\n"
+                      "    return _solve(self.dataset, kernel, self.trend,\n"
+                      "                  self.F, kernel.sigma2 * r)"),
+    ("rpie.py", "def f(model: FittedGp):\n"
+                "    return isinstance(model, FittedGp)"),
+])
+def test_assembly_rule_allows(module, source):
+    assert not _assembly_outside_solve(ast.parse(source), module)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_model_assembly(path):
+    found = _assembly_outside_solve(_tree(path), path.name)
+    assert not found, f"{path.name}: a model assembled outside " \
+        f"gp._solve {found}"

@@ -24,7 +24,6 @@ from .bench import (
 from .estimation import (
     BayesPredictive,
     EstimationResult,
-    McmcConfig,
     bayes_predictive,
     fit_mle,
     fit_msecv,
@@ -68,7 +67,7 @@ __all__ = [
     "BayesPredictive", "CalibratedIntervalModel", "Dataset", "DesignSpec",
     "EstimationResult", "ExperimentScale", "FittedGp", "GridSpec",
     "HypothesisReport", "IntervalMetrics", "KernelFamily", "KernelSpec",
-    "LooDiagnostics", "McmcConfig", "RpieConfig", "RpieSolution",
+    "LooDiagnostics", "RpieConfig", "RpieSolution",
     "SmoothingParams", "TrendSpec",
     "bayes_predictive", "build_regression_matrix",
     "calibrate", "calibrate_quantile", "check_hypotheses", "compute_kbar",

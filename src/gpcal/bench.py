@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import single_threaded_blas
-from .estimation import McmcConfig, bayes_predictive, fit_mle, fit_msecv
+from .estimation import _MCMC_SAMPLES, bayes_predictive, fit_mle, \
+    fit_msecv
 from .exceptions import DataError, DomainError, InvalidMatrixError, \
     InvalidParameterError
 from .gp import Dataset, TrendSpec, _interval, fit_gp, predict
@@ -418,9 +419,8 @@ def _run_seed(name, cfg, scale, methods, alpha, seed):
     for method in sorted(methods):
         if method == "bayes":
             t0 = time.perf_counter()
-            config = McmcConfig(seed=seed)
             pred = bayes_predictive(train, trend, cfg.family, cfg.nugget,
-                                    config, X_test, alpha)
+                                    seed, X_test, alpha)
             fit_s = time.perf_counter() - t0
             metrics = compute_metrics(y_test, pred.mean, pred.lower,
                                       pred.upper)
@@ -429,7 +429,7 @@ def _run_seed(name, cfg, scale, methods, alpha, seed):
                 q2=metrics.q2, loo_cp=math.nan, cp=metrics.cp,
                 mpiw=metrics.mpiw, sdpiw=metrics.sdpiw,
                 fit_seconds=fit_s, calibrate_seconds=0.0,
-                converged=True, n_evals=config.n_samples))
+                converged=True, n_evals=_MCMC_SAMPLES))
             continue
         fitter = fit_mle if method == "mle" else fit_msecv
         t0 = time.perf_counter()

@@ -38,8 +38,8 @@ from . import __version__
 from .bench import EXPERIMENT_NAMES, ExperimentScale, run_experiment, \
     write_lambda_trace_csv, write_report_csv, write_summary_json
 from .blas import single_threaded_blas
-from .estimation import EstimationResult, McmcConfig, fit_mle, fit_msecv, \
-    mle_objective, posterior_mean_kernel
+from .estimation import _MCMC_SAMPLES, EstimationResult, fit_mle, \
+    fit_msecv, mle_objective, posterior_mean_kernel
 from .exceptions import DataError, DomainError, GpcalError, \
     InvalidParameterError, UsageError
 from .gp import Dataset, TrendSpec, _interval, fit_gp, model_from_dict, \
@@ -307,13 +307,12 @@ def cmd_fit(args) -> int:
     family = KernelFamily.from_string(args.kernel)
 
     if args.method == "bayes":
-        config = McmcConfig(seed=args.seed)
-        kernel, acc = posterior_mean_kernel(work, trend, family, nugget,
-                                            config)
+        kernel, _ = posterior_mean_kernel(work, trend, family, nugget,
+                                          args.seed)
         result = EstimationResult(
             kernel=kernel,
             objective_value=mle_objective(work, trend, kernel),
-            n_evals=config.n_samples, method="BAYES", converged=True)
+            n_evals=_MCMC_SAMPLES, method="BAYES", converged=True)
     elif args.method == "mle":
         result = fit_mle(work, trend, family, nugget=nugget, seed=args.seed)
     else:
@@ -367,12 +366,18 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _read_features(path, doc, d_model):
+def _read_features(path, model_path, doc, d_model):
     """The feature matrix of the CSV at path: its columns picked by the
-    names the model document stores, every one required, or taken by
-    position when the document stores none."""
+    names the model document at model_path stores, every one required, or
+    taken by position when the document stores none.  Stored names that
+    repeat or are not strings are a data error of the document."""
     header, data = _parse_numeric_csv(path)
     columns = doc.get("columns") or []
+    if not (isinstance(columns, list)
+            and all(isinstance(c, str) for c in columns)
+            and len(set(columns)) == len(columns)):
+        raise DataError(f"{model_path}: columns must be distinct names, "
+                        f"not {columns!r}")
     if columns:
         missing = [c for c in columns if c not in header]
         if missing:
@@ -395,7 +400,7 @@ def cmd_predict(args) -> int:
     if args.alpha is None and not calibrated:
         args.alpha = _PREDICT_ALPHA
     transform = doc.get("standardization")
-    X_raw = _read_features(args.data, doc, model.dataset.d)
+    X_raw = _read_features(args.data, args.model, doc, model.dataset.d)
     X = _apply_x_transform(X_raw, transform)
     if calibrated:
         lower, upper, crossed = predict_calibrated(model, X)
@@ -425,8 +430,8 @@ def cmd_predict(args) -> int:
 def cmd_diagnose(args) -> int:
     doc, model, _ = _load_model_doc(args.model)
     if isinstance(model, CalibratedIntervalModel):
-        raise DataError("diagnose expects a plain model, not a calibrated "
-                        "interval model")
+        raise DataError(f"{args.model}: diagnose expects a plain model, "
+                        "not a calibrated interval model")
     transform = doc.get("standardization")
     diag = virtual_loo(model)
     y = _y_back(model.dataset.y, transform)

@@ -3,10 +3,10 @@ MSE cross-validation, and a full-Bayesian predictive baseline.
 
 Both deterministic criteria are minimized by multi-start bounded L-BFGS-B
 over log hyperparameters inside scale-aware boxes (length-scales relative
-to the per-column input range, amplitude relative to var(y)).  ``n_starts``
-is the most starts a fit runs: the starts run in index order, and from the
-third on the fit stops once two of them have reached the best value so
-far (``_multistart_minimize``).  Each evaluation fits the kernel on the
+to the per-column input range, amplitude relative to var(y)).  A fit runs
+at most ``_N_STARTS`` (five) starts in index order, and from the third on
+it stops once two of them have reached the best value so far
+(``_multistart_minimize``).  Each evaluation fits the kernel on the
 design prepared once (``_Design``): it builds the scaled distances h and
 correlations r(h) once, and ``gp._solve`` factors K = sigma2 r(h) +
 nugget I and solves the GLS state once, as for ``fit_gp``.  The criterion
@@ -14,9 +14,11 @@ reads that state and returns its value
 with S = d criterion / dK, and ``kernels.covariance_gradient`` maps S, h
 and r(h) to the analytic gradient in the optimizer's log coordinates;
 ``n_evals`` counts value+gradient evaluations.  The Bayesian baseline runs
-a random-walk Metropolis chain over the same log coordinates and the same
-``_Design`` and propagates the sampled hyperparameters into the
-predictive law.
+a random-walk Metropolis chain of ``_MCMC_SAMPLES`` states (2 000, the
+first ``_MCMC_BURN_IN`` = 500 discarded, Gaussian steps of standard
+deviation ``_MCMC_STEP`` = 0.1) and propagates the sampled hyperparameters
+into the predictive law.  The fit and the chain move over the same log
+coordinates on the same ``_Design``, both set up by ``_coordinates``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .stats import check_alpha
 
 __all__ = [
     "EstimationResult",
-    "McmcConfig",
     "BayesPredictive",
     "mle_objective",
     "fit_mle",
@@ -74,6 +75,14 @@ _NUGGET_START_BOX = (1e-4, 1.0)
 # distinct optima by 5.9e-6 or more, save near-ties along a direction
 # the criterion barely resolves (the MSE-CV amplitude with a nugget).
 _AGREE_RTOL = 1e-7
+# The most starts a fit runs.
+_N_STARTS = 5
+# The Bayesian baseline's chain: its length, the leading states it
+# discards, and the standard deviation of its Gaussian proposal in the
+# log coordinates.
+_MCMC_SAMPLES = 2000
+_MCMC_BURN_IN = 500
+_MCMC_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -102,27 +111,6 @@ class EstimationResult:
                    n_evals=int(d["n_evals"]),
                    method=str(d["method"]),
                    converged=bool(d["converged"]))
-
-
-@dataclass(frozen=True)
-class McmcConfig:
-    """Random-walk Metropolis settings for the Bayesian baseline.
-
-    The prior is independent standard normal on each log hyperparameter in
-    data-standardized coordinates, i.e. log-normal(0, 1) per hyperparameter.
-    """
-
-    n_samples: int = 2000
-    burn_in: int = 500
-    proposal_scale: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.burn_in < self.n_samples:
-            raise InvalidParameterError("burn_in must lie in [0, n_samples)")
-        if not 0.0 < self.proposal_scale < math.inf:
-            raise InvalidParameterError("proposal_scale must lie in (0, inf)")
-        _check_seed(self.seed)
 
 
 def _check_seed(seed) -> None:
@@ -328,43 +316,56 @@ def _log_objective(criterion, design: _Design, unpack):
     return objective
 
 
-def _fit_kernel(dataset, trend, family, nugget, criterion, n_starts, seed,
-                sigma2=None):
-    """Multi-start fit of the criterion over log theta, log sigma2 (unless
-    the amplitude is fixed at ``sigma2``) and, when ``nugget`` is None,
-    the log nugget; a number fixes the nugget.  Returns (kernel, value,
-    n_evals, converged).  The arguments are checked before any start
-    runs, and so is a zero nugget on a design with duplicated rows
-    (IllConditionedError)."""
-    if not (isinstance(n_starts, numbers.Integral) and n_starts >= 1):
-        raise InvalidParameterError("n_starts must be an integer >= 1")
-    _check_seed(seed)
-    estimate_nugget = nugget is None
-    if not (estimate_nugget or 0.0 <= nugget < math.inf):
-        raise InvalidParameterError("nugget must be finite and >= 0")
-    if dataset.n < 2:
-        raise EstimationFailureError("insufficient data: need n >= 2")
+def _coordinates(dataset, trend, family, nugget, sigma2=None):
+    """The log coordinates a fit or the chain moves in: (design, unpack,
+    boxes).
+
+    A point u holds log theta relative to each column's input range, then
+    log sigma2 relative to var(y) unless the amplitude is fixed at
+    ``sigma2``, then, when ``nugget`` is None, the log nugget relative to
+    var(y); a number fixes the nugget.  ``unpack(u)`` is the kernel at u,
+    ``boxes`` the search box of each coordinate as factors of its scale,
+    and ``design`` the ``_Design`` every kernel is fitted on.  Every point
+    shares the nugget, so a zero nugget on a design with duplicated rows
+    fails them all: it is rejected here (IllConditionedError).
+    """
     spans, v = _data_scales(dataset)
     d = dataset.d
     boxes = [_THETA_BOUNDS] * d
     if sigma2 is None:
         boxes.append(_SIGMA2_BOUNDS)
-    if estimate_nugget:
+    if nugget is None:
         boxes.append(_NUGGET_BOUNDS)
 
     def unpack(u):
         return KernelSpec(
             family=family, theta=spans * np.exp(u[:d]),
             sigma2=v * np.exp(u[d]) if sigma2 is None else sigma2,
-            nugget=v * np.exp(u[-1]) if estimate_nugget else nugget)
+            nugget=v * np.exp(u[-1]) if nugget is None else nugget)
 
     design = _Design(dataset, trend)
-    # Every start shares the nugget, so a singular design fails them all.
     _check_distinct_rows(unpack(np.zeros(len(boxes))),
                          lambda: design.duplicates)
+    return design, unpack, boxes
+
+
+def _fit_kernel(dataset, trend, family, nugget, criterion, seed,
+                sigma2=None):
+    """Multi-start fit of the criterion over the log coordinates of
+    ``_coordinates``, from at most ``_N_STARTS`` starts.  Returns (kernel,
+    value, n_evals, converged).  The arguments are checked before any
+    start runs, and so is a zero nugget on a design with duplicated rows
+    (IllConditionedError)."""
+    _check_seed(seed)
+    if not (nugget is None or 0.0 <= nugget < math.inf):
+        raise InvalidParameterError("nugget must be finite and >= 0")
+    if dataset.n < 2:
+        raise EstimationFailureError("insufficient data: need n >= 2")
+    design, unpack, boxes = _coordinates(dataset, trend, family, nugget,
+                                         sigma2)
     rng = np.random.default_rng(seed)
-    starts = _make_starts(len(boxes), n_starts, rng,
-                          nugget_slot=estimate_nugget)
+    starts = _make_starts(len(boxes), _N_STARTS, rng,
+                          nugget_slot=nugget is None)
     value, u_best, n_evals, converged = _multistart_minimize(
         _log_objective(criterion, design, unpack), starts,
         [(np.log(lo), np.log(hi)) for lo, hi in boxes])
@@ -373,8 +374,7 @@ def _fit_kernel(dataset, trend, family, nugget, criterion, n_starts, seed,
 
 @single_threaded_blas()
 def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-            nugget: float | None = 0.0, n_starts: int = 5,
-            seed: int = 0) -> EstimationResult:
+            nugget: float | None = 0.0, seed: int = 0) -> EstimationResult:
     """Maximum-likelihood fit of (sigma2, theta), at the fixed ``nugget``
     or, with ``nugget=None``, jointly with it.
 
@@ -383,16 +383,16 @@ def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     -(Kbar y)' dK (Kbar y) + tr(K^{-1} dK).  Start 0 sits at the data
     scales (column ranges, var(y)); the others are drawn from ``seed``,
     log-uniformly over [0.1, 10] times those scales (``_START_BOX``, the
-    central two decades of the length-scale search box).  ``n_starts`` is
-    the most starts run: from the third start on, the fit stops once
-    another start has matched the best value so far within 1e-7 relative.
-    ``n_evals`` counts value+gradient evaluations of the starts that ran;
-    ``converged`` reports whether the start that gave the returned optimum
-    met the optimizer's gradient or relative-decrease test.  BLAS runs on
-    one thread for the duration of the call.
+    central two decades of the length-scale search box).  It runs at most
+    five starts (``_N_STARTS``): from the third start on, the fit stops
+    once another start has matched the best value so far within 1e-7
+    relative.  ``n_evals`` counts value+gradient evaluations of the starts
+    that ran; ``converged`` reports whether the start that gave the
+    returned optimum met the optimizer's gradient or relative-decrease
+    test.  BLAS runs on one thread for the duration of the call.
     """
     kernel, value, n_evals, converged = _fit_kernel(
-        dataset, trend, family, nugget, _mle_with_dk, n_starts, seed)
+        dataset, trend, family, nugget, _mle_with_dk, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MLE",
                             converged=converged)
@@ -400,14 +400,13 @@ def fit_mle(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
 
 @single_threaded_blas()
 def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-              nugget: float | None = 0.0, n_starts: int = 5,
-              seed: int = 0) -> EstimationResult:
+              nugget: float | None = 0.0, seed: int = 0) -> EstimationResult:
     """Leave-one-out MSE cross-validation fit.
 
     Uses the same multi-start bounded L-BFGS-B as :func:`fit_mle`, with
     its starts (start 0 at the data scales, the rest drawn from ``seed``
-    over [0.1, 10] times them), its stopping rule (``n_starts`` is the
-    most starts run), one BLAS thread, and the analytic gradient that
+    over [0.1, 10] times them), its stopping rule (at most five starts,
+    ``_N_STARTS``), one BLAS thread, and the analytic gradient that
     follows from dKbar = -Kbar dK Kbar; ``n_evals`` counts value+gradient
     evaluations of the starts that ran.  With a positive nugget, or with
     ``nugget=None`` (estimated jointly), the criterion is minimized over
@@ -421,14 +420,13 @@ def fit_msecv(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
     """
     if nugget == 0.0:
         unit, value, n_evals, converged = _fit_kernel(
-            dataset, trend, family, 0.0, _msecv_with_dk, n_starts, seed,
-            sigma2=1.0)
+            dataset, trend, family, 0.0, _msecv_with_dk, seed, sigma2=1.0)
         # Closed-form amplitude at the fitted length-scales.
         ry, rdiag = fit_gp(dataset, unit, trend).gls.kbar_y_diag
         kernel = unit.with_(sigma2=float(np.mean(ry * ry / rdiag)))
     else:
         kernel, value, n_evals, converged = _fit_kernel(
-            dataset, trend, family, nugget, _msecv_with_dk, n_starts, seed)
+            dataset, trend, family, nugget, _msecv_with_dk, seed)
     return EstimationResult(kernel=kernel, objective_value=value,
                             n_evals=n_evals, method="MSE_CV",
                             converged=converged)
@@ -463,23 +461,20 @@ def random_walk_metropolis(log_target, x0: np.ndarray, n_steps: int,
 
 
 def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
-           nugget: float, config: McmcConfig, rng: np.random.Generator):
-    """Metropolis chain over (log theta, log sigma2) in data-standardized
-    coordinates, on the profile likelihood times the lognormal(0,1) prior.
+           nugget: float, rng: np.random.Generator):
+    """Metropolis chain of ``_MCMC_SAMPLES`` states over the log
+    coordinates of ``_coordinates`` (log theta and log sigma2 at the fixed
+    nugget), on the profile likelihood times an independent standard
+    normal prior on each coordinate, i.e. lognormal(0, 1) per
+    hyperparameter relative to its data scale.
 
-    Returns (unpack: state -> kernel, the states after burn-in, the
-    acceptance rate, the ``_Design`` the log-target fitted on).
+    Returns (unpack: state -> kernel, the states after the first
+    ``_MCMC_BURN_IN``, the acceptance rate, the ``_Design`` the log-target
+    fitted on).
     """
-    spans, v = _data_scales(dataset)
-    d = dataset.d
-    design = _Design(dataset, trend)
-
-    def unpack(u):
-        return KernelSpec(family=family, sigma2=v * np.exp(u[d]),
-                          theta=spans * np.exp(u[:d]), nugget=nugget)
-
-    # Every state shares the nugget, so a singular design fails them all.
-    _check_distinct_rows(unpack(np.zeros(d + 1)), lambda: design.duplicates)
+    if nugget is None:
+        raise InvalidParameterError("the chain needs a fixed nugget")
+    design, unpack, boxes = _coordinates(dataset, trend, family, nugget)
 
     def log_target(u):
         try:
@@ -489,22 +484,23 @@ def _chain(dataset: Dataset, trend: TrendSpec, family: KernelFamily,
         return -0.5 * nll - 0.5 * float(u @ u)
 
     chain, acc = random_walk_metropolis(
-        log_target, np.zeros(d + 1), config.n_samples,
-        config.proposal_scale, rng)
-    return unpack, chain[config.burn_in:], acc, design
+        log_target, np.zeros(len(boxes)), _MCMC_SAMPLES, _MCMC_STEP, rng)
+    return unpack, chain[_MCMC_BURN_IN:], acc, design
 
 
 def posterior_mean_kernel(dataset: Dataset, trend: TrendSpec,
                           family: KernelFamily, nugget: float,
-                          config: McmcConfig) -> tuple:
+                          seed: int) -> tuple:
     """Plug-in kernel at the posterior mean of the log hyperparameters.
 
     Runs the same chain as the full predictive and averages the retained
     log-hyperparameter states; used by the CLI to persist a single model
-    from a Bayesian fit.  Returns (kernel, acceptance_rate).
+    from a Bayesian fit.  ``seed`` seeds the chain.  Returns (kernel,
+    acceptance_rate).
     """
-    unpack, retained, acc, _ = _chain(dataset, trend, family, nugget, config,
-                                      np.random.default_rng(config.seed))
+    _check_seed(seed)
+    unpack, retained, acc, _ = _chain(dataset, trend, family, nugget,
+                                      np.random.default_rng(seed))
     return unpack(retained.mean(axis=0)), acc
 
 
@@ -521,20 +517,21 @@ class BayesPredictive:
 
 def bayes_predictive(dataset: Dataset, trend: TrendSpec,
                      family: KernelFamily, nugget: float,
-                     config: McmcConfig, x_new, alpha: float
-                     ) -> BayesPredictive:
+                     seed: int, x_new, alpha: float) -> BayesPredictive:
     """Full-Bayesian prediction intervals by hyperparameter MCMC.
 
     A random-walk Metropolis chain explores the profile Gaussian likelihood
     times the log-normal prior over log hyperparameters.  Each retained
     sample contributes one posterior draw of the response at every query
     point; the interval is the empirical alpha/2 .. 1-alpha/2 band of those
-    draws and the point prediction is their mean.
+    draws and the point prediction is their mean.  ``seed`` seeds the
+    chain and then the draws.
     """
+    _check_seed(seed)
     check_alpha(alpha)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     unpack, retained, acc, design = _chain(dataset, trend, family, nugget,
-                                           config, rng)
+                                           rng)
 
     x_arr = np.asarray(x_new, dtype=float)
     single = x_arr.ndim == 1

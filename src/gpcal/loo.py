@@ -49,7 +49,6 @@ class LooDiagnostics:
     loo_mean: np.ndarray
     loo_var: np.ndarray
     std_resid: np.ndarray
-    kbar_diag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def virtual_loo(model: FittedGp) -> LooDiagnostics:
     loo_var = 1.0 / diag
     std_resid = ky / np.sqrt(diag)
     return LooDiagnostics(loo_mean=loo_mean, loo_var=loo_var,
-                          std_resid=std_resid, kbar_diag=diag.copy())
+                          std_resid=std_resid)
 
 
 def loo_mse(model: FittedGp) -> float:

@@ -41,8 +41,8 @@ from gpcal.bench import (
     write_report_csv,
 )
 from gpcal.blas import single_threaded_blas
-from gpcal.estimation import EstimationResult, McmcConfig, \
-    bayes_predictive, fit_mle
+import gpcal.estimation
+from gpcal.estimation import EstimationResult, bayes_predictive, fit_mle
 from gpcal.gp import fit_gp, prediction_interval
 from gpcal.loo import loo_coverage, virtual_loo
 from gpcal.rpie import calibrate, predict_calibrated, \
@@ -404,9 +404,8 @@ def test_criterion_9_bayes_concentration():
     X_new = rng.uniform(0, 1, (60, 3))
     lo, up = prediction_interval(model, X_new, 0.1)
     mle_width = float(np.mean(up - lo))
-    out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.1,
-                           McmcConfig(n_samples=2000, burn_in=500, seed=0),
-                           X_new, 0.1)
+    out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.1, 0, X_new,
+                           0.1)
     bayes_width = float(np.mean(out.upper - out.lower))
     elapsed = time.perf_counter() - t0
     ratio = bayes_width / mle_width
@@ -415,7 +414,7 @@ def test_criterion_9_bayes_concentration():
             f"(acceptance rate {out.acceptance_rate:.2f}, {elapsed:.0f}s)")
 
 
-def test_criterion_10_determinism(desk_reports, tmp_path):
+def test_criterion_10_determinism(desk_reports, tmp_path, monkeypatch):
     failures = []
     non_timing = ("experiment", "seed", "method", "q2", "loo_cp", "cp",
                   "mpiw", "sdpiw")
@@ -470,11 +469,12 @@ def test_criterion_10_determinism(desk_reports, tmp_path):
     X = rng.uniform(0, 1, (25, 2))
     y = np.sin(4 * X[:, 0]) + 0.1 * rng.standard_normal(25)
     ds = Dataset(X=X, y=y)
-    cfg = McmcConfig(n_samples=200, burn_in=50, seed=9)
-    b1 = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.01, cfg,
-                          X[:4], 0.1)
-    b2 = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.01, cfg,
-                          X[:4], 0.1)
+    monkeypatch.setattr(gpcal.estimation, "_MCMC_SAMPLES", 200)
+    monkeypatch.setattr(gpcal.estimation, "_MCMC_BURN_IN", 50)
+    b1 = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.01, 9, X[:4],
+                          0.1)
+    b2 = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.01, 9, X[:4],
+                          0.1)
     if not (np.array_equal(b1.lower, b2.lower)
             and np.array_equal(b1.upper, b2.upper)
             and np.array_equal(b1.mean, b2.mean)):

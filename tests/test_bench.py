@@ -21,7 +21,7 @@ from gpcal.bench import (
     write_report_csv,
     zhou_log,
 )
-from gpcal.estimation import McmcConfig
+from gpcal.estimation import _MCMC_SAMPLES
 from gpcal.exceptions import DataError, DomainError, InvalidMatrixError, \
     InvalidParameterError
 
@@ -276,7 +276,7 @@ class TestRunExperiment:
         bayes = report.rows[0]
         assert math.isfinite(bayes.q2) and math.isnan(bayes.loo_cp)
         assert 0.0 <= bayes.cp <= 1.0 and bayes.mpiw > 0.0
-        assert bayes.converged and bayes.n_evals == McmcConfig().n_samples
+        assert bayes.converged and bayes.n_evals == _MCMC_SAMPLES
         assert bayes.calibrate_seconds == 0.0
         assert list(report.calibrations) == [(0, "mle")]
         assert set(report.summary) == {"bayes", "mle", "mle_rpie"}
@@ -350,14 +350,16 @@ class TestRunExperiment:
                                                   getattr(s2.trace, field))
 
     @pytest.mark.slow
-    def test_well_specified_pipeline_coverage(self):
+    def test_well_specified_pipeline_coverage(self, monkeypatch):
         # Simulate from the fitting family and check the MLE LOO-CP lands
         # inside +-3 binomial standard errors at several levels.
         from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
         from gpcal.bench import sample_gp_response
+        import gpcal.estimation
         from gpcal.estimation import fit_mle
         from gpcal.gp import fit_gp
         from gpcal.loo import loo_coverage
+        monkeypatch.setattr(gpcal.estimation, "_N_STARTS", 3)
         local = np.random.default_rng(321)
         n = 150
         X = local.uniform(0, 1, (n, 3))
@@ -367,7 +369,7 @@ class TestRunExperiment:
         ds = Dataset(X=X, y=y)
         trend = TrendSpec.from_string("ordinary")
         result = fit_mle(ds, trend, KernelFamily.MATERN32, nugget=0.05,
-                         n_starts=3, seed=0)
+                         seed=0)
         model = fit_gp(ds, result.kernel, trend)
         for alpha in (0.01, 0.05, 0.1):
             cov = loo_coverage(model, alpha)

@@ -830,3 +830,26 @@ class TestUnreadableInputs:
         self._data_error(["predict", "--model", str(model), "--data",
                           str(feat), "--out", str(out)], feat, capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("columns", [["a", "a"], ["a", 3], "ab"],
+                             ids=["repeated", "not_a_string", "not_a_list"])
+    def test_predict_rejects_stored_names_that_repeat_or_are_not_strings(
+            self, tmp_path, capsys, columns):
+        # Stored names ["a", "a"] used to feed column a into both inputs
+        # of the model, with no error.
+        model, _, X = self._plain(tmp_path, columns)
+        feat = tmp_path / "features.csv"
+        _write_csv(feat, ["a", "b"], X.tolist())
+        out = tmp_path / "p.csv"
+        self._data_error(["predict", "--model", str(model), "--data",
+                          str(feat), "--out", str(out)], model, capsys)
+        assert not out.exists()
+
+    def test_diagnose_names_a_calibrated_document(self, tmp_path, capsys):
+        _, calibrated = TestMalformedInputs._docs()
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(calibrated))
+        out = tmp_path / "diag.csv"
+        self._data_error(["diagnose", "--model", str(path), "--out",
+                          str(out)], path, capsys)
+        assert not out.exists()

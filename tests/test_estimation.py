@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+import gpcal.estimation
 from gpcal import Dataset, KernelFamily, KernelSpec, TrendSpec
 from gpcal.bench import ExperimentScale, experiment_split, \
     sample_gp_response
@@ -20,7 +21,6 @@ from gpcal.estimation import (
     _SIGMA2_BOUNDS,
     _START_BOX,
     _THETA_BOUNDS,
-    McmcConfig,
     _Design,
     _log_objective,
     _make_starts,
@@ -44,6 +44,15 @@ from conftest import ALL_FAMILIES, dense_kbar, msecv_value, \
 
 ORD = TrendSpec.from_string("ordinary")
 SIM = TrendSpec.from_string("simple")
+
+
+def _constants(monkeypatch, **values):
+    """Set estimation's private constants (``_N_STARTS`` and the chain's
+    ``_MCMC_SAMPLES``, ``_MCMC_BURN_IN``, ``_MCMC_STEP``) for one test:
+    fewer starts or a shorter chain where the default is not what the
+    test checks, or a value that reaches the case it checks."""
+    for name, value in values.items():
+        monkeypatch.setattr(gpcal.estimation, name, value)
 
 
 class TestMleObjective:
@@ -387,9 +396,10 @@ class TestAnalyticGradient:
             return solve_lower(T, b, trans)
 
         monkeypatch.setattr(gpcal.gp, "_solve_lower", counting)
+        _constants(monkeypatch, _N_STARTS=1)
         ds = random_dataset(np.random.default_rng(32), n=15, d=2)
         result = fit(ds, TrendSpec.from_string("ordinary"),
-                     KernelFamily.MATERN52, nugget=1e-3, n_starts=1)
+                     KernelFamily.MATERN52, nugget=1e-3)
         assert result.n_evals > 0
         assert len(solves) == result.n_evals
 
@@ -403,10 +413,11 @@ def test_optimizer_loads_with_the_first_fit(tmp_path):
         "import gpcal, gpcal.cli\n"
         "assert 'scipy.optimize' not in sys.modules\n"
         "from gpcal import Dataset, KernelFamily, TrendSpec, fit_mle\n"
+        "gpcal.estimation._N_STARTS = 2\n"
         "X = np.linspace(0.0, 1.0, 12)[:, None]\n"
         "res = fit_mle(Dataset(X=X, y=np.sin(6.0 * X[:, 0])),\n"
         "              TrendSpec.from_string('ordinary'),\n"
-        "              KernelFamily.MATERN52, n_starts=2)\n"
+        "              KernelFamily.MATERN52)\n"
         "assert 'scipy.optimize' in sys.modules\n"
         "assert res.n_evals > 0 and np.isfinite(res.objective_value)\n")
     env = dict(os.environ)
@@ -474,21 +485,22 @@ class TestFitMle:
             return design_fit(design, kernel)
 
         monkeypatch.setattr(_Design, "fit", counting_fit)
+        _constants(monkeypatch, _N_STARTS=1)
         ds = random_dataset(rng, n=20, d=2)
         X = ds.X.copy()
         X[1] = X[0]
         ds = Dataset(X=X, y=ds.y)
         with pytest.raises(IllConditionedError):
-            fit(ds, ORD, KernelFamily.MATERN32, n_starts=1)
+            fit(ds, ORD, KernelFamily.MATERN32)
         assert not fits
-        result = fit(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
-                     n_starts=1)
+        result = fit(ds, ORD, KernelFamily.MATERN32, nugget=0.05)
         assert fits and np.isfinite(result.objective_value)
 
-    def test_objective_value_consistent(self, rng):
+    def test_objective_value_consistent(self, monkeypatch, rng):
+        _constants(monkeypatch, _N_STARTS=2)
         ds = random_dataset(rng, n=30, d=2)
         result = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
-                         n_starts=2, seed=1)
+                         seed=1)
         recomputed = mle_objective(ds, ORD, result.kernel)
         assert result.objective_value == pytest.approx(recomputed,
                                                        rel=1e-10)
@@ -496,15 +508,16 @@ class TestFitMle:
         assert result.n_evals > 0
 
     @pytest.mark.slow
-    def test_recovers_known_hyperparameters(self):
+    def test_recovers_known_hyperparameters(self, monkeypatch):
         # Well-specified recovery: theta within x/2 of truth in >= 80%
         # of seeds.
+        _constants(monkeypatch, _N_STARTS=3)
         hits = 0
         n_seeds = 20
         for seed in range(n_seeds):
             ds, truth = _simulated_dataset(seed, nugget=0.1)
             result = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.1,
-                             n_starts=3, seed=seed)
+                             seed=seed)
             ratio = result.kernel.theta / truth.theta
             hits += bool(np.all(ratio >= 0.5) and np.all(ratio <= 2.0))
         assert hits >= 0.8 * n_seeds
@@ -550,13 +563,13 @@ class TestFitMle:
         assert result.objective_value == pytest.approx(-703.1575049396278,
                                                        abs=1e-6)
 
-    def test_scale_equivariance(self):
+    def test_scale_equivariance(self, monkeypatch):
+        _constants(monkeypatch, _N_STARTS=2)
         ds, _ = _simulated_dataset(3, n=60, nugget=0.0)
         scaled = Dataset(X=ds.X, y=3.0 * ds.y)
-        r1 = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.0,
-                     n_starts=2, seed=0)
+        r1 = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.0, seed=0)
         r2 = fit_mle(scaled, ORD, KernelFamily.MATERN32, nugget=0.0,
-                     n_starts=2, seed=0)
+                     seed=0)
         assert r2.kernel.sigma2 == pytest.approx(9.0 * r1.kernel.sigma2,
                                                  rel=1e-3)
         np.testing.assert_allclose(r2.kernel.theta, r1.kernel.theta,
@@ -564,43 +577,49 @@ class TestFitMle:
 
 
 class TestFitMsecv:
-    def test_no_nugget_amplitude_normalizes_residuals(self, rng):
+    def test_no_nugget_amplitude_normalizes_residuals(self, monkeypatch,
+                                                      rng):
         # The closed-form amplitude makes the mean squared standardized
         # LOO residual equal one.
+        _constants(monkeypatch, _N_STARTS=2)
         for k in range(5):
             local = np.random.default_rng(200 + k)
             ds = random_dataset(local, n=25, d=2)
             result = fit_msecv(ds, ORD, KernelFamily.MATERN52, nugget=0.0,
-                               n_starts=2, seed=k)
+                               seed=k)
             model = fit_gp(ds, result.kernel, ORD)
             z = virtual_loo(model).std_resid
             assert float(np.mean(z * z)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_objective_value_consistent(self, rng):
+    def test_objective_value_consistent(self, monkeypatch, rng):
+        _constants(monkeypatch, _N_STARTS=2)
         ds = random_dataset(rng, n=25, d=2)
         result = fit_msecv(ds, ORD, KernelFamily.MATERN52, nugget=0.05,
-                           n_starts=2, seed=1)
+                           seed=1)
         recomputed = msecv_value(ds, ORD, result.kernel)
         assert result.objective_value == pytest.approx(recomputed,
                                                        rel=1e-10)
         assert result.method == "MSE_CV"
 
     @pytest.mark.slow
-    def test_recovers_known_hyperparameters_loosely(self):
+    def test_recovers_known_hyperparameters_loosely(self, monkeypatch):
+        _constants(monkeypatch, _N_STARTS=3)
         hits = 0
         n_seeds = 10
         for seed in range(n_seeds):
             ds, truth = _simulated_dataset(seed, n=120, nugget=0.1)
             result = fit_msecv(ds, ORD, KernelFamily.MATERN32, nugget=0.1,
-                               n_starts=3, seed=seed)
+                               seed=seed)
             ratio = result.kernel.theta / truth.theta
             hits += bool(np.all(ratio >= 1 / 3) and np.all(ratio <= 3.0))
         assert hits >= 0.7 * n_seeds
 
-    def test_local_optimality_against_random_probes(self, rng):
+    def test_local_optimality_against_random_probes(self, monkeypatch,
+                                                    rng):
+        _constants(monkeypatch, _N_STARTS=3)
         ds = random_dataset(rng, n=30, d=2)
         result = fit_msecv(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
-                           n_starts=3, seed=2)
+                           seed=2)
         best = msecv_value(ds, ORD, result.kernel)
         probes = 0
         for _ in range(100):
@@ -638,17 +657,16 @@ class TestJointNugget:
 
 
 class TestFitArguments:
-    """A start count below one, a negative seed and a negative or NaN
-    nugget are rejected before any optimizer start runs."""
+    """A seed that is not an integer >= 0 and a negative, NaN or infinite
+    nugget are rejected before any optimizer start or chain step runs."""
 
     @pytest.mark.parametrize("fit", [fit_mle, fit_msecv],
                              ids=["mle", "msecv"])
     @pytest.mark.parametrize("kwargs", [
-        {"n_starts": 0}, {"n_starts": -3}, {"n_starts": 2.5},
         {"seed": -2}, {"seed": 1.5},
         {"nugget": -1.0}, {"nugget": math.nan}, {"nugget": math.inf},
-    ], ids=["starts_0", "starts_neg", "starts_frac", "seed_neg",
-            "seed_frac", "nugget_neg", "nugget_nan", "nugget_inf"])
+    ], ids=["seed_neg", "seed_frac", "nugget_neg", "nugget_nan",
+            "nugget_inf"])
     def test_rejected_before_any_start(self, monkeypatch, rng, fit, kwargs):
         import gpcal.estimation
 
@@ -661,16 +679,32 @@ class TestFitArguments:
         with pytest.raises(InvalidParameterError):
             fit(ds, ORD, KernelFamily.MATERN32, **kwargs)
 
+    @pytest.mark.parametrize("call", ["posterior_mean_kernel",
+                                      "bayes_predictive"])
     @pytest.mark.parametrize("seed", [-1, 0.5])
-    def test_mcmc_seed_rejected(self, seed):
-        with pytest.raises(InvalidParameterError, match="seed"):
-            McmcConfig(seed=seed)
+    def test_mcmc_seed_rejected(self, monkeypatch, rng, call, seed):
+        def no_step(*args):
+            raise AssertionError("a chain step ran")
 
-    def test_numpy_integers_accepted(self, rng):
+        monkeypatch.setattr(gpcal.estimation, "random_walk_metropolis",
+                            no_step)
+        ds = random_dataset(rng, n=12, d=2)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            if call == "posterior_mean_kernel":
+                posterior_mean_kernel(ds, ORD, KernelFamily.MATERN32, 0.05,
+                                      seed)
+            else:
+                bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.05, seed,
+                                 np.array([[0.5, 0.5]]), 0.1)
+
+    def test_numpy_integers_accepted(self, monkeypatch, rng):
+        _constants(monkeypatch, _N_STARTS=1, _MCMC_SAMPLES=6,
+                   _MCMC_BURN_IN=5)
         ds = random_dataset(rng, n=12, d=2)
         fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.05,
-                n_starts=np.int64(1), seed=np.int64(3))
-        McmcConfig(seed=np.int64(3))
+                seed=np.int64(3))
+        posterior_mean_kernel(ds, ORD, KernelFamily.MATERN32, 0.05,
+                              np.int64(3))
 
 
 class TestRandomWalkMetropolis:
@@ -713,18 +747,6 @@ class TestRandomWalkMetropolis:
 
 
 class TestBayesPredictive:
-    def test_config_validation(self):
-        with pytest.raises(InvalidParameterError):
-            McmcConfig(n_samples=100, burn_in=100)
-        for scale in (0.0, math.nan, math.inf):
-            with pytest.raises(InvalidParameterError):
-                McmcConfig(proposal_scale=scale)
-
-    def test_negative_burn_in_rejected(self):
-        # burn_in = -3 would keep only the last 3 states of the chain.
-        with pytest.raises(InvalidParameterError):
-            McmcConfig(n_samples=100, burn_in=-3)
-
     def test_prepares_the_design_once(self, monkeypatch, rng):
         # One call builds F, the squared differences and the duplicated-row
         # verdict once, not once per chain step or predictive sample.
@@ -745,9 +767,9 @@ class TestBayesPredictive:
             wrapped = counting(name, getattr(home, name))
             for module in (home, gpcal.estimation):
                 monkeypatch.setattr(module, name, wrapped)
+        _constants(monkeypatch, _MCMC_SAMPLES=40, _MCMC_BURN_IN=10)
         ds = random_dataset(rng, n=12, d=2)
-        config = McmcConfig(n_samples=40, burn_in=10, seed=0)
-        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.0, config,
+        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.0, 0,
                                np.array([[0.5, 0.5], [0.2, 0.9]]), 0.1)
         assert np.all(out.lower <= out.upper)
         assert counts == {"build_regression_matrix": 1,
@@ -771,47 +793,67 @@ class TestBayesPredictive:
         X = rng.uniform(0, 1, (11, 2))
         X[7] = X[2]
         ds = Dataset(X=X, y=rng.standard_normal(11))
-        config = McmcConfig(n_samples=40, burn_in=10, seed=0)
+        _constants(monkeypatch, _MCMC_SAMPLES=40, _MCMC_BURN_IN=10)
         with pytest.raises(IllConditionedError):
             if call == "posterior_mean_kernel":
                 posterior_mean_kernel(ds, ORD, KernelFamily.MATERN52, 0.0,
-                                      config)
+                                      0)
             else:
-                bayes_predictive(ds, ORD, KernelFamily.MATERN52, 0.0,
-                                 config, np.array([[0.5, 0.5]]), 0.1)
+                bayes_predictive(ds, ORD, KernelFamily.MATERN52, 0.0, 0,
+                                 np.array([[0.5, 0.5]]), 0.1)
         assert not fits
 
-    def test_single_retained_sample_degenerates(self, rng):
+    @pytest.mark.parametrize("call", ["posterior_mean_kernel",
+                                      "bayes_predictive"])
+    def test_chain_needs_a_fixed_nugget(self, monkeypatch, rng, call):
+        # The chain moves over log theta and log sigma2 only; nugget=None,
+        # which asks a fit to estimate the nugget, is rejected before the
+        # first step.
+        def no_step(*args):
+            raise AssertionError("a chain step ran")
+
+        monkeypatch.setattr(gpcal.estimation, "random_walk_metropolis",
+                            no_step)
+        ds = random_dataset(rng, n=12, d=2)
+        with pytest.raises(InvalidParameterError, match="fixed nugget"):
+            if call == "posterior_mean_kernel":
+                posterior_mean_kernel(ds, ORD, KernelFamily.MATERN32, None,
+                                      0)
+            else:
+                bayes_predictive(ds, ORD, KernelFamily.MATERN32, None, 0,
+                                 np.array([[0.5, 0.5]]), 0.1)
+
+    def test_single_retained_sample_degenerates(self, monkeypatch, rng):
+        _constants(monkeypatch, _MCMC_SAMPLES=6, _MCMC_BURN_IN=5)
         ds = random_dataset(rng, n=10, d=1)
-        config = McmcConfig(n_samples=6, burn_in=5, seed=0)
-        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.05,
-                               config, np.array([0.5]), 0.1)
+        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.05, 0,
+                               np.array([0.5]), 0.1)
         assert out.lower == out.upper == out.mean
 
-    def test_wild_proposal_sets_warning_not_error(self, rng):
+    def test_wild_proposal_sets_warning_not_error(self, monkeypatch, rng):
         # A huge step size tanks the acceptance rate; that is reported in
         # the result metadata, never raised.
+        _constants(monkeypatch, _MCMC_SAMPLES=120, _MCMC_BURN_IN=20,
+                   _MCMC_STEP=150.0)
         ds = random_dataset(rng, n=12, d=1)
-        config = McmcConfig(n_samples=120, burn_in=20,
-                            proposal_scale=150.0, seed=0)
-        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.05,
-                               config, np.array([0.5]), 0.1)
+        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.05, 0,
+                               np.array([0.5]), 0.1)
         assert out.acceptance_rate < 0.05
         assert out.warning is not None and "acceptance" in out.warning
 
     @pytest.mark.slow
-    def test_concentrates_near_mle_when_well_specified(self):
+    def test_concentrates_near_mle_when_well_specified(self, monkeypatch):
+        _constants(monkeypatch, _N_STARTS=2, _MCMC_SAMPLES=1500,
+                   _MCMC_BURN_IN=400)
         ds, truth = _simulated_dataset(7, n=120, nugget=0.1)
-        mle = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.1,
-                      n_starts=2, seed=0)
+        mle = fit_mle(ds, ORD, KernelFamily.MATERN32, nugget=0.1, seed=0)
         model = fit_gp(ds, mle.kernel, ORD)
         rng = np.random.default_rng(42)
         X_new = rng.uniform(0, 1, (40, 2))
         from gpcal.gp import prediction_interval
         lo, up = prediction_interval(model, X_new, 0.1)
         mle_width = float(np.mean(up - lo))
-        config = McmcConfig(n_samples=1500, burn_in=400, seed=1)
-        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.1,
-                               config, X_new, 0.1)
+        out = bayes_predictive(ds, ORD, KernelFamily.MATERN32, 0.1, 1,
+                               X_new, 0.1)
         bayes_width = float(np.mean(out.upper - out.lower))
         assert abs(bayes_width - mle_width) <= 0.25 * mle_width

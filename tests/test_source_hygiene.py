@@ -24,9 +24,14 @@ it runs on the caller's thread (``blas`` may hold a ``threading.Lock``).
 A ``FittedGp`` is constructed only in ``gp._solve``, and only gp.py calls
 ``factor_covariance`` and ``solve_gls``: every solved model, whether for
 ``fit_gp``, a fit's evaluation or a calibration, is assembled one way.
+Every defaulted parameter of a public function or method, and every
+defaulted field of a public dataclass, is passed by some call in the
+package, the benchmark or the demos, by keyword or by position: a default
+that no caller sets is a constant of its module, not a knob.
 """
 
 import ast
+import math
 import re
 import tokenize
 from collections import Counter
@@ -465,3 +470,127 @@ def test_one_model_assembly(path):
     found = _assembly_outside_solve(_tree(path), path.name)
     assert not found, f"{path.name}: a model assembled outside " \
         f"gp._solve {found}"
+
+
+def _is_dataclass(node) -> bool:
+    """Whether a class is decorated with dataclass, bare or called, by
+    name or as ``dataclasses.dataclass``."""
+    targets = [dec.func if isinstance(dec, ast.Call) else dec
+               for dec in node.decorator_list]
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass"
+               for t in targets)
+
+
+def _defaults(tree) -> list:
+    """(owner, parameter, the name calls call it by, its positional slot
+    or None) of each defaulted parameter of a public function or method
+    and each defaulted field of a public dataclass.  A method's slots
+    count from the argument after self or cls."""
+    out = []
+
+    def function(node, owner, bound):
+        if node.name.startswith("_"):
+            return
+        args = node.args
+        positional = [*args.posonlyargs, *args.args][bound:]
+        first = len(positional) - len(args.defaults)
+        out.extend((owner + node.name, arg.arg, node.name, slot)
+                   for slot, arg in enumerate(positional[first:], first))
+        out.extend((owner + node.name, arg.arg, node.name, None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None)
+
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            function(top, "", 0)
+        if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+            continue
+        for node in top.body:
+            if isinstance(node, ast.FunctionDef):
+                static = any(isinstance(dec, ast.Name)
+                             and dec.id == "staticmethod"
+                             for dec in node.decorator_list)
+                function(node, top.name + ".", 0 if static else 1)
+        if _is_dataclass(top):
+            fields = [node for node in top.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)]
+            out.extend((top.name, field.target.id, top.name, slot)
+                       for slot, field in enumerate(fields)
+                       if field.value is not None
+                       and not field.target.id.startswith("_"))
+    return out
+
+
+def _unset_defaults(trees: dict, callers: list) -> list:
+    """Defaulted parameters and dataclass fields of trees, as "module:
+    owner.name", that no call in trees or callers passes by keyword or
+    by position.  Calls match by the name they call; a ``**mapping``
+    passes every keyword and a ``*sequence`` every position."""
+    keywords, positions = {}, Counter()
+    for tree in [*trees.values(), *callers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called(node):
+                name = _called(node)
+                keywords.setdefault(name, set()).update(
+                    kw.arg for kw in node.keywords)
+                starred = any(isinstance(arg, ast.Starred)
+                              for arg in node.args)
+                positions[name] = max(positions[name], math.inf if starred
+                                      else len(node.args))
+    return [f"{module}: {owner}.{param}"
+            for module, tree in trees.items()
+            for owner, param, name, slot in _defaults(tree)
+            if not keywords.get(name, set()) & {param, None}
+            and (slot is None or positions[name] <= slot)]
+
+
+@pytest.mark.parametrize("source, caller, flagged", [
+    ("def fit_mle(ds, nugget=0.0, n_starts=5, seed=0):\n    pass",
+     "fit_mle(ds, nugget=1e-4, seed=3)", ["m.py: fit_mle.n_starts"]),
+    ("def fit(ds, *, starts=5):\n    pass", "fit(ds)", ["m.py: fit.starts"]),
+    ("class Model:\n    def predict(self, x, batch=64):\n        pass",
+     "model.predict(x)", ["m.py: Model.predict.batch"]),
+    ("from dataclasses import dataclass\n"
+     "@dataclass(frozen=True)\nclass McmcConfig:\n"
+     "    n_samples: int = 2000\n    burn_in: int = 500\n"
+     "    proposal_scale: float = 0.1\n    seed: int = 0",
+     "McmcConfig(seed=seed)",
+     ["m.py: McmcConfig.n_samples", "m.py: McmcConfig.burn_in",
+      "m.py: McmcConfig.proposal_scale"]),
+    # A call of another name sets nothing.
+    ("def predict(x, alpha=0.1):\n    pass", "other(x, alpha=0.2)",
+     ["m.py: predict.alpha"]),
+])
+def test_unset_default_rule_flags(source, caller, flagged):
+    assert _unset_defaults({"m.py": ast.parse(source)},
+                           [ast.parse(caller)]) == flagged
+
+
+@pytest.mark.parametrize("source, caller", [
+    # A positional argument sets the field in its slot.
+    ("import dataclasses\n"
+     "@dataclasses.dataclass(frozen=True)\nclass SmoothingParams:\n"
+     "    delta: float = 1e-2", "SmoothingParams(args.delta)"),
+    ("def fit(ds, nugget=0.0, seed=0):\n    pass",
+     "fit(ds, 1e-4)\nfit(ds, seed=2)"),
+    ("class Model:\n    def predict(self, x, batch=64):\n        pass",
+     "model.predict(x, 16)"),
+    ("def run(name, alpha=0.1):\n    pass", "run(*argv)"),
+    ("def run(name, alpha=0.1):\n    pass", "run(name, **options)"),
+    # Private functions and classes, and plain classes' fields.
+    ("def _helper(x, k=2):\n    pass\n"
+     "class _Design:\n    def fit(self, kernel, cache=None):\n"
+     "        pass\n"
+     "class Report:\n    rows: list = None", "_helper(1)"),
+])
+def test_unset_default_rule_allows(source, caller):
+    assert not _unset_defaults({"m.py": ast.parse(source)},
+                               [ast.parse(caller)])
+
+
+def test_every_default_is_set_by_a_caller():
+    trees = {path.name: _tree(path) for path in MODULES}
+    unset = _unset_defaults(trees, list(map(_tree, CALLERS)))
+    assert not unset, f"defaults no package, benchmark or demo call " \
+        f"sets: {unset}"
